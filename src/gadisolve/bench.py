@@ -16,7 +16,7 @@ only when every requested run converged.
 import argparse
 import configparser
 import csv
-import io
+import functools
 import math
 import os
 import re
@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.sparse as sp
 
-from .linalg import InnerSolverError
+from .linalg import InnerSolverError, NotPositiveDefiniteError
 from .matrixeq import (lift_lyapunov, newton_gadi_riccati, solve_lyapunov_gadi,
                        solve_lyapunov_hss)
 from .problems import ProblemSpec
@@ -142,9 +142,8 @@ def _auto_grid(alpha_star, points=21):
     return tuple(np.geomspace(alpha_star / 5.0, 5.0 * alpha_star, points))
 
 
-def _solve_cell(spec, problem, method, alpha, omega, cfg, max_outer=None):
+def _solve_cell(spec, problem, method, alpha, omega, cfg, max_outer):
     """Run one benchmark cell; returns (row, report)."""
-    max_outer = max_outer if max_outer is not None else cfg.max_outer
     t0 = time.perf_counter()
     if spec.family in ("ex241", "ex242"):
         base = "pmhss" if method == "pmhss-vi" else method
@@ -162,30 +161,75 @@ def _solve_cell(spec, problem, method, alpha, omega, cfg, max_outer=None):
         opts.setdefault("inner_forcing", (0.1, 0.1))
         result = newton_gadi_riccati(problem, outer_tol=cfg.tol, alpha=alpha,
                                      omega=omega, **opts)
-        # the report's history is indexed by outer step; the table IT column
-        # carries the cumulative inner sweep count
         report = SolveReport(result.converged, result.outer_iterations,
                              result.final_res, result.res_history,
                              result.wall_time, result.inner_iteration_total)
-        cpu = time.perf_counter() - t0
-        row = BenchmarkRow(method, spec.dimension, spec.label(), float(alpha),
-                           float(omega), result.final_res,
-                           result.inner_iteration_total, cpu, result.converged)
-        return row, report
-    cpu = time.perf_counter() - t0
-    row = BenchmarkRow(method, spec.dimension, spec.label(), float(alpha),
-                       float(omega), report.final_res, report.iterations, cpu,
-                       report.converged)
+    # the ex421 history is indexed by outer step, and its IT column carries
+    # the cumulative inner sweep count
+    it = report.inner_iteration_total if spec.family == "ex421" else report.iterations
+    row = BenchmarkRow(method, spec.dimension, spec.label(), float(alpha), float(omega),
+                       report.final_res, it, time.perf_counter() - t0, report.converged)
     return row, report
 
 
-def _failed_row(spec, method, alpha, omega, cpu, err):
-    it = getattr(err, "iterations", 0)
-    res = getattr(err, "residual", math.nan)
-    if not np.isfinite(res):
-        res = math.nan
-    return BenchmarkRow(method, spec.dimension, spec.label(), float(alpha),
-                        float(omega), res, int(it), cpu, False)
+def _solve_points(spec, problem, method, points, cfg, max_outer):
+    """Solve each (alpha, omega) point; returns [(row, report)].
+
+    A solver failure becomes a non-converged row with report None.
+    """
+    out = []
+    for alpha, omega in points:
+        alpha, omega = float(alpha), float(omega)
+        t0 = time.perf_counter()
+        try:
+            out.append(_solve_cell(spec, problem, method, alpha, omega, cfg, max_outer))
+        except (InnerSolverError, RuntimeError, NotPositiveDefiniteError) as err:
+            res = getattr(err, "residual", math.nan)
+            row = BenchmarkRow(method, spec.dimension, spec.label(), alpha, omega,
+                               res if np.isfinite(res) else math.nan,
+                               int(getattr(err, "iterations", 0)),
+                               time.perf_counter() - t0, False)
+            out.append((row, None))
+    return out
+
+
+def _cell(row):
+    return SweepCell(row.alpha, row.omega, row.it, row.res, row.converged)
+
+
+def _method_rows(cfg, spec, problem, method):
+    """The [(row, report)] one method contributes to a batch under its policy."""
+    policy = cfg.policy
+    relaxed = method in ("gadi", "newton-gadi")
+    auto = functools.cache(lambda: _auto_alpha(spec, problem, method))
+    if policy.kind == "auto":
+        points = [(auto(), DEFAULT_OMEGA if relaxed else 0.0)]
+    elif policy.kind == "fixed":
+        points = [(auto() if alpha is None else alpha, DEFAULT_OMEGA if omega is None else omega)
+                  for alpha, omega in policy.points]
+    else:
+        # sweep: the single best cell of the factorial grid. A winner that
+        # converged within the sweep cap is what a full solve would give.
+        alpha_star = auto()
+        alphas = policy.alpha_grid if policy.alpha_grid is not None else _auto_grid(alpha_star)
+        omegas = policy.omega_grid
+        if omegas is None:
+            omegas = SWEEP_OMEGAS if relaxed else (0.0,)
+        solved = _solve_points(spec, problem, method,
+                               [(a, w) for w in omegas for a in alphas], cfg,
+                               min(cfg.max_outer, SWEEP_MAX_OUTER))
+        cells = [_cell(row) for row, _ in solved]
+        win = best_cell(cells)
+        if win.converged:
+            return [solved[cells.index(win)]]
+        # nothing converged: solve the best cell that ran to the cap again
+        # with the full max_outer, or, if every cell failed, the nominal shift
+        points = [(alpha_star, omegas[0])]
+        ran = [c for c, (_, report) in zip(cells, solved) if report is not None]
+        if ran:
+            win = best_cell(ran)
+            points = [(win.alpha, win.omega)]
+    return _solve_points(spec, problem, method, points, cfg, cfg.max_outer)
 
 
 def run_grid(cfg, on_report=None):
@@ -199,56 +243,11 @@ def run_grid(cfg, on_report=None):
     for spec in cfg.problems:
         problem = spec.build()
         for method in cfg.methods:
-            for alpha, omega in _resolve_points(cfg, spec, problem, method):
-                t0 = time.perf_counter()
-                try:
-                    row, report = _solve_cell(spec, problem, method, alpha, omega, cfg)
-                except (InnerSolverError, RuntimeError) as err:
-                    rows.append(_failed_row(spec, method, alpha, omega,
-                                            time.perf_counter() - t0, err))
-                    continue
+            for row, report in _method_rows(cfg, spec, problem, method):
                 rows.append(row)
-                if on_report is not None:
+                if report is not None and on_report is not None:
                     on_report(row, report)
     return rows
-
-
-def _resolve_points(cfg, spec, problem, method):
-    policy = cfg.policy
-    if policy.kind == "auto":
-        omega = DEFAULT_OMEGA if method in ("gadi", "newton-gadi") else 0.0
-        return [(_auto_alpha(spec, problem, method), omega)]
-    if policy.kind == "fixed":
-        out = []
-        auto = None
-        for alpha, omega in policy.points:
-            if alpha is None:
-                auto = _auto_alpha(spec, problem, method) if auto is None else auto
-                alpha = auto
-            out.append((float(alpha), float(omega if omega is not None else DEFAULT_OMEGA)))
-        return out
-    # sweep: factorial over the grids, keep the single best cell
-    alpha_star = _auto_alpha(spec, problem, method)
-    alphas = policy.alpha_grid if policy.alpha_grid is not None else _auto_grid(alpha_star)
-    if policy.omega_grid is not None:
-        omegas = policy.omega_grid
-    else:
-        omegas = SWEEP_OMEGAS if method in ("gadi", "newton-gadi") else (0.0,)
-    best = None
-    for omega in omegas:
-        for alpha in alphas:
-            try:
-                row, _ = _solve_cell(spec, problem, method, float(alpha), float(omega),
-                                     cfg, max_outer=min(cfg.max_outer, SWEEP_MAX_OUTER))
-            except (InnerSolverError, RuntimeError):
-                continue
-            key = (0 if row.converged else 1, row.it, row.res, row.alpha)
-            if best is None or key < best[0]:
-                best = (key, row.alpha, row.omega)
-    if best is None:
-        # nothing converged; fall back to the nominal shift so the failure is recorded
-        return [(alpha_star, omegas[0])]
-    return [(best[1], best[2])]
 
 
 def sweep_params(spec, method, alpha_grid, omega_grid, tol=1e-5, inner="exact",
@@ -260,23 +259,11 @@ def sweep_params(spec, method, alpha_grid, omega_grid, tol=1e-5, inner="exact",
     """
     if len(alpha_grid) == 0 or len(omega_grid) == 0:
         raise ValueError("sweep grids must be nonempty")
-    problem = spec.build()
-    if method not in METHODS_BY_FAMILY[spec.family]:
-        raise ValueError(f"method {method!r} is not valid for family {spec.family!r}")
-    cfg = RunConfig(problems=(spec,), methods=(method,), tol=tol, inner=inner,
-                    max_outer=max_outer)
-    cells = []
-    for omega in omega_grid:
-        for alpha in alpha_grid:
-            try:
-                row, _ = _solve_cell(spec, problem, method, float(alpha), float(omega), cfg)
-            except (InnerSolverError, RuntimeError) as err:
-                failed = _failed_row(spec, method, alpha, omega, 0.0, err)
-                cells.append(SweepCell(float(alpha), float(omega), failed.it,
-                                       failed.res, False))
-                continue
-            cells.append(SweepCell(row.alpha, row.omega, row.it, row.res, row.converged))
-    return cells
+    # RunConfig rejects a method that is not valid for the family
+    cfg = RunConfig((spec,), (method,), tol=tol, inner=inner, max_outer=max_outer)
+    points = [(a, w) for w in omega_grid for a in alpha_grid]
+    solved = _solve_points(spec, spec.build(), method, points, cfg, max_outer)
+    return [_cell(row) for row, _ in solved]
 
 
 def best_cell(cells):
@@ -293,18 +280,22 @@ def _format_param(x):
     return "auto" if x is None else f"{x:.10g}"
 
 
+def _write_rows(rows, fh):
+    writer = csv.writer(fh, lineterminator="\n")
+    writer.writerow(CSV_HEADER)
+    for r in rows:
+        writer.writerow([
+            r.algorithm, r.n, r.problem,
+            _format_param(r.alpha), _format_param(r.omega),
+            f"{r.res:.4e}", r.it, f"{r.cpu:.6f}",
+            "true" if r.converged else "false",
+        ])
+
+
 def write_csv(rows, path):
     """Write benchmark rows; RES uses scientific notation with 5 significant digits."""
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(CSV_HEADER)
-        for r in rows:
-            writer.writerow([
-                r.algorithm, r.n, r.problem,
-                _format_param(r.alpha), _format_param(r.omega),
-                f"{r.res:.4e}", r.it, f"{r.cpu:.6f}",
-                "true" if r.converged else "false",
-            ])
+        _write_rows(rows, fh)
 
 
 def parse_csv(path):
@@ -419,12 +410,19 @@ def build_preset(name, tol=1e-5, inner="exact"):
 # -- command line -------------------------------------------------------------
 
 def _parse_grid(text):
+    """'start:stop:step' (stop included), a comma list, or 'auto' (None)."""
     if text is None or text == "auto":
         return None
-    if ":" in text:
+    try:
+        if ":" not in text:
+            return tuple(float(t) for t in text.split(","))
         start, stop, step = (float(t) for t in text.split(":"))
-        return tuple(np.arange(start, stop + step / 2.0, step))
-    return tuple(float(t) for t in text.split(","))
+        if step > 0 and stop >= start:
+            return tuple(np.arange(start, stop + step / 2.0, step))
+    except ValueError:
+        pass
+    raise ValueError(f"bad grid {text!r}: expected 'start:stop:step' with step > 0 "
+                     "and stop >= start, a comma-separated list, or 'auto'")
 
 
 def _parse_alpha(text):
@@ -434,7 +432,7 @@ def _parse_alpha(text):
 _CONVERTERS = {
     "m": int, "n": int, "max_outer": int,
     "tol": float, "omega": float, "t": float, "sigma1": float, "sigma2": float,
-    "alpha": _parse_alpha, "alpha_grid": _parse_grid, "omega_grid": _parse_grid,
+    "alpha": _parse_alpha,
 }
 
 
@@ -542,14 +540,9 @@ def _cmd_solve(args):
     alpha = _parse_alpha(args.alpha) if isinstance(args.alpha, str) else args.alpha
     if alpha is None:
         alpha = _auto_alpha(spec, problem, args.method)
-    row, report = _solve_cell(spec, problem, args.method, alpha, args.omega, cfg)
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(CSV_HEADER)
-    writer.writerow([row.algorithm, row.n, row.problem, f"{row.alpha:.10g}",
-                     f"{row.omega:.10g}", f"{row.res:.4e}", row.it,
-                     f"{row.cpu:.6f}", "true" if row.converged else "false"])
-    print(buf.getvalue(), end="")
+    row, report = _solve_cell(spec, problem, args.method, alpha, args.omega, cfg,
+                              cfg.max_outer)
+    _write_rows([row], sys.stdout)
     if args.out:
         write_csv([row], args.out)
     if args.series:
@@ -557,10 +550,8 @@ def _cmd_solve(args):
     return 0 if row.converged else 1
 
 
-def _cmd_sweep(args):
+def _cmd_sweep(args, alpha_grid, omega_grid):
     spec = _spec_from_args(args)
-    alpha_grid = args.alpha_grid if not isinstance(args.alpha_grid, str) else _parse_grid(args.alpha_grid)
-    omega_grid = args.omega_grid if not isinstance(args.omega_grid, str) else _parse_grid(args.omega_grid)
     if alpha_grid is None:
         problem = spec.build()
         alpha_grid = _auto_grid(_auto_alpha(spec, problem, args.method))
@@ -598,7 +589,11 @@ def main(argv=None):
         if args.method is None:
             parser.error("solve requires --method (flag or config file)")
         return _cmd_solve(args)
-    return _cmd_sweep(args)
+    try:  # grids from a flag or from the config file
+        grids = _parse_grid(args.alpha_grid), _parse_grid(args.omega_grid)
+    except ValueError as err:
+        parser.error(f"sweep: {err}")
+    return _cmd_sweep(args, *grids)
 
 
 if __name__ == "__main__":

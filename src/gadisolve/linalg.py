@@ -4,6 +4,8 @@ Dense matrices are numpy arrays, sparse matrices are scipy.sparse arrays
 (CSR for storage, CSC for factorization). Vectors are 1-d complex numpy
 arrays. All routines are pure functions of their inputs.
 """
+import warnings
+
 import numpy as np
 import scipy.linalg as sla
 import scipy.sparse as sp
@@ -273,18 +275,36 @@ def save_matrix_coo(path, A):
             fh.write(f"{i} {j} {c.real:.17g} {c.imag:.17g}\n")
 
 
+def _read_rows(fh, count, dtype):
+    """Parse the `count` lines after a header with one numpy call.
+
+    A line with the wrong number of tokens, or a token that does not parse as
+    its field's type, raises ValueError; so does a file with fewer lines than
+    `count`.
+    """
+    with warnings.catch_warnings():
+        # loadtxt warns on an empty body; its length is checked below
+        warnings.simplefilter("ignore", UserWarning)
+        rows = np.loadtxt(fh, dtype=dtype, ndmin=1, max_rows=count)
+    if len(rows) != count:
+        raise ValueError(f"{len(rows)} data lines after the header, expected {count}")
+    return rows
+
+
+_COO_ENTRY = np.dtype([("i", np.int64), ("j", np.int64), ("re", float), ("im", float)])
+_COMPLEX_PAIR = np.dtype([("re", float), ("im", float)])
+
+
 def load_matrix_coo(path):
     """Read a coordinate-format matrix back as a complex CSR array."""
     with open(path) as fh:
         m, n, nnz = (int(t) for t in fh.readline().split())
-        rows, cols, vals = [], [], []
-        for _ in range(nnz):
-            i, j, re, im = fh.readline().split()
-            rows.append(int(i))
-            cols.append(int(j))
-            vals.append(float(re) + 1j * float(im))
-    if rows and (max(rows) >= m or max(cols) >= n):
+        entries = _read_rows(fh, nnz, _COO_ENTRY)
+    rows, cols = entries["i"], entries["j"]
+    if nnz and (rows.max() >= m or cols.max() >= n):
         raise ValueError("coordinate index out of range")
+    vals = np.empty(nnz, dtype=complex)
+    vals.real, vals.imag = entries["re"], entries["im"]
     return sp.csr_array((vals, (rows, cols)), shape=(m, n), dtype=complex)
 
 
@@ -299,11 +319,7 @@ def save_vector(path, x):
 def load_vector(path):
     with open(path) as fh:
         n = int(fh.readline())
-        out = np.empty(n, dtype=complex)
-        for k in range(n):
-            re, im = fh.readline().split()
-            out[k] = float(re) + 1j * float(im)
-    return out
+        return _read_rows(fh, n, _COMPLEX_PAIR).view(complex)
 
 
 def save_dense_block(path, M):
@@ -317,11 +333,4 @@ def save_dense_block(path, M):
 def load_dense_block(path):
     with open(path) as fh:
         m, n = (int(t) for t in fh.readline().split())
-        out = np.empty((m, n), dtype=complex)
-        for i in range(m):
-            toks = fh.readline().split()
-            if len(toks) != 2 * n:
-                raise ValueError(f"dense block row {i} has {len(toks)} tokens, expected {2 * n}")
-            for j in range(n):
-                out[i, j] = float(toks[2 * j]) + 1j * float(toks[2 * j + 1])
-    return out
+        return _read_rows(fh, m, np.dtype([("row", float, (2 * n,))]))["row"].view(complex)

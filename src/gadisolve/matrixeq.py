@@ -20,7 +20,8 @@ import scipy.sparse as sp
 from .linalg import (DirectSolver, InnerSolverError, kron, load_dense_block,
                      load_matrix_coo, save_dense_block, save_matrix_coo,
                      unvec, vec)
-from .splitting import ComplexSymSystem, SolveConfig, SplitParams, run_stationary
+from .splitting import (ComplexSymSystem, SolveConfig, SplitParams, _Diverged, _sweep,
+                        run_stationary)
 
 __all__ = [
     "LyapunovProblem", "RiccatiProblem", "LyapunovLift", "NewtonLift",
@@ -369,37 +370,16 @@ def _ensure_invertible_start(problem, X0, max_tries=60):
     return X0, c
 
 
-class _InnerDivergence(Exception):
-    def __init__(self, sweeps):
-        self.sweeps = sweeps
-
-
-def _gadi_inner(lift, alpha, omega, x, eps_abs, max_inner, m1_solver):
-    """Inner GADI loop on the Newton lift; stops on an absolute residual.
-
-    Monitors the residual and raises _InnerDivergence when it keeps growing,
-    which happens when the lifted term g_lift is expansive enough to push the
-    sweep's contraction factor above one.
-    """
+def _newton_sweep(lift, a, om, m1):
+    """The GADI sweep on a Newton lift, whose second coefficient carries -g_lift."""
     S = lambda v: 1j * (lift.t_lift @ v) - lift.g_lift @ v
-    m2 = DirectSolver((alpha * sp.eye_array(lift.w_lift.shape[0], format="csr")).astype(complex)
+    m2 = DirectSolver((a * sp.eye_array(lift.w_lift.shape[0], format="csr")).astype(complex)
                       + 1j * lift.t_lift - lift.g_lift)
-    a, om = alpha, omega
-    amat = lift.matvec
-    r = np.linalg.norm(amat(x) - lift.q)
-    r0 = r
-    grow = 0
-    l = 0
-    while r >= eps_abs and l < max_inner:
-        xh = m1_solver.solve(a * x - S(x) + lift.q)
-        x = m2.solve(S(x) - (1 - om) * a * x + (2 - om) * a * xh)
-        l += 1
-        rn = np.linalg.norm(amat(x) - lift.q)
-        grow = grow + 1 if rn > r else 0
-        if grow >= 6 and rn > 2.0 * r0:
-            raise _InnerDivergence(l)
-        r = rn
-    return x, l, r
+
+    def step(x, res):
+        xh = m1.solve(a * x - S(x) + lift.q)
+        return m2.solve(S(x) - (1 - om) * a * x + (2 - om) * a * xh), 0
+    return step
 
 
 def newton_gadi_riccati(problem, outer_tol=1e-6, max_outer=30, inner_tol=1e-8,
@@ -468,10 +448,16 @@ def newton_gadi_riccati(problem, outer_tol=1e-6, max_outer=30, inner_tol=1e-8,
             eps_abs = min(eta_max, eta_fac * res) * np.linalg.norm(lift.q)
         else:
             eps_abs = inner_tol * np.linalg.norm(lift.q)
+        # the inner sweeps stop on the absolute residual, once it is below
+        # eps_abs, and a residual that keeps growing means the lifted term
+        # g_lift pushed the contraction factor above one
         try:
-            x, l, r_inner = _gadi_inner(lift, alpha_k, omega, x, eps_abs, max_inner, m1)
-        except _InnerDivergence as div:
-            total_inner += div.sweeps
+            x, inner = _sweep(
+                lambda: _newton_sweep(lift, alpha_k, omega, m1),
+                lambda v: np.linalg.norm(lift.matvec(v) - lift.q), x,
+                np.nextafter(eps_abs, -np.inf), max_inner, guard=True)
+        except _Diverged as div:
+            total_inner += div.args[0].iterations
             if restarted or k > 0:
                 err = InnerSolverError(
                     f"inner GADI sweeps diverge at outer step {k}", x=x,
@@ -484,9 +470,10 @@ def newton_gadi_riccati(problem, outer_tol=1e-6, max_outer=30, inner_tol=1e-8,
             states.clear()
             history.clear()
             continue
+        l = inner.iterations
         total_inner += l
         state.inner_iterations = l
-        state.inner_residual = float(r_inner)
+        state.inner_residual = float(inner.final_res)
         X = unvec(x, n, n)
         X = 0.5 * (X + X.conj().T)  # inner tolerance allows a Hermitian drift
         x = vec(X)

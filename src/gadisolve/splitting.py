@@ -1,30 +1,32 @@
 """Stationary splitting iterations for complex symmetric systems (W + iT)x = b.
 
 Six methods share one two-half-step driver: GADI, HSS, MHSS, PMHSS, CRI and
-TSCSP. Each sweep solves two shifted subsystems; in "exact" inner mode the
+TSCSP, plus a real-arithmetic GADI for A = W + T (:func:`step_gadi_real` /
+:func:`run_gadi_real`). Each method is one row of a table giving its two
+half-step coefficients and right-hand sides; MHSS is the PMHSS row with
+V = I. Each sweep solves two shifted subsystems; in "exact" inner mode the
 coefficients are factorized once per solve, in "iterative" mode they are
 solved by CG (Hermitian positive definite coefficients) or COCG (complex
-symmetric coefficients) to a configurable tolerance.
-
-A real-arithmetic GADI variant for A = W + T is provided separately
-(:func:`step_gadi_real` / :func:`run_gadi_real`).
+symmetric coefficients) to a configurable tolerance. One sweep loop,
+:func:`_sweep`, drives every method and the Newton inner sweeps of
+:mod:`gadisolve.matrixeq`.
 """
 import time
 from dataclasses import dataclass
+from types import SimpleNamespace
 
 import numpy as np
 import scipy.linalg as sla
 import scipy.sparse as sp
 
 from .linalg import DirectSolver, InnerSolverError, NotPositiveDefiniteError, cg_hpd, cocg_sym
+from .spectral import eig_extremes_spd, optimal_alpha
 
 __all__ = [
     "METHODS", "ComplexSymSystem", "SplitParams", "SolveConfig", "SolveReport",
     "step_gadi", "step_hss", "step_mhss", "step_pmhss", "step_cri", "step_tscsp",
     "step_gadi_real", "run_stationary", "run_gadi_real", "default_alpha",
 ]
-
-METHODS = ("gadi", "gadi_real", "hss", "mhss", "pmhss", "cri", "tscsp")
 
 # exact-mode factorization is the default up to this dimension
 EXACT_INNER_LIMIT = 4096
@@ -199,59 +201,82 @@ class _HalfStep:
         return cocg_sym(self.op, rhs, rel_tol=rel_tol, max_it=self.max_inner)
 
 
-class _Stepper:
-    """Prefactored two-half-step sweep for one (system, params) pair."""
+# -- the methods as data ------------------------------------------------------
+#
+# Each row gives a method's default shift, as a function of W, and its
+# half-step data: a map from (W, T, b, I, V, a, w) to (M1, kind1, M2, kind2,
+# rhs1, rhs2). A sweep solves M1 x_half = rhs1(x), then
+# M2 x_next = rhs2(x, x_half); a kind is "hpd" (CG in iterative mode) or
+# "csym" (COCG).
 
-    def __init__(self, system, params, config):
-        W, T, b = system.W, system.T, system.b
-        n = system.n
-        a, om = params.alpha, params.omega
-        I = _eye_like(W, n)
-        method = params.method
+def _bound_shift(W):
+    """sqrt(gamma_min * gamma_max) of W, the minimizer of the contraction bound."""
+    return optimal_alpha(eig_extremes_spd(W))
+
+
+def _pmhss(W, T, b, I, V, a, om):
+    return (a * V + W, "hpd", a * V + T, "hpd",
+            lambda x: a * (V @ x) - 1j * (T @ x) + b,
+            lambda x, xh: a * (V @ xh) + 1j * (W @ xh) - 1j * b)
+
+
+def _pmhss_checked(W, T, b, I, V, a, om):
+    V = W if V is None else V
+    _check_spd_param(V, W.shape[0], "PMHSS preconditioner V")
+    return _pmhss(W, T, b, I, V, a, om)
+
+
+_METHODS = {
+    "gadi": (_bound_shift, lambda W, T, b, I, V, a, om: (
+        a * I + W, "hpd", (a * I).astype(complex) + 1j * T, "csym",
+        lambda x: a * x - 1j * (T @ x) + b,
+        lambda x, xh: 1j * (T @ x) - (1 - om) * a * x + (2 - om) * a * xh)),
+    "gadi_real": (_bound_shift, lambda W, T, b, I, V, a, om: (
+        a * I + W, "hpd", a * I + T, "hpd",
+        lambda x: a * x - T @ x + b,
+        lambda x, xh: T @ x - (1 - om) * a * x + (2 - om) * a * xh)),
+    # HSS is GADI at w = 0, but GADI's second right-hand side rounds
+    # differently; a row of its own keeps the HSS residual histories bit-stable
+    "hss": (_bound_shift, lambda W, T, b, I, V, a, om: (
+        a * I + W, "hpd", (a * I).astype(complex) + 1j * T, "csym",
+        lambda x: a * x - 1j * (T @ x) + b,
+        lambda x, xh: a * xh - W @ xh + b)),
+    # MHSS is PMHSS with V = I
+    "mhss": (_bound_shift, lambda W, T, b, I, V, a, om: _pmhss(W, T, b, I, I, a, om)),
+    "pmhss": (lambda W: 1.0, _pmhss_checked),
+    "cri": (lambda W: 1.0, lambda W, T, b, I, V, a, om: (
+        a * T + W, "hpd", a * W + T, "hpd",
+        lambda x: (a - 1j) * (T @ x) + b,
+        lambda x, xh: (a + 1j) * (W @ xh) - 1j * b)),
+    "tscsp": (lambda W: 1.0, lambda W, T, b, I, V, a, om: (
+        a * W + T, "hpd", a * T + W, "hpd",
+        lambda x: 1j * (W @ x - a * (T @ x)) + (a - 1j) * b,
+        lambda x, xh: 1j * (a * (W @ xh) - T @ xh) + (1 - 1j * a) * b)),
+}
+METHODS = tuple(_METHODS)
+
+
+def _real_system(W, T, b):
+    """A = W + T with real b, which the gadi_real row steps in real arithmetic."""
+    return SimpleNamespace(W=W, T=T, b=np.asarray(b, dtype=float),
+                           matvec=lambda x: W @ x + T @ x)
+
+
+class _Stepper:
+    """Prefactored two-half-step sweep of one method on one system."""
+
+    def __init__(self, system, method, params, config):
+        W, b = system.W, system.b
+        n = b.shape[0]
         mode = config.resolved_inner(n)
         max_inner = config.max_inner if config.max_inner is not None else 4 * n + 100
-
-        if method == "gadi":
-            M1, k1 = a * I + W, "hpd"
-            M2, k2 = (a * I).astype(complex) + 1j * T, "csym"
-            rhs1 = lambda x: a * x - 1j * (T @ x) + b
-            rhs2 = lambda x, xh: 1j * (T @ x) - (1 - om) * a * x + (2 - om) * a * xh
-        elif method == "hss":
-            M1, k1 = a * I + W, "hpd"
-            M2, k2 = (a * I).astype(complex) + 1j * T, "csym"
-            rhs1 = lambda x: a * x - 1j * (T @ x) + b
-            rhs2 = lambda x, xh: a * xh - W @ xh + b
-        elif method == "mhss":
-            M1, k1 = a * I + W, "hpd"
-            M2, k2 = a * I + T, "hpd"
-            rhs1 = lambda x: a * x - 1j * (T @ x) + b
-            rhs2 = lambda x, xh: a * xh + 1j * (W @ xh) - 1j * b
-        elif method == "pmhss":
-            V = params.V if params.V is not None else W
-            _check_spd_param(V, n, "PMHSS preconditioner V")
-            M1, k1 = a * V + W, "hpd"
-            M2, k2 = a * V + T, "hpd"
-            rhs1 = lambda x: a * (V @ x) - 1j * (T @ x) + b
-            rhs2 = lambda x, xh: a * (V @ xh) + 1j * (W @ xh) - 1j * b
-        elif method == "cri":
-            M1, k1 = a * T + W, "hpd"
-            M2, k2 = a * W + T, "hpd"
-            rhs1 = lambda x: (a - 1j) * (T @ x) + b
-            rhs2 = lambda x, xh: (a + 1j) * (W @ xh) - 1j * b
-        elif method == "tscsp":
-            M1, k1 = a * W + T, "hpd"
-            M2, k2 = a * T + W, "hpd"
-            rhs1 = lambda x: 1j * (W @ x - a * (T @ x)) + (a - 1j) * b
-            rhs2 = lambda x, xh: 1j * (a * (W @ xh) - T @ xh) + (1 - 1j * a) * b
-        else:
-            raise ValueError(f"method {method!r} is not a complex-system method")
-
+        M1, k1, M2, k2, self.rhs1, self.rhs2 = _METHODS[method][1](
+            W, system.T, b, _eye_like(W, n), params.V, params.alpha, params.omega)
         self.half1 = _HalfStep(M1, k1, mode, max_inner)
         self.half2 = _HalfStep(M2, k2, mode, max_inner)
-        self.rhs1, self.rhs2 = rhs1, rhs2
-        self.mode = mode
+        self.real = not np.iscomplexobj(b)
 
-    def step(self, x, eta=1e-12, tau=1e-12):
+    def step(self, x, eta, tau):
         """One full sweep; returns (x_next, inner_iterations)."""
         try:
             xh, n1 = self.half1.solve(self.rhs1(x), eta)
@@ -263,7 +288,7 @@ class _Stepper:
         except InnerSolverError as err:
             err.half_step = "second half-step"
             raise
-        return xn, n1 + n2
+        return (np.real(xn) if self.real else xn), n1 + n2
 
 
 def _inner_tols(config, current_res):
@@ -273,20 +298,76 @@ def _inner_tols(config, current_res):
     return eta, tau
 
 
-def _one_step(method, system, params, x, config):
-    if params.method != method:
-        params = SplitParams(method, params.alpha, params.omega, params.V)
+class _Diverged(Exception):
+    """The guarded sweep loop's residual kept growing; args[0] is its report."""
+
+
+def _sweep(make_step, residual, x, tol, max_sweeps, guard=False):
+    """The sweep loop every solver in the package runs.
+
+    Sweeps ``x, inner = step(x, res)`` while ``res = residual(x)`` exceeds
+    ``tol``, for at most ``max_sweeps`` sweeps. ``make_step()`` builds the
+    step, factorizing its coefficients, before the first sweep, so a start
+    that already meets ``tol`` costs no factorization. Returns
+    ``(x, SolveReport)``. An InnerSolverError from a step leaves with the
+    partial report as ``err.report``. With ``guard``, a residual that grew six
+    sweeps running to above twice its start raises _Diverged.
+    """
+    t0 = time.perf_counter()
+    res = residual(x)
+    history = [(0, res)]
+    inner_total = it = grow = 0
+    step = None
+
+    def report():
+        return SolveReport(res <= tol, it, res, history, time.perf_counter() - t0, inner_total)
+
+    while res > tol and it < max_sweeps:
+        step = step or make_step()
+        try:
+            x, inner = step(x, res)
+        except InnerSolverError as err:
+            err.report = report()
+            raise
+        inner_total += inner
+        it += 1
+        new = residual(x)
+        grow = grow + 1 if new > res else 0
+        res = new
+        history.append((it, res))
+        if guard and grow >= 6 and res > 2.0 * history[0][1]:
+            raise _Diverged(report())
+    return x, report()
+
+
+def _run(system, method, params, config):
+    """Sweep one method from config.x0 (default 0) to RES = ||b - A x||/||b|| <= tol."""
     config = config or SolveConfig()
-    x = np.asarray(x, dtype=complex)
-    stepper = _Stepper(system, params, config)
-    if config.resolved_inner(system.n) == "exact":
+    b = system.b
+    nb = np.linalg.norm(b)
+    if nb == 0.0:
+        raise ValueError("b = 0: relative residual is undefined")
+    x = np.zeros(b.shape[0], b.dtype) if config.x0 is None else np.asarray(config.x0, b.dtype).copy()
+
+    def make_step():
+        stepper = _Stepper(system, method, params, config)
+        return lambda x, res: stepper.step(x, *_inner_tols(config, res))
+
+    return _sweep(make_step, lambda x: float(np.linalg.norm(b - system.matvec(x)) / nb),
+                  x, config.tol, config.max_outer)
+
+
+def _one_step(method, system, params, x, config):
+    config = config or SolveConfig()
+    x = np.asarray(x, dtype=system.b.dtype)
+    stepper = _Stepper(system, method, params, config)
+    if config.resolved_inner(system.b.shape[0]) == "exact":
         eta = tau = 0.0
     else:
         nb = np.linalg.norm(system.b)
         res = np.linalg.norm(system.b - system.matvec(x)) / nb if nb > 0 else 1.0
         eta, tau = _inner_tols(config, res)
-    xn, _ = stepper.step(x, eta, tau)
-    return xn
+    return stepper.step(x, eta, tau)[0]
 
 
 def step_gadi(system, params, x, config=None):
@@ -325,6 +406,12 @@ def step_tscsp(system, params, x, config=None):
     return _one_step("tscsp", system, params, x, config)
 
 
+def step_gadi_real(W, T, b, params, x, config=None):
+    """One real GADI sweep for A = W + T: (aI+W) x_half = (aI-T) x + b, then
+    (aI+T) x_next = (T-(1-w)aI) x + (2-w)a x_half."""
+    return _one_step("gadi_real", _real_system(W, T, b), params, x, config)
+
+
 def run_stationary(system, params, config=None):
     """Iterate one splitting method until RES = ||b - A x||/||b|| <= tol.
 
@@ -334,110 +421,20 @@ def run_stationary(system, params, config=None):
     """
     if params.method == "gadi_real":
         raise ValueError("gadi_real operates on real systems; use run_gadi_real")
-    config = config or SolveConfig()
-    t0 = time.perf_counter()
-    nb = np.linalg.norm(system.b)
-    if nb == 0.0:
-        raise ValueError("b = 0: relative residual is undefined")
-    x = np.zeros(system.n, dtype=complex) if config.x0 is None else np.asarray(config.x0, dtype=complex).copy()
-    res = float(np.linalg.norm(system.b - system.matvec(x)) / nb)
-    history = [(0, res)]
-    inner_total = 0
-    it = 0
-    stepper = _Stepper(system, params, config) if res > config.tol else None
-    while res > config.tol and it < config.max_outer:
-        eta, tau = _inner_tols(config, res)
-        try:
-            x, ninner = stepper.step(x, eta, tau)
-        except InnerSolverError as err:
-            err.report = SolveReport(False, it, res, history, time.perf_counter() - t0, inner_total)
-            raise
-        inner_total += ninner
-        it += 1
-        res = float(np.linalg.norm(system.b - system.matvec(x)) / nb)
-        history.append((it, res))
-    report = SolveReport(
-        converged=res <= config.tol,
-        iterations=it,
-        final_res=res,
-        residual_history=history,
-        wall_time=time.perf_counter() - t0,
-        inner_iteration_total=inner_total,
-    )
-    return x, report
-
-
-# -- real-arithmetic GADI for A = W + T --------------------------------------
-
-def _real_stepper_parts(W, T, b, params, config, n):
-    a, om = params.alpha, params.omega
-    I = _eye_like(W, n)
-    mode = config.resolved_inner(n)
-    max_inner = config.max_inner if config.max_inner is not None else 4 * n + 100
-    h1 = _HalfStep(a * I + W, "hpd", mode, max_inner)
-    h2 = _HalfStep(a * I + T, "hpd", mode, max_inner)
-    rhs1 = lambda x: a * x - T @ x + b
-    rhs2 = lambda x, xh: T @ x - (1 - om) * a * x + (2 - om) * a * xh
-    return h1, h2, rhs1, rhs2
-
-
-def step_gadi_real(W, T, b, params, x, config=None):
-    """One real GADI sweep for A = W + T: (aI+W) x_half = (aI-T) x + b, then
-    (aI+T) x_next = (T-(1-w)aI) x + (2-w)a x_half."""
-    config = config or SolveConfig()
-    b = np.asarray(b, dtype=float)
-    x = np.asarray(x, dtype=float)
-    h1, h2, rhs1, rhs2 = _real_stepper_parts(W, T, b, params, config, b.shape[0])
-    if config.resolved_inner(b.shape[0]) == "exact":
-        eta = tau = 0.0
-    else:
-        nb = np.linalg.norm(b)
-        res = np.linalg.norm(b - (W @ x + T @ x)) / nb if nb > 0 else 1.0
-        eta, tau = _inner_tols(config, res)
-    xh, _ = h1.solve(rhs1(x), eta)
-    xn, _ = h2.solve(rhs2(x, xh), tau)
-    return np.real(xn)
+    return _run(system, params.method, params, config)
 
 
 def run_gadi_real(W, T, b, params, config=None):
     """Drive :func:`step_gadi_real` to RES <= tol; returns (x, SolveReport)."""
-    config = config or SolveConfig()
-    t0 = time.perf_counter()
-    b = np.asarray(b, dtype=float)
-    n = b.shape[0]
-    nb = np.linalg.norm(b)
-    if nb == 0.0:
-        raise ValueError("b = 0: relative residual is undefined")
-    x = np.zeros(n) if config.x0 is None else np.asarray(config.x0, dtype=float).copy()
-    amat = lambda v: W @ v + T @ v
-    res = float(np.linalg.norm(b - amat(x)) / nb)
-    history = [(0, res)]
-    h1, h2, rhs1, rhs2 = _real_stepper_parts(W, T, b, params, config, n)
-    it = 0
-    inner_total = 0
-    while res > config.tol and it < config.max_outer:
-        eta, tau = _inner_tols(config, res)
-        xh, n1 = h1.solve(rhs1(x), eta)
-        x, n2 = h2.solve(rhs2(x, xh), tau)
-        x = np.real(x)
-        inner_total += n1 + n2
-        it += 1
-        res = float(np.linalg.norm(b - amat(x)) / nb)
-        history.append((it, res))
-    report = SolveReport(res <= config.tol, it, res, history,
-                         time.perf_counter() - t0, inner_total)
-    return x, report
+    return _run(_real_system(W, T, b), "gadi_real", params, config)
 
 
 def default_alpha(system, method):
-    """Method-specific default shift.
+    """Method-specific default shift, from the method table.
 
     GADI, HSS and MHSS use the bound-minimizing sqrt(gamma_min*gamma_max) of
     W; PMHSS, CRI and TSCSP use the scale-free choice alpha = 1.
     """
-    from .spectral import eig_extremes_spd, optimal_alpha
-    if method in ("gadi", "gadi_real", "hss", "mhss"):
-        return optimal_alpha(eig_extremes_spd(system.W))
-    if method in ("pmhss", "cri", "tscsp"):
-        return 1.0
-    raise ValueError(f"unknown method {method!r}")
+    if method not in _METHODS:
+        raise ValueError(f"unknown method {method!r}")
+    return _METHODS[method][0](system.W)

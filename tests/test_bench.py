@@ -50,6 +50,56 @@ def test_failures_recorded_as_nonconverged_rows():
     assert not rows[0].converged
 
 
+def test_indefinite_inner_cg_recorded_as_failed_rows():
+    # W = K - 2000 I is indefinite, so CG in the first half-step meets
+    # nonpositive curvature; each method still yields a row
+    spec = ProblemSpec("ex242", m=8, sigma1=-2000.0, stencil="unit")
+    cfg = RunConfig((spec,), ("gadi", "mhss"),
+                    ParamPolicy("fixed", points=((1.0, 0.01),)), inner="iterative")
+    rows = run_grid(cfg)
+    assert [r.algorithm for r in rows] == ["gadi", "mhss"]
+    assert not any(r.converged for r in rows)
+
+
+def _count_solves(monkeypatch):
+    from gadisolve import bench
+    calls = []
+    original = bench.run_stationary
+
+    def counted(*args, **kwargs):
+        calls.append(args[1])
+        return original(*args, **kwargs)
+    monkeypatch.setattr(bench, "run_stationary", counted)
+    return calls
+
+
+def test_sweep_policy_reuses_the_winning_cell(monkeypatch):
+    spec = ProblemSpec("ex241", m=4, stencil="unit")
+    alphas = (2.0, 4.0, 8.0)
+    omegas = (0.0, 0.01)
+    cells = sweep_params(spec, "gadi", alphas, omegas, tol=1e-5)
+    best = best_cell(cells)
+    calls = _count_solves(monkeypatch)
+    reports = []
+    cfg = RunConfig((spec,), ("gadi",), ParamPolicy("sweep", alpha_grid=alphas,
+                                                    omega_grid=omegas), tol=1e-5)
+    (row,) = run_grid(cfg, on_report=lambda r, rep: reports.append(rep))
+    assert len(calls) == len(alphas) * len(omegas)  # no second solve of the winner
+    assert (row.alpha, row.omega, row.it, row.res) == (best.alpha, best.omega, best.it, best.res)
+    assert len(reports) == 1 and reports[0].iterations == row.it
+
+
+def test_sweep_policy_without_a_converged_cell_solves_once_more(monkeypatch):
+    spec = ProblemSpec("ex241", m=4, stencil="unit")
+    calls = _count_solves(monkeypatch)
+    cfg = RunConfig((spec,), ("gadi",), ParamPolicy("sweep", alpha_grid=(2.0, 4.0),
+                                                    omega_grid=(0.0,)),
+                    tol=1e-300, max_outer=3)
+    (row,) = run_grid(cfg)
+    assert len(calls) == 3
+    assert not row.converged and row.it == 3
+
+
 def test_table1_preset_gadi_strictly_smallest_per_size():
     # the tau = h batches of the table1 preset: 5 comparison methods (plus the
     # second PMHSS variant) and the swept GADI rows over all five grid sizes
@@ -265,6 +315,36 @@ def test_cli_config_file_defaults_and_override(tmp_path, capsys):
     assert code == 0
     out2 = capsys.readouterr().out
     assert "omega=0.5" in out2
+
+
+@pytest.mark.parametrize("flags", [["--alpha-grid", "1:2:0"],
+                                   ["--alpha-grid", "1:2:-0.5"],
+                                   ["--alpha-grid", "2:1:0.5"],
+                                   ["--alpha-grid", "1:2"],
+                                   ["--omega-grid", ""],
+                                   ["--omega-grid", "0.1,,0.2"]])
+def test_cli_sweep_rejects_bad_grid_flags(flags, capsys):
+    with pytest.raises(SystemExit) as info:
+        main(["sweep", "--family", "ex241", "--m", "4", *flags])
+    assert info.value.code == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err and "grid" in err.splitlines()[-1]
+
+
+def test_cli_sweep_rejects_bad_grid_from_config_file(tmp_path, capsys):
+    ini = tmp_path / "bench.ini"
+    ini.write_text("[sweep]\nfamily = ex241\nm = 2\nalpha_grid = 1:2:0\n")
+    with pytest.raises(SystemExit) as info:
+        main(["sweep", "--config", str(ini)])
+    assert info.value.code == 2
+    assert "grid" in capsys.readouterr().err.splitlines()[-1]
+
+
+def test_cli_solve_prints_the_written_row(tmp_path, capsys):
+    out = tmp_path / "row.csv"
+    main(["solve", "--family", "ex241", "--m", "3", "--method", "cri",
+          "--alpha", "1.0", "--out", str(out)])
+    assert capsys.readouterr().out == out.read_text()
 
 
 def test_unknown_preset_rejected():

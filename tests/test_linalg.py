@@ -294,3 +294,72 @@ def test_dense_block_round_trip(tmp_path):
     path = tmp_path / "block.dense"
     save_dense_block(path, M)
     assert np.array_equal(load_dense_block(path), M)
+
+
+@pytest.mark.parametrize("body", ["2 2 2\n0 0 1.0 0.0\n",   # one entry short
+                                  "2 2 1\n"])                # no entries at all
+def test_load_matrix_rejects_truncated_file(tmp_path, body):
+    path = tmp_path / "short.coo"
+    path.write_text(body)
+    with pytest.raises(ValueError):
+        load_matrix_coo(path)
+
+
+@pytest.mark.parametrize("entry", ["0.5 0 1.0 0.0", "0 1.0 1.0 0.0", "1e0 0 1.0 0.0"])
+def test_load_matrix_rejects_non_integer_index(tmp_path, entry):
+    path = tmp_path / "frac.coo"
+    path.write_text(f"2 2 1\n{entry}\n")
+    with pytest.raises(ValueError):
+        load_matrix_coo(path)
+
+
+def test_load_matrix_rejects_wrong_token_count(tmp_path):
+    path = tmp_path / "short_row.coo"
+    path.write_text("2 2 2\n0 0 1.0 0.0\n1 1 1.0\n")
+    with pytest.raises(ValueError):
+        load_matrix_coo(path)
+
+
+def test_load_vector_and_dense_block_reject_truncated_files(tmp_path):
+    from gadisolve import load_dense_block
+    vec_path = tmp_path / "short.vec"
+    vec_path.write_text("3\n1.0 0.0\n2.0 0.0\n")
+    with pytest.raises(ValueError):
+        load_vector(vec_path)
+    block_path = tmp_path / "short.dense"
+    block_path.write_text("2 1\n1.0 0.0\n")
+    with pytest.raises(ValueError):
+        load_dense_block(block_path)
+
+
+def test_readers_keep_signed_zeros_and_empty_files(tmp_path):
+    from gadisolve import load_dense_block, save_dense_block
+    x = np.array([complex(-0.0, 1.0), complex(2.0, -0.0)])
+    save_vector(tmp_path / "z.vec", x)
+    back = load_vector(tmp_path / "z.vec")
+    assert back.tobytes() == x.tobytes()
+    save_vector(tmp_path / "empty.vec", np.zeros(0, dtype=complex))
+    assert load_vector(tmp_path / "empty.vec").shape == (0,)
+    save_matrix_coo(tmp_path / "empty.coo", sp.csr_array((3, 2)))
+    assert load_matrix_coo(tmp_path / "empty.coo").shape == (3, 2)
+    M = np.array([[complex(-0.0, -0.0), 1.5 - 2j]])
+    save_dense_block(tmp_path / "z.dense", M)
+    assert load_dense_block(tmp_path / "z.dense").tobytes() == M.tobytes()
+
+
+def test_readers_match_a_line_by_line_parse(tmp_path):
+    # reference: the per-line parse the numpy readers replaced
+    r = np.random.default_rng(5)
+    A = sp.random_array((30, 20), density=0.2, rng=r, format="csr")
+    A = A + 1j * A
+    save_matrix_coo(tmp_path / "a.coo", A)
+    lines = (tmp_path / "a.coo").read_text().splitlines()[1:]
+    want = {(int(i), int(j)): complex(float(re), float(im))
+            for i, j, re, im in (line.split() for line in lines)}
+    B = load_matrix_coo(tmp_path / "a.coo").tocoo()
+    assert dict(zip(zip(B.row.tolist(), B.col.tolist()), B.data.tolist())) == want
+    x = r.standard_normal(40) * 10.0 ** r.integers(-300, 300, 40) + 1j * r.standard_normal(40)
+    save_vector(tmp_path / "x.vec", x)
+    lines = (tmp_path / "x.vec").read_text().splitlines()[1:]
+    want = np.array([complex(float(re), float(im)) for re, im in (ln.split() for ln in lines)])
+    assert load_vector(tmp_path / "x.vec").tobytes() == want.tobytes()

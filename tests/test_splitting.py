@@ -66,7 +66,7 @@ def test_pmhss_with_identity_reduces_to_mhss():
     p_p = SplitParams("pmhss", 1.7, V=np.eye(4))
     out_m = step_mhss(system, p_m, x)
     out_p = step_pmhss(system, p_p, x)
-    assert np.abs(out_m - out_p).max() <= 1e-13
+    assert np.array_equal(out_m, out_p)  # MHSS is the PMHSS row with V = I
 
 
 # -- fixed points and one-step linearity --------------------------------------
@@ -293,6 +293,47 @@ def test_inner_failure_carries_partial_history():
     assert err.half_step in ("first half-step", "second half-step")
     assert err.report is not None
     assert len(err.report.residual_history) >= 1
+
+
+def test_real_inner_failure_carries_partial_history():
+    from gadisolve import InnerSolverError
+    from helpers import random_psd, random_spd
+    rng = np.random.default_rng(48)
+    W = random_spd(rng, 16)
+    T = random_psd(rng, 16, lo=0.2)
+    b = rng.standard_normal(16)
+    p = SplitParams("gadi_real", alpha=default_alpha_real(W), omega=0.01)
+    cfg = SolveConfig(tol=1e-10, inner="iterative", inner_eta=1e-12,
+                      inner_tau=1e-12, max_inner=1)
+    with pytest.raises(InnerSolverError) as info:
+        run_gadi_real(W, T, b, p, cfg)
+    err = info.value
+    assert err.half_step in ("first half-step", "second half-step")
+    assert err.report is not None
+    assert err.report.residual_history[0] == (0, 1.0)
+
+
+def test_mhss_run_is_pmhss_with_identity_bit_for_bit():
+    import scipy.sparse as sp
+    system = gen_ex241(8, "h", stencil="unit")
+    alpha = default_alpha(system, "mhss")
+    cfg = SolveConfig(tol=1e-8, max_outer=100)
+    _, rep_m = run_stationary(system, SplitParams("mhss", alpha), cfg)
+    _, rep_p = run_stationary(system, SplitParams("pmhss", alpha,
+                                                  V=sp.eye_array(system.n, format="csr")), cfg)
+    assert rep_m.converged
+    assert rep_m.residual_history == rep_p.residual_history
+
+
+def test_default_alpha_rules():
+    rng = np.random.default_rng(49)
+    system = random_system(rng, 6)
+    bound = default_alpha(system, "gadi")
+    assert default_alpha(system, "hss") == default_alpha(system, "mhss") == bound
+    assert default_alpha(system, "gadi_real") == bound
+    assert default_alpha(system, "pmhss") == default_alpha(system, "cri") == 1.0
+    with pytest.raises(ValueError):
+        default_alpha(system, "nope")
 
 
 def test_invalid_params_rejected():
