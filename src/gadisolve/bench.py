@@ -28,10 +28,9 @@ import numpy as np
 import scipy.sparse as sp
 
 from .linalg import InnerSolverError, NotPositiveDefiniteError
-from .matrixeq import (lift_lyapunov, newton_gadi_riccati, solve_lyapunov_gadi,
-                       solve_lyapunov_hss)
+from .matrixeq import (_eigh, _lift_shift, newton_gadi_riccati,
+                       solve_lyapunov_gadi, solve_lyapunov_hss)
 from .problems import ProblemSpec
-from .spectral import eig_extremes_spd, optimal_alpha
 from .splitting import (SolveConfig, SolveReport, SplitParams, default_alpha,
                         run_stationary)
 
@@ -130,12 +129,8 @@ def _auto_alpha(spec, problem, method):
         # pmhss with V = I coincides with mhss, so it inherits that default shift
         base = "mhss" if method == "pmhss-vi" else method
         return default_alpha(problem, base)
-    if spec.family == "ex31":
-        return optimal_alpha(eig_extremes_spd(lift_lyapunov(problem).w_lift))
-    # ex421: shift of the lifted real part, which the Newton driver also uses
-    from .matrixeq import _lift_candidates
-    w_lift, _ = _lift_candidates(problem.W, problem.T)
-    return optimal_alpha(eig_extremes_spd(w_lift))
+    # ex31 and ex421: the shift of the lifted real part, the solvers' default
+    return _lift_shift(_eigh(problem.W)[0])
 
 
 def _auto_grid(alpha_star, points=21):

@@ -1,14 +1,14 @@
-"""Lyapunov and Riccati solvers built on the Kronecker-lifted GADI iteration.
+"""Lyapunov and Riccati solvers: GADI on the Kronecker lift, run in n x n form.
 
-The Lyapunov equation A* X + X A = Q with A = W + iT is vectorized into an
-n^2-dimensional complex symmetric system (W~ + i T~) x = q and handed to the
-stationary driver. The Riccati equation A* X + X A + Q - X G X = 0 is solved
-by an outer Newton linearization whose step equations are Lyapunov equations
-with an extra lifted term, each solved by an inner GADI sweep loop.
-
-Column-stacking vectorization fixes the Kronecker orientation; both
-orientations are constructed and the one satisfying the residual identity
-||A~ vec(X) - q|| = ||A* X + X A - Q||_F on random probes is kept.
+Under column-stacking vec, A* X + X A = Q with A = W + iT is the system
+(W~ + iT~) x = q of size n^2, with W~ = W (x) I + I (x) W and
+T~ = T (x) I - I (x) T. Its GADI and HSS sweeps run on n x n iterates: the
+half-steps aX + WX + XW = R and aX + i(XT - TX) = R are diagonal in the
+eigenbasis of W and of T. Newton steps A_k* X + X A_k = Q_k (A_k = A - G X_k)
+of the Riccati equation A* X + X A + Q - X G X = 0 run the same sweep; their
+second half-step (aI - iT - S) X + X (iT - S^H) = R, S = X_k G, is solved by
+Bartels-Stewart (one complex Schur form per Newton step, LAPACK trsyl per
+sweep). The sparse lifts are built only as reference operators.
 """
 import time
 from dataclasses import dataclass, field
@@ -16,12 +16,13 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.linalg as sla
 import scipy.sparse as sp
+from scipy.linalg.lapack import ztrsyl
 
-from .linalg import (DirectSolver, InnerSolverError, kron, load_dense_block,
-                     load_matrix_coo, save_dense_block, save_matrix_coo,
-                     unvec, vec)
-from .splitting import (ComplexSymSystem, SolveConfig, SplitParams, _Diverged, _sweep,
-                        run_stationary)
+from .linalg import (InnerSolverError, NotPositiveDefiniteError, kron,
+                     load_dense_block, load_matrix_coo, save_dense_block,
+                     save_matrix_coo, unvec, vec)
+from .splitting import (ComplexSymSystem, SolveConfig, SplitParams, _Diverged,
+                        _is_exactly_symmetric, _sweep)
 
 __all__ = [
     "LyapunovProblem", "RiccatiProblem", "LyapunovLift", "NewtonLift",
@@ -33,37 +34,32 @@ __all__ = [
     "save_riccati_problem", "load_riccati_problem",
 ]
 
-LIFT_LIMIT = 128
-NEWTON_LIFT_LIMIT = 64
-_PROBE_SEED = 0x1A57
+LIFT_LIMIT = 128  # the explicit lifts have n^2 rows
 
 
 def _dense(M):
     return M.toarray() if sp.issparse(M) else np.asarray(M)
 
 
-def _hermitian_gap(M):
-    M = np.asarray(M)
-    nrm = np.linalg.norm(M, "fro")
-    if nrm == 0:
-        return 0.0
-    return float(np.linalg.norm(M - M.conj().T, "fro") / nrm)
+def _check_data(W, T, **hermitian):
+    """Reject malformed data with a one-line ValueError; eigh reads one triangle of W, T."""
+    n = W.shape[0]
+    mats = {"W": W, "T": T, **hermitian}
+    for name, M in mats.items():
+        if M.shape != (n, n):
+            raise ValueError(f"{name} must be {n}x{n}, got {M.shape}")
+        if not np.isfinite(M.data if sp.issparse(M) else M).all():
+            raise ValueError(f"{name} has non-finite entries")
+    for name in ("W", "T"):
+        if not _is_exactly_symmetric(mats[name]):
+            raise ValueError(f"{name} is not symmetric")
+    for name, M in hermitian.items():
+        if np.linalg.norm(M - M.conj().T) > 1e-13 * np.linalg.norm(M):
+            raise ValueError(f"{name} is not Hermitian")
 
 
-@dataclass
-class LyapunovProblem:
-    """Data (W, T, Q) of A* X + X A = Q with A = W + iT and Hermitian Q."""
-    W: object
-    T: object
-    Q: np.ndarray
-
-    def __post_init__(self):
-        n = self.W.shape[0]
-        self.Q = np.asarray(self.Q, dtype=complex)
-        if self.W.shape != (n, n) or self.T.shape != (n, n) or self.Q.shape != (n, n):
-            raise ValueError("W, T and Q must be square matrices of equal size")
-        if _hermitian_gap(self.Q) > 1e-13:
-            raise ValueError("Q is not Hermitian")
+class _EquationData:
+    """A = W + iT of a matrix equation."""
 
     @property
     def n(self):
@@ -74,7 +70,19 @@ class LyapunovProblem:
 
 
 @dataclass
-class RiccatiProblem:
+class LyapunovProblem(_EquationData):
+    """Data (W, T, Q) of A* X + X A = Q with A = W + iT and Hermitian Q."""
+    W: object
+    T: object
+    Q: np.ndarray
+
+    def __post_init__(self):
+        self.Q = np.asarray(self.Q, dtype=complex)
+        _check_data(self.W, self.T, Q=self.Q)
+
+
+@dataclass
+class RiccatiProblem(_EquationData):
     """Data (W, T, G, Q) of A* X + X A + Q - X G X = 0 with Hermitian G, Q."""
     W: object
     T: object
@@ -82,30 +90,14 @@ class RiccatiProblem:
     Q: np.ndarray
 
     def __post_init__(self):
-        n = self.W.shape[0]
         self.G = np.asarray(self.G, dtype=complex)
         self.Q = np.asarray(self.Q, dtype=complex)
-        for name, M in (("G", self.G), ("Q", self.Q)):
-            if M.shape != (n, n):
-                raise ValueError(f"{name} must be {n}x{n}")
-            if _hermitian_gap(M) > 1e-13:
-                raise ValueError(f"{name} is not Hermitian")
-
-    @property
-    def n(self):
-        return self.W.shape[0]
-
-    def dense_A(self):
-        return _dense(self.W) + 1j * _dense(self.T)
+        _check_data(self.W, self.T, G=self.G, Q=self.Q)
 
 
 @dataclass
 class LyapunovLift:
-    """Vectorized Lyapunov operator: (w_lift + i t_lift) x = q.
-
-    `orientation` records which Kronecker ordering passed the residual
-    identity under column-stacking vec.
-    """
+    """Vectorized Lyapunov operator (w_lift + i t_lift) x = q; `orientation` is "column"."""
     w_lift: object
     t_lift: object
     q: np.ndarray
@@ -157,61 +149,115 @@ class RiccatiResult:
     final_res: float = np.inf
 
 
-def _lift_candidates(W, T):
-    n = W.shape[0]
-    I = sp.eye_array(n, format="csr") if sp.issparse(W) else np.eye(n)
-    w_lift = kron(W, I) + kron(I, W)
-    t_col = kron(T, I) - kron(I, T)
-    return w_lift, [("column", t_col), ("row", -t_col)]
-
-
-def _probe_matrices(n, count=3):
-    rng = np.random.default_rng(_PROBE_SEED + n)
-    return [rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-            for _ in range(count)]
-
-
-def lift_lyapunov(problem):
-    """Vectorize A* X + X A = Q into (w_lift + i t_lift) x = q.
-
-    The real part of the lift is W (x) I + I (x) W; the sign of the imaginary
-    part depends on the vectorization convention, so both orientations are
-    built and validated against the residual identity on random probes.
-    """
+def _lift_parts(problem):
     n = problem.n
     if n > LIFT_LIMIT:
         raise ValueError(f"lift limited to n <= {LIFT_LIMIT}, got n = {n}")
-    A = problem.dense_A()
-    q = vec(problem.Q)
-    w_lift, candidates = _lift_candidates(problem.W, problem.T)
-    for orientation, t_lift in candidates:
-        ok = True
-        for X in _probe_matrices(n):
-            lifted = w_lift @ vec(X) + 1j * (t_lift @ vec(X)) - q
-            matrix = A.conj().T @ X + X @ A - problem.Q
-            scale = max(np.linalg.norm(matrix, "fro"), 1e-300)
-            if abs(np.linalg.norm(lifted) - np.linalg.norm(matrix, "fro")) > 1e-10 * scale:
-                ok = False
-                break
-        if ok:
-            return LyapunovLift(w_lift, t_lift, q, orientation)
-    raise RuntimeError("no Kronecker orientation satisfies the lift residual identity")
+    W, T = problem.W, problem.T
+    I = sp.eye_array(n, format="csr") if sp.issparse(W) else np.eye(n)
+    return kron(W, I) + kron(I, W), kron(T, I) - kron(I, T)
 
 
-def _lift_params(lift, method, params):
-    if params is not None:
-        return params
-    from .spectral import eig_extremes_spd, optimal_alpha
-    alpha = optimal_alpha(eig_extremes_spd(lift.w_lift))
-    return SplitParams(method, alpha=alpha, omega=0.01)
+def lift_lyapunov(problem):
+    """Vectorize A* X + X A = Q into (w_lift + i t_lift) x = q (n <= 128).
+
+    As vec(AXB) = (B^T (x) A) vec X, w_lift = W (x) I + I (x) W and
+    t_lift = T (x) I - I (x) T. A reference operator; the solvers never build it.
+    """
+    w_lift, t_lift = _lift_parts(problem)
+    return LyapunovLift(w_lift, t_lift, vec(problem.Q), "column")
+
+
+def build_newton_lift(state, problem):
+    """Vectorize the Newton step equation A_k* X + X A_k = Q_k (n <= 128).
+
+    A_k = A - G X_k adds -g_lift = -(I (x) S + conj(S) (x) I), the lift of
+    -(SX + XS^H) with S = X_k G, to the lift of :func:`lift_lyapunov`.
+    """
+    w_lift, t_lift = _lift_parts(problem)
+    S = sp.csr_array(np.asarray(state.X) @ problem.G)
+    I = sp.eye_array(problem.n, format="csr")
+    g_lift = kron(I, S) + kron(S.conj(), I)
+    return NewtonLift(w_lift, t_lift, g_lift, vec(state.Q_k), "column")
+
+
+# -- the lifted sweeps in n x n form ---------------------------------------------
+
+def _eigh(M):
+    """Ascending eigenvalues and orthonormal eigenvectors of a real symmetric matrix."""
+    return sla.eigh(_dense(M))
+
+
+def _lift_shift(lam):
+    """sqrt(gamma_min*gamma_max) of W (x) I + I (x) W, whose eigenvalues are the
+    sums lam_i + lam_j of those of W: 2 sqrt(lam_min lam_max)."""
+    if lam[0] <= 0:
+        raise NotPositiveDefiniteError(
+            f"W is not positive definite: minimum eigenvalue {lam[0]:.6e}")
+    return 2.0 * float(np.sqrt(lam[0] * lam[-1]))
+
+
+def _diagonal_solver(eig, coeff):
+    """Solver of a lifted half-step that the eigenbasis (lam, U) of a symmetric
+    matrix diagonalizes: entry (i, j) of U^T X U has coefficient coeff(lam_i, lam_j)."""
+    lam, U = eig
+    d = coeff(lam[:, None], lam[None, :])
+    return lambda R: U @ ((U.T @ R @ U) / d) @ U.T
+
+
+def _first_half(eig_W, a):
+    """Solver of (aI + W~) x = r: aX + WX + XW = R."""
+    return _diagonal_solver(eig_W, lambda li, lj: a + li + lj)
+
+
+def _second_half(T, a):
+    """Solver of (aI + iT~) x = r: aX + i(XT - TX) = R."""
+    return _diagonal_solver(_eigh(T), lambda li, lj: a + 1j * (lj - li))
+
+
+def _second_part(T, S, X):
+    """i(XT - TX), less SX + XS^H for a Newton step: the second half-step's part."""
+    iTX = 1j * (X @ T - T @ X)
+    return iTX if S is None else iTX - (S @ X + X @ S.conj().T)
+
+
+def _lifted(problem, S, X):
+    """The whole lifted operator in n x n form: WX + XW plus the second part."""
+    return problem.W @ X + X @ problem.W + _second_part(problem.T, S, X)
+
+
+def _gadi_step(problem, S, Q, half1, half2, params):
+    """The GADI or HSS sweep of a lifted system, on n x n iterates."""
+    W = problem.W
+    a, om = params.alpha, params.omega
+
+    def step(X, res):
+        SX = _second_part(problem.T, S, X)
+        Xh = half1(a * X - SX + Q)
+        if params.method == "hss":
+            return half2(a * Xh - (W @ Xh + Xh @ W) + Q), 0
+        return half2(SX - (1 - om) * a * X + (2 - om) * a * Xh), 0
+    return step
 
 
 def _solve_lyapunov(problem, method, params, config):
-    lift = lift_lyapunov(problem)
-    params = _lift_params(lift, method, params)
     config = config or SolveConfig(tol=1e-6, max_outer=500)
-    x, report = run_stationary(lift.as_system(), params, config)
-    return unvec(x, problem.n, problem.n), report
+    nq = np.linalg.norm(problem.Q, "fro")
+    if nq == 0.0:
+        raise ValueError("Q = 0: relative residual is undefined")
+    eig_W = _eigh(problem.W)
+    if params is None:
+        params = SplitParams(method, alpha=_lift_shift(eig_W[0]), omega=0.01)
+    if params.method not in ("gadi", "hss"):
+        raise ValueError(f"Lyapunov sweeps are 'gadi' or 'hss', got {params.method!r}")
+    n = problem.n
+    X = (np.zeros((n, n), dtype=complex) if config.x0 is None
+         else unvec(np.asarray(config.x0, dtype=complex), n, n))
+    Q, a = problem.Q, params.alpha
+    return _sweep(lambda: _gadi_step(problem, None, Q, _first_half(eig_W, a),
+                                     _second_half(problem.T, a), params),
+                  lambda X: float(np.linalg.norm(Q - _lifted(problem, None, X)) / nq),
+                  X, config.tol, config.max_outer)
 
 
 def solve_lyapunov_gadi(problem, params=None, config=None):
@@ -220,13 +266,14 @@ def solve_lyapunov_gadi(problem, params=None, config=None):
     Returns ``(X, SolveReport)``; the report's residuals are the lifted
     relative residuals, which coincide with ||Q - A*X - XA||_F / ||Q||_F.
     With ``params=None`` the shift is sqrt(gamma_min*gamma_max) of the lifted
-    real part and omega = 0.01.
+    real part and omega = 0.01. Of ``config`` only ``tol``, ``max_outer`` and
+    ``x0`` (a vec of length n^2) apply.
     """
     return _solve_lyapunov(problem, "gadi", params, config)
 
 
 def solve_lyapunov_hss(problem, params=None, config=None):
-    """Same lift as :func:`solve_lyapunov_gadi`, stepped with HSS sweeps."""
+    """Same lifted system as :func:`solve_lyapunov_gadi`, stepped with HSS sweeps."""
     return _solve_lyapunov(problem, "hss", params, config)
 
 
@@ -240,12 +287,6 @@ def lyapunov_residual(problem, X):
     return float(np.linalg.norm(problem.Q - A.conj().T @ X - X @ A, "fro") / nq)
 
 
-def _inf_norm(A):
-    if sp.issparse(A):
-        return float(abs(A).sum(axis=1).max())
-    return float(np.linalg.norm(np.asarray(A), np.inf))
-
-
 def newton_initial_guess(problem, config=None):
     """Starting matrix for the Newton iteration.
 
@@ -253,7 +294,7 @@ def newton_initial_guess(problem, config=None):
     B = A + (1 + ||A||_inf) I, whose strongly dominant real part makes the
     lifted GADI iteration converge in a handful of sweeps.
     """
-    beta = 1.0 + _inf_norm(problem.dense_A())
+    beta = 1.0 + np.linalg.norm(problem.dense_A(), np.inf)
     n = problem.n
     I = sp.eye_array(n, format="csr") if sp.issparse(problem.W) else np.eye(n)
     shifted = LyapunovProblem(problem.W + beta * I, problem.T, 2.0 * problem.Q)
@@ -264,42 +305,6 @@ def newton_initial_guess(problem, config=None):
             f"initial shifted Lyapunov solve did not converge (RES={report.final_res:.3e})",
             x=vec(X0), iterations=report.iterations, residual=report.final_res)
     return X0
-
-
-def build_newton_lift(state, problem):
-    """Vectorize the Newton step equation A_k* X + X A_k = Q_k.
-
-    A_k = A - G X_k contributes the extra lifted term g_lift built from
-    S = X_k G; as in :func:`lift_lyapunov` both orientations are constructed
-    and the one passing the residual identity on random probes is kept.
-    """
-    n = problem.n
-    if n > NEWTON_LIFT_LIMIT:
-        raise ValueError(f"Newton lift limited to n <= {NEWTON_LIFT_LIMIT}, got n = {n}")
-    S = np.asarray(state.X) @ problem.G
-    q = vec(state.Q_k)
-    A_k = problem.dense_A() - problem.G @ np.asarray(state.X)
-    w_lift, t_candidates = _lift_candidates(problem.W, problem.T)
-    Ssp = sp.csr_array(S)
-    I = sp.eye_array(n, format="csr")
-    g_by_orientation = {
-        "column": kron(I, Ssp) + kron(Ssp.conj(), I),
-        "row": kron(Ssp, I) + kron(I, Ssp.conj()),
-    }
-    for orientation, t_lift in t_candidates:
-        g_lift = g_by_orientation[orientation]
-        lift = NewtonLift(w_lift, t_lift, g_lift, q, orientation)
-        ok = True
-        for X in _probe_matrices(n):
-            lifted = lift.matvec(vec(X)) - q
-            matrix = A_k.conj().T @ X + X @ A_k - state.Q_k
-            scale = max(np.linalg.norm(matrix, "fro"), 1e-300)
-            if abs(np.linalg.norm(lifted) - np.linalg.norm(matrix, "fro")) > 1e-10 * scale:
-                ok = False
-                break
-        if ok:
-            return lift
-    raise RuntimeError("no Kronecker orientation satisfies the Newton lift residual identity")
 
 
 def riccati_residual(problem, X):
@@ -347,12 +352,13 @@ def load_riccati_problem(stem):
 
 
 def _ensure_invertible_start(problem, X0, max_tries=60):
-    """Inflate X0 by c*I while the first Newton lift is numerically singular.
+    """Inflate X0 by c*I while the first Newton step equation is numerically singular.
 
-    The lift of A_0 = A - G X_0 is singular exactly when two eigenvalues of
-    A_0 satisfy lam_i + conj(lam_j) = 0; the shifted-Lyapunov start can land
-    there (the scalar problem does, exactly). Identity inflation preserves
-    Hermitian structure and leaves well-posed starts untouched.
+    The step operator of A_0 = A - G X_0 is singular exactly when two
+    eigenvalues of A_0 satisfy lam_i + conj(lam_j) = 0; the shifted-Lyapunov
+    start can land there (the scalar problem does, exactly). Identity
+    inflation preserves Hermitian structure and leaves well-posed starts
+    untouched.
     """
     A = problem.dense_A()
     n = problem.n
@@ -370,16 +376,22 @@ def _ensure_invertible_start(problem, X0, max_tries=60):
     return X0, c
 
 
-def _newton_sweep(lift, a, om, m1):
-    """The GADI sweep on a Newton lift, whose second coefficient carries -g_lift."""
-    S = lambda v: 1j * (lift.t_lift @ v) - lift.g_lift @ v
-    m2 = DirectSolver((a * sp.eye_array(lift.w_lift.shape[0], format="csr")).astype(complex)
-                      + 1j * lift.t_lift - lift.g_lift)
+def _sylvester_solver(T, S, a):
+    """Solver of (aI + iT~ - g_lift) x = r: (aI - iT - S) X + X (iT - S^H) = R.
 
-    def step(x, res):
-        xh = m1.solve(a * x - S(x) + lift.q)
-        return m2.solve(S(x) - (1 - om) * a * x + (2 - om) * a * xh), 0
-    return step
+    The right coefficient is the left one's adjoint less aI, so with the Schur
+    form Z U Z^H of the left one, Y = Z^H X Z solves U Y + Y (U - aI)^H = Z^H R Z.
+    """
+    I = np.eye(S.shape[0])
+    U, Z = sla.schur(a * I - 1j * _dense(T) - S, output="complex")
+    B = U - a * I
+
+    def solve(R):
+        Y, scale, info = ztrsyl(U, B, Z.conj().T @ R @ Z, tranb="C")
+        if info != 0:
+            raise RuntimeError(f"Newton step equation is numerically singular (trsyl info {info})")
+        return Z @ (Y / scale) @ Z.conj().T
+    return solve
 
 
 def newton_gadi_riccati(problem, outer_tol=1e-6, max_outer=30, inner_tol=1e-8,
@@ -388,15 +400,17 @@ def newton_gadi_riccati(problem, outer_tol=1e-6, max_outer=30, inner_tol=1e-8,
     """Newton outer iteration with GADI inner sweeps for the Riccati equation.
 
     Each Newton step solves A_k* X + X A_k = Q_k (A_k = A - G X_k,
-    Q_k = -X_k G X_k - Q) through its Kronecker lift, warm-started at x_k, and
-    stops when the absolute lifted residual drops below ``inner_tol * ||q_k||``
-    or after ``max_inner`` sweeps. ``inner_forcing=(eta_max, eta_fac)``
-    switches to the adaptive rule min(eta_max, eta_fac * Res_k) * ||q_k||,
-    which spends far fewer inner sweeps when only a modest outer tolerance is
-    needed. The outer loop stops when
-    Res(X) = ||A* X + X A + Q - X G X||_2 / ||Q||_2 < outer_tol.
+    Q_k = -X_k G X_k - Q) by GADI sweeps on its Kronecker lift, run in n x n
+    form and warm-started at X_k, and stops when the absolute lifted residual
+    drops below ``inner_tol * ||Q_k||_F`` or after ``max_inner`` sweeps.
+    ``inner_forcing=(eta_max, eta_fac)`` switches to the adaptive rule
+    min(eta_max, eta_fac * Res_k) * ||Q_k||_F, which spends far fewer inner
+    sweeps when only a modest outer tolerance is needed. The outer loop stops
+    when Res(X) = ||A* X + X A + Q - X G X||_2 / ||Q||_2 < outer_tol. The
+    default shift ``alpha`` is that of the lifted real part, as for
+    :func:`solve_lyapunov_gadi`.
 
-    Two safeguards keep the iteration well posed: a start whose first lifted
+    Two safeguards keep the iteration well posed: a start whose first step
     operator is numerically singular is inflated by a multiple of the
     identity, and if the first step's inner sweeps diverge (the lifted
     operator can be expansive at a positive-semidefinite start) the iteration
@@ -408,25 +422,18 @@ def newton_gadi_riccati(problem, outer_tol=1e-6, max_outer=30, inner_tol=1e-8,
     """
     t0 = time.perf_counter()
     n = problem.n
-    if n > NEWTON_LIFT_LIMIT:
-        raise ValueError(f"Newton-GADI limited to n <= {NEWTON_LIFT_LIMIT}, got n = {n}")
     X = newton_initial_guess(problem) if x0 is None else np.asarray(x0, dtype=complex).copy()
     X, _ = _ensure_invertible_start(problem, X)
     A = problem.dense_A()
-    nq2 = np.linalg.norm(problem.Q, 2)
-    if nq2 == 0.0:
-        raise ValueError("Q = 0: the outer residual is undefined")
-
-    from .spectral import eig_extremes_spd, optimal_alpha
-    w_lift, _ = _lift_candidates(problem.W, problem.T)
-    alpha_k = optimal_alpha(eig_extremes_spd(w_lift)) if alpha is None else float(alpha)
-    m1 = DirectSolver(alpha_k * sp.eye_array(n * n, format="csr") + sp.csr_array(w_lift))
+    G = problem.G
+    eig_W = _eigh(problem.W)
+    params = SplitParams("gadi", _lift_shift(eig_W[0]) if alpha is None else float(alpha), omega)
+    half1 = _first_half(eig_W, params.alpha)
 
     total_inner = 0
     restarted = False
     states = []
     history = []
-    x = vec(X)
     k = 0
     stagnant = 0
     prev_res = np.inf
@@ -434,39 +441,35 @@ def newton_gadi_riccati(problem, outer_tol=1e-6, max_outer=30, inner_tol=1e-8,
         res = riccati_residual(problem, X)
         history.append((k, res))
         if res < outer_tol or k >= max_outer or stagnant >= 3:
-            result = RiccatiResult(
+            return RiccatiResult(
                 X=X, converged=res < outer_tol, outer_iterations=k,
                 inner_iteration_total=total_inner, res_history=history,
                 states=states, wall_time=time.perf_counter() - t0,
                 restarted=restarted, final_res=res)
-            return result
-        Q_k = -X @ problem.G @ X - problem.Q
-        state = NewtonState(k=k, X=X, A_k=A - problem.G @ X, Q_k=Q_k)
-        lift = build_newton_lift(state, problem)
-        if inner_forcing is not None:
-            eta_max, eta_fac = inner_forcing
-            eps_abs = min(eta_max, eta_fac * res) * np.linalg.norm(lift.q)
-        else:
-            eps_abs = inner_tol * np.linalg.norm(lift.q)
+        Q_k = -X @ G @ X - problem.Q
+        state = NewtonState(k=k, X=X, A_k=A - G @ X, Q_k=Q_k)
+        S = X @ G
+        eta = inner_tol if inner_forcing is None else min(inner_forcing[0], inner_forcing[1] * res)
+        eps_abs = eta * np.linalg.norm(Q_k)
         # the inner sweeps stop on the absolute residual, once it is below
         # eps_abs, and a residual that keeps growing means the lifted term
         # g_lift pushed the contraction factor above one
         try:
-            x, inner = _sweep(
-                lambda: _newton_sweep(lift, alpha_k, omega, m1),
-                lambda v: np.linalg.norm(lift.matvec(v) - lift.q), x,
+            Xn, inner = _sweep(
+                lambda: _gadi_step(problem, S, Q_k, half1,
+                                   _sylvester_solver(problem.T, S, params.alpha), params),
+                lambda Y: np.linalg.norm(_lifted(problem, S, Y) - Q_k), X,
                 np.nextafter(eps_abs, -np.inf), max_inner, guard=True)
         except _Diverged as div:
             total_inner += div.args[0].iterations
             if restarted or k > 0:
                 err = InnerSolverError(
-                    f"inner GADI sweeps diverge at outer step {k}", x=x,
+                    f"inner GADI sweeps diverge at outer step {k}", x=vec(X),
                     iterations=total_inner, residual=res)
                 err.half_step = f"outer step {k}"
                 raise err from None
             restarted = True
             X = np.zeros((n, n), dtype=complex)
-            x = vec(X)
             states.clear()
             history.clear()
             continue
@@ -474,9 +477,7 @@ def newton_gadi_riccati(problem, outer_tol=1e-6, max_outer=30, inner_tol=1e-8,
         total_inner += l
         state.inner_iterations = l
         state.inner_residual = float(inner.final_res)
-        X = unvec(x, n, n)
-        X = 0.5 * (X + X.conj().T)  # inner tolerance allows a Hermitian drift
-        x = vec(X)
+        X = 0.5 * (Xn + Xn.conj().T)  # inner tolerance allows a Hermitian drift
         k += 1
         state.res = res
         states.append(state)

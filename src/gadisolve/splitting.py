@@ -8,7 +8,7 @@ V = I. Each sweep solves two shifted subsystems; in "exact" inner mode the
 coefficients are factorized once per solve, in "iterative" mode they are
 solved by CG (Hermitian positive definite coefficients) or COCG (complex
 symmetric coefficients) to a configurable tolerance. One sweep loop,
-:func:`_sweep`, drives every method and the Newton inner sweeps of
+:func:`_sweep`, drives every method and the Lyapunov and Newton sweeps of
 :mod:`gadisolve.matrixeq`.
 """
 import time
@@ -171,7 +171,11 @@ def _check_spd_param(V, n, what):
         raise ValueError(f"{what} must be {n}x{n}, got {V.shape}")
     if not _is_exactly_symmetric(V):
         raise NotPositiveDefiniteError(f"{what} is not symmetric")
-    if n <= 1024:
+    d = V.diagonal()
+    if np.count_nonzero(d) == (V.count_nonzero() if sp.issparse(V) else np.count_nonzero(V)):
+        if not (d > 0).all():  # a diagonal V is SPD exactly when its diagonal is positive
+            raise NotPositiveDefiniteError(f"{what} is not positive definite")
+    elif n <= 1024:
         Vd = V.toarray() if sp.issparse(V) else np.asarray(V)
         try:
             sla.cho_factor(Vd)

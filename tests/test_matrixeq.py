@@ -3,12 +3,12 @@ import pytest
 import scipy.sparse as sp
 from scipy.linalg import solve_continuous_are
 
-from gadisolve import (LyapunovProblem, NewtonState, RiccatiProblem,
-                       SolveConfig, SplitParams, build_newton_lift, gen_ex31,
-                       gen_ex421, lift_lyapunov, lyapunov_residual,
-                       newton_gadi_riccati, newton_initial_guess,
-                       riccati_residual, solve_lyapunov_gadi,
-                       solve_lyapunov_hss, unvec, vec)
+from gadisolve import (LyapunovProblem, NewtonState, NotPositiveDefiniteError,
+                       ProblemSpec, RiccatiProblem, SolveConfig, SplitParams,
+                       build_newton_lift, gen_ex31, gen_ex421, lift_lyapunov,
+                       lyapunov_residual, newton_gadi_riccati,
+                       newton_initial_guess, riccati_residual,
+                       solve_lyapunov_gadi, solve_lyapunov_hss, unvec, vec)
 from helpers import match_multisets, random_psd, random_spd, symmetrize
 
 
@@ -387,9 +387,70 @@ def test_problem_file_round_trips(tmp_path):
     assert np.array_equal(s.Q, r.Q)
 
 
-def test_newton_lift_dimension_cap():
+def test_lyapunov_gadi_beyond_lift_cap():
+    # the sweeps run in n x n form, so n = 128 (a lift of 16384 rows) is cheap
+    p = gen_ex31(128, 0.01)
+    X, report = solve_lyapunov_gadi(p, config=SolveConfig(tol=1e-5, max_outer=500))
+    assert report.converged
+    assert lyapunov_residual(p, X) <= 1e-5
+
+
+def test_newton_accepts_n_beyond_old_lift_cap():
+    # the Newton sweeps no longer build the lift, which limited them to n <= 64
     n = 65
     p = RiccatiProblem(sp.eye_array(n, format="csr"), sp.eye_array(n, format="csr") * 0.0,
                        np.eye(n, dtype=complex), np.eye(n, dtype=complex))
-    with pytest.raises(ValueError):
-        newton_gadi_riccati(p)
+    result = newton_gadi_riccati(p, outer_tol=1e-8)
+    assert result.converged
+    assert riccati_residual(p, result.X) < 1e-8
+
+
+@pytest.mark.parametrize("n", [8, 16, 32])
+def test_closed_form_shift_is_the_lift_shift(n):
+    from gadisolve import bench, eig_extremes_spd, optimal_alpha
+    from gadisolve.matrixeq import _eigh, _lift_shift
+    p = gen_ex31(n, 0.01)
+    alpha = _lift_shift(_eigh(p.W)[0])
+    assert abs(alpha - optimal_alpha(eig_extremes_spd(lift_lyapunov(p).w_lift))) <= 1e-10
+    assert bench._auto_alpha(ProblemSpec("ex31", n=n, t=0.01), p, "gadi") == alpha
+
+
+def test_default_shift_rejects_indefinite_W():
+    p = LyapunovProblem(np.diag([1.0, -1.0]), np.zeros((2, 2)), np.eye(2, dtype=complex))
+    with pytest.raises(NotPositiveDefiniteError):
+        solve_lyapunov_gadi(p)
+
+
+# -- input validation ----------------------------------------------------------------
+
+def _bad_data(which, kind):
+    """ex421 data at n = 4 with one matrix made non-symmetric or non-finite."""
+    p = gen_ex421(4)
+    data = {"W": p.W.toarray(), "T": p.T.toarray(), "G": p.G, "Q": p.Q}
+    M = data[which].copy()
+    if kind == "nonsymmetric":
+        M[0, 1] += 0.5
+    else:
+        M[1, 2] = M[2, 1] = kind
+    data[which] = M
+    return data
+
+
+@pytest.mark.parametrize("which, kind, message", [
+    ("W", "nonsymmetric", "W is not symmetric"),
+    ("T", "nonsymmetric", "T is not symmetric"),
+    ("W", np.inf, "W has non-finite entries"),
+    ("T", np.nan, "T has non-finite entries"),
+    ("G", np.nan, "G has non-finite entries"),
+    ("Q", np.inf, "Q has non-finite entries"),
+])
+def test_problems_reject_bad_data(which, kind, message):
+    data = _bad_data(which, kind)
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        RiccatiProblem(data["W"], data["T"], data["G"], data["Q"])
+    if which != "G":
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            LyapunovProblem(data["W"], data["T"], data["Q"])
+    if which in ("W", "T"):  # sparse storage is checked too
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            LyapunovProblem(sp.csr_array(data["W"]), sp.csr_array(data["T"]), data["Q"])

@@ -1,11 +1,11 @@
 import numpy as np
 import pytest
 
-from gadisolve import (ComplexSymSystem, SolveConfig, SplitParams,
-                       build_iteration_matrices, default_alpha, gen_ex241,
-                       gen_ex242, run_gadi_real, run_stationary, step_cri,
-                       step_gadi, step_gadi_real, step_hss, step_mhss,
-                       step_pmhss, step_tscsp)
+from gadisolve import (ComplexSymSystem, NotPositiveDefiniteError,
+                       SolveConfig, SplitParams, build_iteration_matrices,
+                       default_alpha, gen_ex241, gen_ex242, run_gadi_real,
+                       run_stationary, step_cri, step_gadi, step_gadi_real,
+                       step_hss, step_mhss, step_pmhss, step_tscsp)
 from helpers import dense_solution, random_system
 
 STEPS = {
@@ -343,3 +343,28 @@ def test_invalid_params_rejected():
         SplitParams("gadi", alpha=1.0, omega=2.0)
     with pytest.raises(ValueError):
         SplitParams("nope", alpha=1.0)
+
+
+@pytest.mark.parametrize("n, dense", [(64, False), (64, True), (2000, False)])
+def test_diagonal_pmhss_preconditioner_checked_on_its_diagonal(monkeypatch, n, dense):
+    # a diagonal V is SPD exactly when its diagonal is positive: no dense
+    # Cholesky, and a nonpositive entry is caught at every size
+    import scipy.sparse as sp
+    import gadisolve.splitting as splitting
+
+    def no_cholesky(*args, **kwargs):
+        raise AssertionError("dense Cholesky of a diagonal V")
+    monkeypatch.setattr(splitting.sla, "cho_factor", no_cholesky)
+    I = sp.eye_array(n, format="csr")
+    system = ComplexSymSystem(2.0 * I, I, np.ones(n, dtype=complex))
+    d = np.linspace(1.0, 2.0, n)
+    for bad in (None, -1.0, 0.0):
+        if bad is not None:
+            d[n // 2] = bad
+        V = np.diag(d) if dense else sp.diags_array(d, format="csr")
+        params = SplitParams("pmhss", 1.0, V=V)
+        if bad is None:
+            step_pmhss(system, params, np.zeros(n, dtype=complex))
+        else:
+            with pytest.raises(NotPositiveDefiniteError):
+                step_pmhss(system, params, np.zeros(n, dtype=complex))
