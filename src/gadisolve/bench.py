@@ -9,9 +9,12 @@ figures as machine-readable series files. Three subcommands:
     bench sweep --family ex31 --n 16 --t 0.01 --alpha-grid 0.5:5:0.1 \
                 --omega-grid 0,0.01,0.1,0.5,1,1.5
 
-An INI config file can supply any flag (section per subcommand, keys named
-like the long flags); explicit flags override the file. The process exits 0
-only when every requested run converged.
+`--config FILE` reads the INI section named after the subcommand as flags:
+each key is a long-flag name (`max_outer` or `max-outer`), placed before the
+command line's own flags, which therefore win. An unknown key or a bad value
+is a usage error like a bad flag. Exit codes: 0 when every run converged, 1
+when a run did not converge or its solver failed (the row still appears), 2
+on a usage or input error, reported in one line on stderr.
 """
 import argparse
 import configparser
@@ -25,7 +28,6 @@ import time
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.sparse as sp
 
 from .linalg import InnerSolverError, NotPositiveDefiniteError
 from .matrixeq import (_eigh, _lift_shift, newton_gadi_riccati,
@@ -104,12 +106,12 @@ class RunConfig:
     max_outer: int = 500
     newton_options: dict = field(default_factory=dict)
     series: bool = False
-    seed: int = 0
-    name: str = ""
 
     def __post_init__(self):
         if not self.problems or not self.methods:
             raise ValueError("problem and method lists must be nonempty")
+        if not self.tol > 0:
+            raise ValueError(f"tol must be positive, got {self.tol}")
         for spec in self.problems:
             allowed = METHODS_BY_FAMILY[spec.family]
             for method in self.methods:
@@ -122,13 +124,13 @@ class RunConfig:
 DEFAULT_OMEGA = 0.01  # GADI relaxation used when none is requested
 SWEEP_OMEGAS = (0.0, 0.01, 0.1)
 SWEEP_MAX_OUTER = 200
+# pmhss with V = I is mhss, sweep for sweep; the CSV keeps the alias's name
+METHOD_ALIASES = {"pmhss-vi": "mhss"}
 
 
 def _auto_alpha(spec, problem, method):
     if spec.family in ("ex241", "ex242"):
-        # pmhss with V = I coincides with mhss, so it inherits that default shift
-        base = "mhss" if method == "pmhss-vi" else method
-        return default_alpha(problem, base)
+        return default_alpha(problem, METHOD_ALIASES.get(method, method))
     # ex31 and ex421: the shift of the lifted real part, the solvers' default
     return _lift_shift(_eigh(problem.W)[0])
 
@@ -140,18 +142,14 @@ def _auto_grid(alpha_star, points=21):
 def _solve_cell(spec, problem, method, alpha, omega, cfg, max_outer):
     """Run one benchmark cell; returns (row, report)."""
     t0 = time.perf_counter()
-    if spec.family in ("ex241", "ex242"):
-        base = "pmhss" if method == "pmhss-vi" else method
-        V = sp.eye_array(problem.n, format="csr") if method == "pmhss-vi" else None
-        params = SplitParams(base, alpha, omega, V=V)
+    if spec.family != "ex421":
+        params = SplitParams(METHOD_ALIASES.get(method, method), alpha, omega)
         config = SolveConfig(tol=cfg.tol, max_outer=max_outer, inner=cfg.inner)
-        _, report = run_stationary(problem, params, config)
-    elif spec.family == "ex31":
-        params = SplitParams(method, alpha, omega)
-        config = SolveConfig(tol=cfg.tol, max_outer=max_outer, inner=cfg.inner)
-        solver = solve_lyapunov_gadi if method == "gadi" else solve_lyapunov_hss
+        solver = run_stationary
+        if spec.family == "ex31":
+            solver = solve_lyapunov_gadi if method == "gadi" else solve_lyapunov_hss
         _, report = solver(problem, params, config)
-    else:  # ex421
+    else:
         opts = dict(cfg.newton_options)
         opts.setdefault("inner_forcing", (0.1, 0.1))
         result = newton_gadi_riccati(problem, outer_tol=cfg.tol, alpha=alpha,
@@ -350,63 +348,70 @@ def build_preset(name, tol=1e-5, inner="exact"):
     if name == "table1":
         return [
             RunConfig(tuple(spec241(m) for m in _T1_SIZES), comparison,
-                      ParamPolicy("auto"), tol=tol, inner=inner, name=name),
+                      ParamPolicy("auto"), tol=tol, inner=inner),
             RunConfig(tuple(spec241(m) for m in _T1_SIZES), ("gadi",),
-                      ParamPolicy("sweep"), tol=tol, inner=inner, name=name),
+                      ParamPolicy("sweep"), tol=tol, inner=inner),
             RunConfig(tuple(spec241(m, "500h") for m in _T1_SIZES), ("gadi",),
-                      ParamPolicy("sweep"), tol=tol, inner=inner, name=name),
+                      ParamPolicy("sweep"), tol=tol, inner=inner),
         ]
     if name == "table2":
         return [
             RunConfig(tuple(spec242(m) for m in _T1_SIZES), comparison,
-                      ParamPolicy("auto"), tol=tol, inner=inner, name=name),
+                      ParamPolicy("auto"), tol=tol, inner=inner),
             RunConfig(tuple(spec242(m) for m in _T1_SIZES), ("gadi",),
-                      ParamPolicy("sweep"), tol=tol, inner=inner, name=name),
+                      ParamPolicy("sweep"), tol=tol, inner=inner),
         ]
     if name == "table3":
         points = tuple((None, w) for w in (0.01, 0.1, 0.0, 0.5, 1.0, 1.5))
         return [RunConfig(tuple(ProblemSpec("ex31", n=16, t=t) for t in (0.01, 0.1)),
                           ("gadi",), ParamPolicy("fixed", points=points),
-                          tol=tol, inner=inner, name=name)]
+                          tol=tol, inner=inner)]
     if name == "table4":
         specs = tuple(ProblemSpec("ex31", n=n, t=t)
                       for n in (8, 16, 24, 32, 48) for t in (0.01, 0.1))
         return [RunConfig(specs, ("hss", "gadi"),
                           ParamPolicy("fixed", points=((None, 0.0),)),
-                          tol=tol, inner=inner, name=name)]
+                          tol=tol, inner=inner)]
     if name == "table5":
         specs = tuple(ProblemSpec("ex421", n=n) for n in (8, 16, 24, 32))
         return [RunConfig(specs, ("newton-gadi",),
                           ParamPolicy("fixed", points=((None, 0.01),)),
-                          tol=tol, inner=inner, name=name,
+                          tol=tol, inner=inner,
                           newton_options={"inner_forcing": (0.1, 0.1)})]
     if name == "fig1":
         return [RunConfig((spec241(32),), ("mhss", "pmhss", "cri", "tscsp", "gadi"),
-                          ParamPolicy("auto"), tol=tol, inner=inner, series=True, name=name)]
+                          ParamPolicy("auto"), tol=tol, inner=inner, series=True)]
     if name == "fig2":
         return [RunConfig((spec242(32),), ("mhss", "pmhss", "cri", "tscsp", "gadi"),
-                          ParamPolicy("auto"), tol=tol, inner=inner, series=True, name=name)]
+                          ParamPolicy("auto"), tol=tol, inner=inner, series=True)]
     if name in ("fig3", "fig5"):
         return [RunConfig((ProblemSpec("ex31", n=32, t=0.01),), ("hss", "gadi"),
                           ParamPolicy("fixed", points=((None, 0.0),)),
-                          tol=tol, inner=inner, series=True, name=name)]
+                          tol=tol, inner=inner, series=True)]
     if name in ("fig4", "fig6"):
         return [RunConfig((ProblemSpec("ex31", n=32, t=0.1),), ("hss", "gadi"),
                           ParamPolicy("fixed", points=((None, 0.0),)),
-                          tol=tol, inner=inner, series=True, name=name)]
+                          tol=tol, inner=inner, series=True)]
     if name == "fig7":
         return [RunConfig(tuple(ProblemSpec("ex421", n=n) for n in (8, 16, 24)),
                           ("newton-gadi",), ParamPolicy("fixed", points=((None, 0.01),)),
-                          tol=tol, inner=inner, series=True, name=name,
+                          tol=tol, inner=inner, series=True,
                           newton_options={"inner_forcing": (0.1, 0.1)})]
     raise ValueError(f"unknown preset {name!r}; choose from {PRESET_NAMES}")
 
 
 # -- command line -------------------------------------------------------------
 
+class _Parser(argparse.ArgumentParser):
+    """Usage and input errors exit 2 with one line on stderr."""
+
+    def error(self, message):
+        self.exit(2, f"{self.prog}: error: {message}\n")
+
+
 def _parse_grid(text):
     """'start:stop:step' (stop included), a comma list, or 'auto' (None)."""
-    if text is None or text == "auto":
+    if text == "auto":
         return None
     try:
         if ":" not in text:
@@ -416,38 +421,30 @@ def _parse_grid(text):
             return tuple(np.arange(start, stop + step / 2.0, step))
     except ValueError:
         pass
-    raise ValueError(f"bad grid {text!r}: expected 'start:stop:step' with step > 0 "
-                     "and stop >= start, a comma-separated list, or 'auto'")
+    raise argparse.ArgumentTypeError(
+        f"bad grid {text!r}: expected 'start:stop:step' with step > 0 "
+        "and stop >= start, a comma-separated list, or 'auto'")
 
 
 def _parse_alpha(text):
-    return None if text == "auto" else float(text)
+    if text == "auto":
+        return None
+    try:
+        return float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected a number or 'auto', got {text!r}") from None
 
 
-_CONVERTERS = {
-    "m": int, "n": int, "max_outer": int,
-    "tol": float, "omega": float, "t": float, "sigma1": float, "sigma2": float,
-    "alpha": _parse_alpha,
-}
-
-
-def _apply_config_file(parser, path, section):
-    ini = configparser.ConfigParser()
-    with open(path) as fh:
-        ini.read_file(fh)
-    if not ini.has_section(section):
-        return
-    overrides = {}
-    for key, value in ini.items(section):
-        key = key.replace("-", "_")
-        conv = _CONVERTERS.get(key, str)
-        overrides[key] = conv(value)
-    parser.set_defaults(**overrides)
+def _add_common_flags(p):
+    p.add_argument("--tol", type=float, default=1e-5)
+    p.add_argument("--inner", default="exact", choices=("exact", "iterative", "auto"))
+    p.add_argument("--config", default=None,
+                   help="INI file whose section for this command supplies flags (keys "
+                        "are long-flag names); flags given here override it")
 
 
 def _add_problem_flags(p):
-    # required flags may come from the config file, so enforcement is post-parse
-    p.add_argument("--family", choices=("ex241", "ex242", "ex31", "ex421"))
+    p.add_argument("--family", required=True, choices=("ex241", "ex242", "ex31", "ex421"))
     p.add_argument("--m", type=int, help="grid size for ex241/ex242 (n = m^2)")
     p.add_argument("--n", type=int, help="matrix size for ex31/ex421")
     p.add_argument("--tau", default="h", choices=("h", "500h"), help="ex241 time step")
@@ -465,46 +462,61 @@ def _spec_from_args(args):
 
 
 def _build_parser():
-    parser = argparse.ArgumentParser(prog="bench",
-                                     description="splitting-iteration benchmark harness")
+    parser = _Parser(prog="bench", description="splitting-iteration benchmark harness")
     sub = parser.add_subparsers(dest="command", required=True)
+    methods = sorted({m for ms in METHODS_BY_FAMILY.values() for m in ms})
 
     run_p = sub.add_parser("run", help="run a pinned reproduction preset")
-    run_p.add_argument("--preset", choices=PRESET_NAMES)
-    run_p.add_argument("--out", default="results.csv")
+    run_p.set_defaults(func=_cmd_run)
+    run_p.add_argument("--preset", required=True, choices=PRESET_NAMES)
     run_p.add_argument("--series-dir", default=None,
                        help="directory for per-run iteration,RES series files")
-    run_p.add_argument("--tol", type=float, default=1e-5)
-    run_p.add_argument("--inner", default="exact", choices=("exact", "iterative", "auto"))
-    run_p.add_argument("--config", default=None)
+    run_p.add_argument("--out", default="results.csv")
+    _add_common_flags(run_p)
 
     solve_p = sub.add_parser("solve", help="solve one instance with one method")
+    solve_p.set_defaults(func=_cmd_solve)
     _add_problem_flags(solve_p)
-    solve_p.add_argument("--method",
-                         choices=sorted({m for ms in METHODS_BY_FAMILY.values() for m in ms}))
-    solve_p.add_argument("--alpha", default="auto",
+    solve_p.add_argument("--method", required=True, choices=methods)
+    solve_p.add_argument("--alpha", type=_parse_alpha, default="auto",
                          help="shift parameter, or 'auto' for the method default")
     solve_p.add_argument("--omega", type=float, default=DEFAULT_OMEGA)
-    solve_p.add_argument("--tol", type=float, default=1e-5)
-    solve_p.add_argument("--inner", default="exact", choices=("exact", "iterative", "auto"))
     solve_p.add_argument("--max-outer", type=int, default=500, dest="max_outer")
     solve_p.add_argument("--series", default=None, help="write iteration,RES series here")
     solve_p.add_argument("--out", default=None, help="write the result row as CSV here")
-    solve_p.add_argument("--config", default=None)
+    _add_common_flags(solve_p)
 
     sweep_p = sub.add_parser("sweep", help="factorial (alpha, omega) sweep")
+    sweep_p.set_defaults(func=_cmd_sweep)
     _add_problem_flags(sweep_p)
-    sweep_p.add_argument("--method", default="gadi",
-                         choices=sorted({m for ms in METHODS_BY_FAMILY.values() for m in ms}))
-    sweep_p.add_argument("--alpha-grid", default="auto", dest="alpha_grid",
+    sweep_p.add_argument("--method", default="gadi", choices=methods)
+    sweep_p.add_argument("--alpha-grid", type=_parse_grid, default="auto", dest="alpha_grid",
                          help="'start:stop:step', comma list, or 'auto'")
-    sweep_p.add_argument("--omega-grid", default="0.01", dest="omega_grid",
+    sweep_p.add_argument("--omega-grid", type=_parse_grid, default="0.01", dest="omega_grid",
                          help="comma-separated relaxation values")
-    sweep_p.add_argument("--tol", type=float, default=1e-5)
-    sweep_p.add_argument("--inner", default="exact", choices=("exact", "iterative", "auto"))
     sweep_p.add_argument("--out", default=None, help="write all sweep cells as CSV here")
-    sweep_p.add_argument("--config", default=None)
-    return parser, {"run": run_p, "solve": solve_p, "sweep": sweep_p}
+    _add_common_flags(sweep_p)
+    return parser
+
+
+def _parse_args(parser, argv):
+    """Parse argv. The --config file's section for the command comes first, as
+    --key=value flags (`_` in a key read as `-`), so argv's own flags win."""
+    pre = _Parser(prog=parser.prog, add_help=False)
+    pre.add_argument("--config")
+    path = pre.parse_known_args(argv)[0].config
+    if path:
+        ini = configparser.ConfigParser(interpolation=None)
+        try:
+            with open(path) as fh:
+                ini.read_file(fh)
+        except (OSError, configparser.Error) as err:
+            parser.error(f"--config {path}: {str(err).splitlines()[0]}")
+        if ini.has_section(argv[0]):
+            # the = form keeps a value that begins with '-' attached to its flag
+            flags = [f"--{key.replace('_', '-')}={value}" for key, value in ini.items(argv[0])]
+            argv = argv[:1] + flags + argv[1:]
+    return parser.parse_args(argv)
 
 
 def _cmd_run(args):
@@ -526,30 +538,25 @@ def _cmd_run(args):
 
 
 def _cmd_solve(args):
-    spec = _spec_from_args(args)
-    problem = spec.build()
-    if args.method not in METHODS_BY_FAMILY[spec.family]:
-        raise SystemExit(f"method {args.method!r} is not valid for family {spec.family!r}")
-    cfg = RunConfig((spec,), (args.method,), tol=args.tol, inner=args.inner,
-                    max_outer=args.max_outer)
-    alpha = _parse_alpha(args.alpha) if isinstance(args.alpha, str) else args.alpha
-    if alpha is None:
-        alpha = _auto_alpha(spec, problem, args.method)
-    row, report = _solve_cell(spec, problem, args.method, alpha, args.omega, cfg,
-                              cfg.max_outer)
+    # one cell of a grid: a solver failure is a non-converged row without a report
+    cfg = RunConfig((_spec_from_args(args),), (args.method,),
+                    ParamPolicy("fixed", points=((args.alpha, args.omega),)),
+                    tol=args.tol, inner=args.inner, max_outer=args.max_outer)
+    sink = None
+    if args.series:
+        sink = lambda row, report: write_convergence_series(report, args.series)
+    (row,) = run_grid(cfg, on_report=sink)
     _write_rows([row], sys.stdout)
     if args.out:
         write_csv([row], args.out)
-    if args.series:
-        write_convergence_series(report, args.series)
     return 0 if row.converged else 1
 
 
-def _cmd_sweep(args, alpha_grid, omega_grid):
+def _cmd_sweep(args):
     spec = _spec_from_args(args)
+    alpha_grid, omega_grid = args.alpha_grid, args.omega_grid
     if alpha_grid is None:
-        problem = spec.build()
-        alpha_grid = _auto_grid(_auto_alpha(spec, problem, args.method))
+        alpha_grid = _auto_grid(_auto_alpha(spec, spec.build(), args.method))
     if omega_grid is None:
         omega_grid = (DEFAULT_OMEGA,)
     cells = sweep_params(spec, args.method, alpha_grid, omega_grid,
@@ -568,27 +575,13 @@ def _cmd_sweep(args, alpha_grid, omega_grid):
 
 
 def main(argv=None):
-    parser, subparsers = _build_parser()
-    args, _ = parser.parse_known_args(argv)
-    if getattr(args, "config", None):
-        # defaults must land on the subparser: it parses into a fresh namespace
-        _apply_config_file(subparsers[args.command], args.config, args.command)
-    args = parser.parse_args(argv)
-    if args.command == "run":
-        if args.preset is None:
-            parser.error("run requires --preset (flag or config file)")
-        return _cmd_run(args)
-    if args.family is None:
-        parser.error(f"{args.command} requires --family (flag or config file)")
-    if args.command == "solve":
-        if args.method is None:
-            parser.error("solve requires --method (flag or config file)")
-        return _cmd_solve(args)
-    try:  # grids from a flag or from the config file
-        grids = _parse_grid(args.alpha_grid), _parse_grid(args.omega_grid)
-    except ValueError as err:
-        parser.error(f"sweep: {err}")
-    return _cmd_sweep(args, *grids)
+    """Exit 0 when every run converged, 1 when one did not or its solver failed, 2 on bad input."""
+    parser = _build_parser()
+    args = _parse_args(parser, sys.argv[1:] if argv is None else list(argv))
+    try:
+        return args.func(args)
+    except ValueError as err:  # a bad problem, method, parameter or config value
+        parser.error(f"{args.command}: {err}")
 
 
 if __name__ == "__main__":

@@ -21,8 +21,8 @@ from scipy.linalg.lapack import ztrsyl
 from .linalg import (InnerSolverError, NotPositiveDefiniteError, kron,
                      load_dense_block, load_matrix_coo, save_dense_block,
                      save_matrix_coo, unvec, vec)
-from .splitting import (ComplexSymSystem, SolveConfig, SplitParams, _Diverged,
-                        _is_exactly_symmetric, _sweep)
+from .splitting import (ComplexSymSystem, SolveConfig, SplitParams, _check_data,
+                        _Diverged, _sweep)
 
 __all__ = [
     "LyapunovProblem", "RiccatiProblem", "LyapunovLift", "NewtonLift",
@@ -39,23 +39,6 @@ LIFT_LIMIT = 128  # the explicit lifts have n^2 rows
 
 def _dense(M):
     return M.toarray() if sp.issparse(M) else np.asarray(M)
-
-
-def _check_data(W, T, **hermitian):
-    """Reject malformed data with a one-line ValueError; eigh reads one triangle of W, T."""
-    n = W.shape[0]
-    mats = {"W": W, "T": T, **hermitian}
-    for name, M in mats.items():
-        if M.shape != (n, n):
-            raise ValueError(f"{name} must be {n}x{n}, got {M.shape}")
-        if not np.isfinite(M.data if sp.issparse(M) else M).all():
-            raise ValueError(f"{name} has non-finite entries")
-    for name in ("W", "T"):
-        if not _is_exactly_symmetric(mats[name]):
-            raise ValueError(f"{name} is not symmetric")
-    for name, M in hermitian.items():
-        if np.linalg.norm(M - M.conj().T) > 1e-13 * np.linalg.norm(M):
-            raise ValueError(f"{name} is not Hermitian")
 
 
 class _EquationData:

@@ -40,6 +40,24 @@ def _is_exactly_symmetric(M):
     return np.array_equal(M, M.T)
 
 
+def _check_data(W, T, **hermitian):
+    """Reject malformed problem data with a one-line ValueError: W, T and the
+    named Hermitian matrices must be finite and n x n, W and T exactly symmetric."""
+    n = W.shape[0]
+    mats = {"W": W, "T": T, **hermitian}
+    for name, M in mats.items():
+        if M.shape != (n, n):
+            raise ValueError(f"{name} must be {n}x{n}, got {M.shape}")
+        if not np.isfinite(M.data if sp.issparse(M) else M).all():
+            raise ValueError(f"{name} has non-finite entries")
+    for name in ("W", "T"):
+        if not _is_exactly_symmetric(mats[name]):
+            raise ValueError(f"{name} is not symmetric")
+    for name, M in hermitian.items():
+        if np.linalg.norm(M - M.conj().T) > 1e-13 * np.linalg.norm(M):
+            raise ValueError(f"{name} is not Hermitian")
+
+
 def _eye_like(M, n):
     return sp.eye_array(n, format="csr") if sp.issparse(M) else np.eye(n)
 
@@ -48,27 +66,22 @@ def _eye_like(M, n):
 class ComplexSymSystem:
     """The triple (W, T, b) defining (W + iT) x = b.
 
-    W and T are real symmetric (stored sparse or dense); W is assumed positive
-    definite and T positive semi-definite, which is not enforced at
-    construction (see :meth:`check_definiteness`) because the Kronecker-lifted
-    systems used for matrix equations have indefinite T.
+    W and T are real symmetric (stored sparse or dense) and, like b, finite;
+    W is assumed positive definite and T positive semi-definite, which is not
+    enforced at construction because the Kronecker-lifted systems used for
+    matrix equations have indefinite T.
     """
     W: object
     T: object
     b: np.ndarray
 
     def __post_init__(self):
-        nW = self.W.shape
-        nT = self.T.shape
-        if nW[0] != nW[1] or nT[0] != nT[1] or nW[0] != nT[0]:
-            raise ValueError(f"W and T must be square with equal size, got {nW} and {nT}")
+        _check_data(self.W, self.T)
         self.b = np.asarray(self.b, dtype=complex)
-        if self.b.shape != (nW[0],):
-            raise ValueError(f"b has shape {self.b.shape}, expected ({nW[0]},)")
-        if not _is_exactly_symmetric(self.W):
-            raise ValueError("W is not symmetric")
-        if not _is_exactly_symmetric(self.T):
-            raise ValueError("T is not symmetric")
+        if self.b.shape != (self.n,):
+            raise ValueError(f"b has shape {self.b.shape}, expected ({self.n},)")
+        if not np.isfinite(self.b).all():
+            raise ValueError("b has non-finite entries")
 
     @property
     def n(self):
@@ -82,19 +95,6 @@ class ComplexSymSystem:
         W = self.W.toarray() if sp.issparse(self.W) else np.asarray(self.W)
         T = self.T.toarray() if sp.issparse(self.T) else np.asarray(self.T)
         return W + 1j * T
-
-    def check_definiteness(self, limit=1000):
-        """Eigenvalue check that W is SPD and T is PSD (small systems only)."""
-        if self.n > limit:
-            raise ValueError(f"definiteness check limited to n <= {limit}")
-        W = self.W.toarray() if sp.issparse(self.W) else self.W
-        T = self.T.toarray() if sp.issparse(self.T) else self.T
-        wmin = sla.eigvalsh(W)[0]
-        tmin = sla.eigvalsh(T)[0]
-        if wmin <= 0:
-            raise NotPositiveDefiniteError(f"W has minimum eigenvalue {wmin:.3e} <= 0")
-        if tmin < -1e-12 * max(1.0, abs(sla.eigvalsh(T)[-1])):
-            raise NotPositiveDefiniteError(f"T has minimum eigenvalue {tmin:.3e} < 0")
 
 
 @dataclass

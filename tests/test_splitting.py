@@ -222,6 +222,44 @@ def test_zero_rhs_rejected():
         run_stationary(system, SplitParams("gadi", 1.0), SolveConfig())
 
 
+def _bad_system_data(which, value):
+    """ex241 data at m = 3 with one entry of W, T or b set to `value`."""
+    system = gen_ex241(3, "h")
+    data = {"W": system.W.toarray(), "T": system.T.toarray(), "b": system.b.copy()}
+    if which == "b":
+        data["b"][4] = value
+    else:
+        data[which][1, 2] = data[which][2, 1] = value
+    return data
+
+
+@pytest.mark.parametrize("which, value", [("W", np.inf), ("W", np.nan), ("T", np.nan),
+                                          ("T", -np.inf), ("b", np.nan), ("b", np.inf),
+                                          ("b", complex(1.0, np.nan))])
+def test_system_rejects_non_finite_data(which, value):
+    import scipy.sparse as sp
+    data = _bad_system_data(which, value)
+    message = f"^{which} has non-finite entries$"
+    with pytest.raises(ValueError, match=message):
+        ComplexSymSystem(data["W"], data["T"], data["b"])
+    with pytest.raises(ValueError, match=message):  # sparse storage is checked too
+        ComplexSymSystem(sp.csr_array(data["W"]), sp.csr_array(data["T"]), data["b"])
+
+
+def test_system_rejects_bad_shapes_and_asymmetry():
+    data = _bad_system_data("W", 0.5)
+    W, T, b = data["W"], data["T"], data["b"]
+    with pytest.raises(ValueError, match="^T must be 9x9, got \\(8, 8\\)$"):
+        ComplexSymSystem(W, T[:8, :8], b)
+    with pytest.raises(ValueError, match="^W must be 9x9, got \\(9, 8\\)$"):
+        ComplexSymSystem(W[:, :8], T, b)
+    with pytest.raises(ValueError, match="^b has shape"):
+        ComplexSymSystem(W, T, b[:8])
+    W[0, 1] += 0.25
+    with pytest.raises(ValueError, match="^W is not symmetric$"):
+        ComplexSymSystem(W, T, b)
+
+
 def test_gadi_real_not_valid_in_complex_driver():
     rng = np.random.default_rng(44)
     system = random_system(rng, 4)
