@@ -3,13 +3,11 @@ lifted Lyapunov and Newton-GADI Riccati solvers and a benchmark harness."""
 
 from .linalg import (BreakdownError, DirectSolver, InnerSolverError,
                      NotPositiveDefiniteError, cg_hpd, cocg_sym, kron,
-                     load_dense_block, load_matrix_coo, load_vector, matvec,
-                     rel_residual, save_dense_block, save_matrix_coo,
-                     save_vector, unvec, vec)
+                     load_dense_block, load_matrix_coo, load_vector,
+                     save_dense_block, save_matrix_coo, save_vector, unvec,
+                     vec)
 from .splitting import (METHODS, ComplexSymSystem, SolveConfig, SolveReport,
-                        SplitParams, default_alpha, run_gadi_real,
-                        run_stationary, step_cri, step_gadi, step_gadi_real,
-                        step_hss, step_mhss, step_pmhss, step_tscsp)
+                        SplitParams, default_alpha, run_stationary, step)
 from .spectral import (IterationMatrixPair, SpectrumSummary,
                        build_iteration_matrices, eig_extremes_spd,
                        min_radius_alpha, optimal_alpha, sigma_bound,

@@ -247,15 +247,20 @@ def sweep_params(spec, method, alpha_grid, omega_grid, tol=1e-5, inner="exact",
                  max_outer=SWEEP_MAX_OUTER):
     """Full factorial (alpha, omega) sweep for one problem and method.
 
-    Returns the list of SweepCell results in grid order; pick the winner with
-    :func:`best_cell`.
+    ``alpha_grid`` None selects the geometric grid around the method's
+    default shift. Returns the list of SweepCell results in grid order; pick
+    the winner with :func:`best_cell`.
     """
-    if len(alpha_grid) == 0 or len(omega_grid) == 0:
+    if (alpha_grid is not None and len(alpha_grid) == 0) or len(omega_grid) == 0:
         raise ValueError("sweep grids must be nonempty")
-    # RunConfig rejects a method that is not valid for the family
+    # RunConfig rejects a method that is not valid for the family before the
+    # problem is built
     cfg = RunConfig((spec,), (method,), tol=tol, inner=inner, max_outer=max_outer)
+    problem = spec.build()
+    if alpha_grid is None:
+        alpha_grid = _auto_grid(_auto_alpha(spec, problem, method))
     points = [(a, w) for w in omega_grid for a in alpha_grid]
-    solved = _solve_points(spec, spec.build(), method, points, cfg, max_outer)
+    solved = _solve_points(spec, problem, method, points, cfg, max_outer)
     return [_cell(row) for row, _ in solved]
 
 
@@ -553,13 +558,8 @@ def _cmd_solve(args):
 
 
 def _cmd_sweep(args):
-    spec = _spec_from_args(args)
-    alpha_grid, omega_grid = args.alpha_grid, args.omega_grid
-    if alpha_grid is None:
-        alpha_grid = _auto_grid(_auto_alpha(spec, spec.build(), args.method))
-    if omega_grid is None:
-        omega_grid = (DEFAULT_OMEGA,)
-    cells = sweep_params(spec, args.method, alpha_grid, omega_grid,
+    omega_grid = args.omega_grid if args.omega_grid is not None else (DEFAULT_OMEGA,)
+    cells = sweep_params(_spec_from_args(args), args.method, args.alpha_grid, omega_grid,
                          tol=args.tol, inner=args.inner)
     best = best_cell(cells)
     print(f"best: alpha={best.alpha:.6g} omega={best.omega:.6g} "

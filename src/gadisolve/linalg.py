@@ -13,7 +13,7 @@ import scipy.sparse.linalg as spla
 
 __all__ = [
     "InnerSolverError", "BreakdownError", "NotPositiveDefiniteError",
-    "vec", "unvec", "kron", "matvec", "rel_residual",
+    "vec", "unvec", "kron",
     "cg_hpd", "cocg_sym", "DirectSolver",
     "save_matrix_coo", "load_matrix_coo", "save_vector", "load_vector",
     "save_dense_block", "load_dense_block",
@@ -47,11 +47,8 @@ class NotPositiveDefiniteError(ValueError):
 
 def _as_matvec(M):
     """Return a matvec callable for a matrix or an already-callable operator."""
-    if callable(M) and not hasattr(M, "__matmul__"):
-        return M
-    if callable(M) and not (sp.issparse(M) or isinstance(M, np.ndarray)):
-        return M
-    return lambda v: M @ v
+    # neither a numpy array nor a scipy sparse array is callable
+    return M if callable(M) else (lambda v: M @ v)
 
 
 def vec(X):
@@ -75,27 +72,6 @@ def kron(A, B):
     if sp.issparse(A) or sp.issparse(B):
         return sp.kron(sp.csr_array(A), sp.csr_array(B), format="csr")
     return np.kron(np.asarray(A), np.asarray(B))
-
-
-def matvec(A, x):
-    """Matrix-vector product with an explicit dimension check."""
-    x = np.asarray(x)
-    if A.shape[1] != x.shape[0]:
-        raise ValueError(f"dimension mismatch: operator is {A.shape}, vector has length {x.shape[0]}")
-    return A @ x
-
-
-def rel_residual(A, x, b):
-    """Relative residual ||b - A x||_2 / ||b||_2.
-
-    `A` may be a matrix or a matvec callable. Raises ValueError when b = 0,
-    for which the quotient is undefined.
-    """
-    b = np.asarray(b)
-    nb = np.linalg.norm(b)
-    if nb == 0.0:
-        raise ValueError("relative residual is undefined for b = 0")
-    return float(np.linalg.norm(b - _as_matvec(A)(np.asarray(x))) / nb)
 
 
 def cg_hpd(M, b, rel_tol=1e-12, max_it=None, x0=None):

@@ -80,11 +80,10 @@ class RiccatiProblem(_EquationData):
 
 @dataclass
 class LyapunovLift:
-    """Vectorized Lyapunov operator (w_lift + i t_lift) x = q; `orientation` is "column"."""
+    """Vectorized Lyapunov operator (w_lift + i t_lift) x = q."""
     w_lift: object
     t_lift: object
     q: np.ndarray
-    orientation: str
 
     def as_system(self):
         return ComplexSymSystem(self.w_lift, self.t_lift, self.q)
@@ -97,7 +96,6 @@ class NewtonLift:
     t_lift: object
     g_lift: object
     q: np.ndarray
-    orientation: str
 
     def matrix(self):
         return sp.csr_array((self.w_lift + 1j * self.t_lift).astype(complex) - self.g_lift)
@@ -148,7 +146,7 @@ def lift_lyapunov(problem):
     t_lift = T (x) I - I (x) T. A reference operator; the solvers never build it.
     """
     w_lift, t_lift = _lift_parts(problem)
-    return LyapunovLift(w_lift, t_lift, vec(problem.Q), "column")
+    return LyapunovLift(w_lift, t_lift, vec(problem.Q))
 
 
 def build_newton_lift(state, problem):
@@ -161,7 +159,7 @@ def build_newton_lift(state, problem):
     S = sp.csr_array(np.asarray(state.X) @ problem.G)
     I = sp.eye_array(problem.n, format="csr")
     g_lift = kron(I, S) + kron(S.conj(), I)
-    return NewtonLift(w_lift, t_lift, g_lift, vec(state.Q_k), "column")
+    return NewtonLift(w_lift, t_lift, g_lift, vec(state.Q_k))
 
 
 # -- the lifted sweeps in n x n form ---------------------------------------------

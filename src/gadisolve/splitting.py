@@ -1,11 +1,11 @@
 """Stationary splitting iterations for complex symmetric systems (W + iT)x = b.
 
-Six methods share one two-half-step driver: GADI, HSS, MHSS, PMHSS, CRI and
-TSCSP, plus a real-arithmetic GADI for A = W + T (:func:`step_gadi_real` /
-:func:`run_gadi_real`). Each method is one row of a table giving its two
-half-step coefficients and right-hand sides; MHSS is the PMHSS row with
-V = I. Each sweep solves two shifted subsystems; in "exact" inner mode the
-coefficients are factorized once per solve, in "iterative" mode they are
+Six methods share one two-half-step sweep: GADI, HSS, MHSS, PMHSS, CRI and
+TSCSP. Each method is one row of a table giving its two half-step
+coefficients and right-hand sides; MHSS is the PMHSS row with V = I.
+:func:`step` runs one sweep and :func:`run_stationary` sweeps to a
+tolerance. Each sweep solves two shifted subsystems; in "exact" inner mode
+the coefficients are factorized once per solve, in "iterative" mode they are
 solved by CG (Hermitian positive definite coefficients) or COCG (complex
 symmetric coefficients) to a configurable tolerance. One sweep loop,
 :func:`_sweep`, drives every method and the Lyapunov and Newton sweeps of
@@ -13,7 +13,6 @@ symmetric coefficients) to a configurable tolerance. One sweep loop,
 """
 import time
 from dataclasses import dataclass
-from types import SimpleNamespace
 
 import numpy as np
 import scipy.linalg as sla
@@ -24,8 +23,7 @@ from .spectral import eig_extremes_spd, optimal_alpha
 
 __all__ = [
     "METHODS", "ComplexSymSystem", "SplitParams", "SolveConfig", "SolveReport",
-    "step_gadi", "step_hss", "step_mhss", "step_pmhss", "step_cri", "step_tscsp",
-    "step_gadi_real", "run_stationary", "run_gadi_real", "default_alpha",
+    "step", "run_stationary", "default_alpha",
 ]
 
 # exact-mode factorization is the default up to this dimension
@@ -183,35 +181,22 @@ def _check_spd_param(V, n, what):
             raise NotPositiveDefiniteError(f"{what} is not positive definite") from None
 
 
-class _HalfStep:
-    """One shifted subsystem: coefficient matrix plus the solver for it."""
-
-    def __init__(self, M, kind, mode, max_inner):
-        self.kind = kind  # "hpd" or "csym"
-        self.mode = mode
-        self.max_inner = max_inner
-        if mode == "exact":
-            self.solver = DirectSolver(M)
-            self.op = None
-        else:
-            self.solver = None
-            self.op = (lambda v: M @ v)
-
-    def solve(self, rhs, rel_tol):
-        if self.mode == "exact":
-            return self.solver.solve(rhs), 0
-        if self.kind == "hpd":
-            return cg_hpd(self.op, rhs, rel_tol=rel_tol, max_it=self.max_inner)
-        return cocg_sym(self.op, rhs, rel_tol=rel_tol, max_it=self.max_inner)
-
-
 # -- the methods as data ------------------------------------------------------
 #
 # Each row gives a method's default shift, as a function of W, and its
 # half-step data: a map from (W, T, b, I, V, a, w) to (M1, kind1, M2, kind2,
 # rhs1, rhs2). A sweep solves M1 x_half = rhs1(x), then
 # M2 x_next = rhs2(x, x_half); a kind is "hpd" (CG in iterative mode) or
-# "csym" (COCG).
+# "csym" (COCG). The rows, with PMHSS's V defaulting to W:
+#
+#   gadi   (aI+W) x_half = (aI-iT) x + b,
+#          (aI+iT) x_next = (iT-(1-w)aI) x + (2-w)a x_half
+#   hss    (aI+W) x_half = (aI-iT) x + b,  (aI+iT) x_next = (aI-W) x_half + b
+#   mhss   (aI+W) x_half = (aI-iT) x + b,  (aI+T) x_next = (aI+iW) x_half - i b
+#   pmhss  (aV+W) x_half = (aV-iT) x + b,  (aV+T) x_next = (aV+iW) x_half - i b
+#   cri    (aT+W) x_half = (a-i) T x + b,  (aW+T) x_next = (a+i) W x_half - i b
+#   tscsp  (aW+T) x_half = i(W-aT) x + (a-i) b,
+#          (aT+W) x_next = i(aW-T) x_half + (1-ia) b
 
 def _bound_shift(W):
     """sqrt(gamma_min * gamma_max) of W, the minimizer of the contraction bound."""
@@ -235,10 +220,6 @@ _METHODS = {
         a * I + W, "hpd", (a * I).astype(complex) + 1j * T, "csym",
         lambda x: a * x - 1j * (T @ x) + b,
         lambda x, xh: 1j * (T @ x) - (1 - om) * a * x + (2 - om) * a * xh)),
-    "gadi_real": (_bound_shift, lambda W, T, b, I, V, a, om: (
-        a * I + W, "hpd", a * I + T, "hpd",
-        lambda x: a * x - T @ x + b,
-        lambda x, xh: T @ x - (1 - om) * a * x + (2 - om) * a * xh)),
     # HSS is GADI at w = 0, but GADI's second right-hand side rounds
     # differently; a row of its own keeps the HSS residual histories bit-stable
     "hss": (_bound_shift, lambda W, T, b, I, V, a, om: (
@@ -260,46 +241,50 @@ _METHODS = {
 METHODS = tuple(_METHODS)
 
 
-def _real_system(W, T, b):
-    """A = W + T with real b, which the gadi_real row steps in real arithmetic."""
-    return SimpleNamespace(W=W, T=T, b=np.asarray(b, dtype=float),
-                           matvec=lambda x: W @ x + T @ x)
-
-
-class _Stepper:
-    """Prefactored two-half-step sweep of one method on one system."""
-
-    def __init__(self, system, method, params, config):
-        W, b = system.W, system.b
-        n = b.shape[0]
-        mode = config.resolved_inner(n)
-        max_inner = config.max_inner if config.max_inner is not None else 4 * n + 100
-        M1, k1, M2, k2, self.rhs1, self.rhs2 = _METHODS[method][1](
-            W, system.T, b, _eye_like(W, n), params.V, params.alpha, params.omega)
-        self.half1 = _HalfStep(M1, k1, mode, max_inner)
-        self.half2 = _HalfStep(M2, k2, mode, max_inner)
-        self.real = not np.iscomplexobj(b)
-
-    def step(self, x, eta, tau):
-        """One full sweep; returns (x_next, inner_iterations)."""
-        try:
-            xh, n1 = self.half1.solve(self.rhs1(x), eta)
-        except InnerSolverError as err:
-            err.half_step = "first half-step"
-            raise
-        try:
-            xn, n2 = self.half2.solve(self.rhs2(x, xh), tau)
-        except InnerSolverError as err:
-            err.half_step = "second half-step"
-            raise
-        return (np.real(xn) if self.real else xn), n1 + n2
-
-
 def _inner_tols(config, current_res):
     floor = 1e-14
     eta = config.inner_eta if config.inner_eta is not None else max(1e-2 * current_res, floor)
     tau = config.inner_tau if config.inner_tau is not None else max(1e-2 * current_res, floor)
     return eta, tau
+
+
+def _make_step(system, params, config):
+    """The sweep of ``params.method`` on ``system`` as ``step(x, res) -> (x_next, inner)``.
+
+    Factorizes the two half-step coefficients in exact inner mode, or sets up
+    CG/COCG for them in iterative mode, with tolerances from
+    :func:`_inner_tols` at the current residual ``res``. An InnerSolverError
+    is tagged with the half-step it came from. ``inner`` counts Krylov steps.
+    """
+    W, n = system.W, system.n
+    mode = config.resolved_inner(n)
+    max_inner = config.max_inner if config.max_inner is not None else 4 * n + 100
+    M1, k1, M2, k2, rhs1, rhs2 = _METHODS[params.method][1](
+        W, system.T, system.b, _eye_like(W, n), params.V, params.alpha, params.omega)
+
+    def half_step(M, kind, which):
+        if mode == "exact":
+            direct = DirectSolver(M)
+            return lambda rhs, tol: (direct.solve(rhs), 0)
+        krylov = cg_hpd if kind == "hpd" else cocg_sym
+
+        def solve(rhs, tol):
+            try:
+                return krylov(M, rhs, rel_tol=tol, max_it=max_inner)
+            except InnerSolverError as err:
+                err.half_step = which
+                raise
+        return solve
+
+    half1 = half_step(M1, k1, "first half-step")
+    half2 = half_step(M2, k2, "second half-step")
+
+    def step(x, res):
+        eta, tau = _inner_tols(config, res)
+        xh, n1 = half1(rhs1(x), eta)
+        xn, n2 = half2(rhs2(x, xh), tau)
+        return xn, n1 + n2
+    return step
 
 
 class _Diverged(Exception):
@@ -344,100 +329,46 @@ def _sweep(make_step, residual, x, tol, max_sweeps, guard=False):
     return x, report()
 
 
-def _run(system, method, params, config):
-    """Sweep one method from config.x0 (default 0) to RES = ||b - A x||/||b|| <= tol."""
+def step(system, params, x, config=None):
+    """One sweep of ``params.method`` from ``x``; returns ``x_next``.
+
+    In iterative inner mode the half-step tolerances follow the residual of
+    ``x``; in exact mode no residual is computed.
+    """
     config = config or SolveConfig()
-    b = system.b
-    nb = np.linalg.norm(b)
-    if nb == 0.0:
-        raise ValueError("b = 0: relative residual is undefined")
-    x = np.zeros(b.shape[0], b.dtype) if config.x0 is None else np.asarray(config.x0, b.dtype).copy()
-
-    def make_step():
-        stepper = _Stepper(system, method, params, config)
-        return lambda x, res: stepper.step(x, *_inner_tols(config, res))
-
-    return _sweep(make_step, lambda x: float(np.linalg.norm(b - system.matvec(x)) / nb),
-                  x, config.tol, config.max_outer)
-
-
-def _one_step(method, system, params, x, config):
-    config = config or SolveConfig()
-    x = np.asarray(x, dtype=system.b.dtype)
-    stepper = _Stepper(system, method, params, config)
-    if config.resolved_inner(system.b.shape[0]) == "exact":
-        eta = tau = 0.0
-    else:
+    x = np.asarray(x, dtype=complex)
+    res = 0.0
+    if config.resolved_inner(system.n) == "iterative":
         nb = np.linalg.norm(system.b)
         res = np.linalg.norm(system.b - system.matvec(x)) / nb if nb > 0 else 1.0
-        eta, tau = _inner_tols(config, res)
-    return stepper.step(x, eta, tau)[0]
-
-
-def step_gadi(system, params, x, config=None):
-    """One GADI sweep: (aI+W) x_half = (aI-iT) x + b, then
-    (aI+iT) x_next = (iT-(1-w)aI) x + (2-w)a x_half."""
-    return _one_step("gadi", system, params, x, config)
-
-
-def step_hss(system, params, x, config=None):
-    """One HSS sweep: (aI+W) x_half = (aI-iT) x + b, then
-    (aI+iT) x_next = (aI-W) x_half + b."""
-    return _one_step("hss", system, params, x, config)
-
-
-def step_mhss(system, params, x, config=None):
-    """One MHSS sweep: (aI+W) x_half = (aI-iT) x + b, then
-    (aI+T) x_next = (aI+iW) x_half - i b."""
-    return _one_step("mhss", system, params, x, config)
-
-
-def step_pmhss(system, params, x, config=None):
-    """One PMHSS sweep with SPD preconditioner V (default V = W):
-    (aV+W) x_half = (aV-iT) x + b, then (aV+T) x_next = (aV+iW) x_half - i b."""
-    return _one_step("pmhss", system, params, x, config)
-
-
-def step_cri(system, params, x, config=None):
-    """One CRI sweep: (aT+W) x_half = (a-i) T x + b, then
-    (aW+T) x_next = (a+i) W x_half - i b."""
-    return _one_step("cri", system, params, x, config)
-
-
-def step_tscsp(system, params, x, config=None):
-    """One TSCSP sweep: (aW+T) x_half = i(W-aT) x + (a-i) b, then
-    (aT+W) x_next = i(aW-T) x_half + (1-ia) b."""
-    return _one_step("tscsp", system, params, x, config)
-
-
-def step_gadi_real(W, T, b, params, x, config=None):
-    """One real GADI sweep for A = W + T: (aI+W) x_half = (aI-T) x + b, then
-    (aI+T) x_next = (T-(1-w)aI) x + (2-w)a x_half."""
-    return _one_step("gadi_real", _real_system(W, T, b), params, x, config)
+    return _make_step(system, params, config)(x, res)[0]
 
 
 def run_stationary(system, params, config=None):
     """Iterate one splitting method until RES = ||b - A x||/||b|| <= tol.
 
-    Returns ``(x, SolveReport)``. Reaching max_outer is reported via
-    ``converged=False``, not an exception; an inner-solver failure raises
-    InnerSolverError with the partial report attached as ``err.report``.
+    Starts from config.x0 (default 0) and returns ``(x, SolveReport)``.
+    Reaching max_outer is reported via ``converged=False``, not an exception;
+    an inner-solver failure raises InnerSolverError with the partial report
+    attached as ``err.report``.
     """
-    if params.method == "gadi_real":
-        raise ValueError("gadi_real operates on real systems; use run_gadi_real")
-    return _run(system, params.method, params, config)
-
-
-def run_gadi_real(W, T, b, params, config=None):
-    """Drive :func:`step_gadi_real` to RES <= tol; returns (x, SolveReport)."""
-    return _run(_real_system(W, T, b), "gadi_real", params, config)
+    config = config or SolveConfig()
+    b = system.b
+    nb = np.linalg.norm(b)
+    if nb == 0.0:
+        raise ValueError("b = 0: relative residual is undefined")
+    x = np.zeros(system.n, complex) if config.x0 is None else np.asarray(config.x0, complex).copy()
+    return _sweep(lambda: _make_step(system, params, config),
+                  lambda x: float(np.linalg.norm(b - system.matvec(x)) / nb),
+                  x, config.tol, config.max_outer)
 
 
 def default_alpha(system, method):
-    """Method-specific default shift, from the method table.
+    """Default shift of a method in METHODS, from its row of the method table.
 
     GADI, HSS and MHSS use the bound-minimizing sqrt(gamma_min*gamma_max) of
-    W; PMHSS, CRI and TSCSP use the scale-free choice alpha = 1.
+    W; PMHSS, CRI and TSCSP use the scale-free choice alpha = 1. Any other
+    name raises ValueError.
     """
     if method not in _METHODS:
         raise ValueError(f"unknown method {method!r}")

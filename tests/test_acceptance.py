@@ -237,14 +237,11 @@ def test_criterion_7_lift_identities():
 
 def test_criterion_8_fixed_points_and_scalar_care():
     """Stationarity of every stepper, of the Newton map, and the scalar root."""
-    from gadisolve import (step_cri, step_gadi, step_hss, step_mhss,
-                           step_pmhss, step_tscsp)
+    from gadisolve import METHODS, step
     from scipy.linalg import solve_continuous_are
     rng = np.random.default_rng(2029)
     worst_fp = 0.0
-    steps = {"gadi": step_gadi, "hss": step_hss, "mhss": step_mhss,
-             "pmhss": step_pmhss, "cri": step_cri, "tscsp": step_tscsp}
-    for method, step in steps.items():
+    for method in METHODS:
         system = random_system(rng, 12)
         xstar = dense_solution(system)
         out = step(system, SplitParams(method, 1.3, 0.4), xstar)

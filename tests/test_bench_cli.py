@@ -136,6 +136,25 @@ def test_bad_flag_exits_2(capsys, argv, message):
     assert message in err
 
 
+def test_sweep_checks_the_method_before_the_auto_grid(capsys):
+    code, err = _exit_code(["sweep", "--family", "ex241", "--m", "4",
+                            "--method", "newton-gadi"], capsys)
+    assert code == 2
+    assert "sweep: method 'newton-gadi' is not valid for family 'ex241'" in err
+
+
+def test_sweep_rejects_the_method_before_computing_a_shift(monkeypatch, capsys):
+    from gadisolve import bench
+
+    def no_shift(*args):
+        raise AssertionError("default shift computed for a rejected method")
+    monkeypatch.setattr(bench, "_auto_alpha", no_shift)
+    code, err = _exit_code(["sweep", "--family", "ex31", "--n", "8", "--method", "mhss"],
+                           capsys)
+    assert code == 2
+    assert "sweep: method 'mhss' is not valid for family 'ex31'" in err
+
+
 def test_unreadable_config_file_exits_2(tmp_path, capsys):
     code, err = _exit_code(["solve", "--config", str(tmp_path / "missing.ini")], capsys)
     assert code == 2 and "missing.ini" in err

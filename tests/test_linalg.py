@@ -4,8 +4,8 @@ import scipy.sparse as sp
 
 from gadisolve import (InnerSolverError, NotPositiveDefiniteError,
                        cg_hpd, cocg_sym, gen_ex241, kron, load_matrix_coo,
-                       load_vector, matvec, rel_residual, save_matrix_coo,
-                       save_vector, unvec, vec)
+                       load_vector, save_matrix_coo, save_vector, unvec,
+                       vec)
 
 rng = np.random.default_rng(1234)
 
@@ -95,54 +95,6 @@ def test_vec_of_triple_product_identity():
     lhs = vec(A @ X @ B)
     rhs = kron(B.T, A) @ vec(X)
     assert np.abs(lhs - rhs).max() <= 1e-13
-
-
-# -- matvec / residual --------------------------------------------------------
-
-def test_matvec_identity_and_zero():
-    x = rng.standard_normal(5) + 1j * rng.standard_normal(5)
-    assert np.array_equal(matvec(np.eye(5), x), x)
-    assert np.array_equal(matvec(np.zeros((5, 5)), x), np.zeros(5))
-
-
-def test_matvec_sparse_matches_dense():
-    A = rng.standard_normal((8, 8))
-    A[np.abs(A) < 1.0] = 0.0
-    x = rng.standard_normal(8) + 1j * rng.standard_normal(8)
-    y_sparse = matvec(sp.csr_array(A), x)
-    y_dense = A @ x
-    assert np.linalg.norm(y_sparse - y_dense) <= 1e-14 * max(np.linalg.norm(y_dense), 1)
-
-
-def test_matvec_dimension_mismatch():
-    with pytest.raises(ValueError):
-        matvec(np.eye(3), np.zeros(4))
-
-
-def test_rel_residual_exact_solution():
-    A = rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6))
-    x = rng.standard_normal(6) + 1j * rng.standard_normal(6)
-    b = A @ x
-    assert rel_residual(A, x, b) <= 1e-15 * np.linalg.norm(A) * np.linalg.norm(x)
-
-
-def test_rel_residual_zero_iterate_is_one():
-    A = np.eye(4)
-    b = rng.standard_normal(4) + 1j * rng.standard_normal(4)
-    assert rel_residual(A, np.zeros(4), b) == 1.0
-
-
-def test_rel_residual_matches_direct_norms():
-    A = rng.standard_normal((7, 7)) + 1j * rng.standard_normal((7, 7))
-    x = rng.standard_normal(7) + 1j * rng.standard_normal(7)
-    b = rng.standard_normal(7) + 1j * rng.standard_normal(7)
-    direct = np.linalg.norm(b - A @ x) / np.linalg.norm(b)
-    assert abs(rel_residual(A, x, b) - direct) <= 1e-15
-
-
-def test_rel_residual_zero_rhs_raises():
-    with pytest.raises(ValueError):
-        rel_residual(np.eye(3), np.zeros(3), np.zeros(3))
 
 
 # -- cg_hpd -------------------------------------------------------------------

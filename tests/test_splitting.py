@@ -1,21 +1,13 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from gadisolve import (ComplexSymSystem, NotPositiveDefiniteError,
+from gadisolve import (METHODS, ComplexSymSystem, NotPositiveDefiniteError,
                        SolveConfig, SplitParams, build_iteration_matrices,
-                       default_alpha, gen_ex241, gen_ex242, run_gadi_real,
-                       run_stationary, step_cri, step_gadi, step_gadi_real,
-                       step_hss, step_mhss, step_pmhss, step_tscsp)
+                       default_alpha, gen_ex241, gen_ex242, run_stationary,
+                       step)
 from helpers import dense_solution, random_system
-
-STEPS = {
-    "gadi": step_gadi,
-    "hss": step_hss,
-    "mhss": step_mhss,
-    "pmhss": step_pmhss,
-    "cri": step_cri,
-    "tscsp": step_tscsp,
-}
 
 
 def scalar_system():
@@ -27,34 +19,34 @@ def scalar_system():
 def test_step_gadi_scalar():
     sys1 = scalar_system()
     p = SplitParams("gadi", alpha=1.0, omega=1.0)
-    x1 = step_gadi(sys1, p, np.zeros(1, dtype=complex))
+    x1 = step(sys1, p, np.zeros(1, dtype=complex))
     assert abs(x1[0] - (1 - 1j) / 6) <= 1e-15
 
 
 def test_step_hss_scalar():
-    x1 = step_hss(scalar_system(), SplitParams("hss", 1.0), np.zeros(1, dtype=complex))
+    x1 = step(scalar_system(), SplitParams("hss", 1.0), np.zeros(1, dtype=complex))
     assert abs(x1[0] - (1 - 1j) / 3) <= 1e-15
 
 
 def test_step_mhss_scalar():
-    x1 = step_mhss(scalar_system(), SplitParams("mhss", 1.0), np.zeros(1, dtype=complex))
+    x1 = step(scalar_system(), SplitParams("mhss", 1.0), np.zeros(1, dtype=complex))
     assert abs(x1[0] - (1 - 1j) / 6) <= 1e-15
 
 
 def test_step_pmhss_scalar_v_equals_w():
     sys1 = scalar_system()
     p = SplitParams("pmhss", 1.0, V=sys1.W)
-    x1 = step_pmhss(sys1, p, np.zeros(1, dtype=complex))
+    x1 = step(sys1, p, np.zeros(1, dtype=complex))
     assert abs(x1[0] - (1 - 1j) / 6) <= 1e-15
 
 
 def test_step_cri_scalar():
-    x1 = step_cri(scalar_system(), SplitParams("cri", 1.0), np.zeros(1, dtype=complex))
+    x1 = step(scalar_system(), SplitParams("cri", 1.0), np.zeros(1, dtype=complex))
     assert abs(x1[0] - (2 - 1j) / 9) <= 1e-15
 
 
 def test_step_tscsp_scalar():
-    x1 = step_tscsp(scalar_system(), SplitParams("tscsp", 1.0), np.zeros(1, dtype=complex))
+    x1 = step(scalar_system(), SplitParams("tscsp", 1.0), np.zeros(1, dtype=complex))
     assert abs(x1[0] - (4 - 2j) / 9) <= 1e-15
 
 
@@ -64,25 +56,46 @@ def test_pmhss_with_identity_reduces_to_mhss():
     x = rng.standard_normal(4) + 1j * rng.standard_normal(4)
     p_m = SplitParams("mhss", 1.7)
     p_p = SplitParams("pmhss", 1.7, V=np.eye(4))
-    out_m = step_mhss(system, p_m, x)
-    out_p = step_pmhss(system, p_p, x)
+    out_m = step(system, p_m, x)
+    out_p = step(system, p_p, x)
     assert np.array_equal(out_m, out_p)  # MHSS is the PMHSS row with V = I
 
 
 # -- fixed points and one-step linearity --------------------------------------
 
-@pytest.mark.parametrize("method", list(STEPS))
+@pytest.mark.parametrize("method", METHODS)
 @pytest.mark.parametrize("n", [2, 8, 32])
 def test_exact_solution_is_fixed_point(method, n):
     rng = np.random.default_rng(100 + n)
     system = random_system(rng, n)
     xstar = dense_solution(system)
     params = SplitParams(method, alpha=1.9, omega=0.7)
-    out = STEPS[method](system, params, xstar)
+    out = step(system, params, xstar)
     assert np.linalg.norm(out - xstar) <= 1e-11 * np.linalg.norm(xstar)
 
 
-def _affine_map(step, system, params):
+@settings(derandomize=True, deadline=None, database=None, max_examples=30)
+@given(n=st.integers(1, 8), seed=st.integers(0, 2 ** 32 - 1),
+       alpha=st.floats(0.1, 10.0), omega=st.floats(0.0, 1.9))
+def test_step_fixed_point_and_iterative_inner_mode(n, seed, alpha, omega):
+    # every method, in exact mode from the dense solution and in iterative
+    # (CG/COCG) mode against exact mode from a random start
+    rng = np.random.default_rng(seed)
+    system = random_system(rng, n)
+    xstar = dense_solution(system)
+    x = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    exact = SolveConfig(inner="exact")
+    iterative = SolveConfig(inner="iterative", inner_eta=1e-13, inner_tau=1e-13)
+    for method in METHODS:
+        params = SplitParams(method, alpha, omega)
+        out = step(system, params, xstar, exact)
+        assert np.linalg.norm(out - xstar) <= 1e-10 * np.linalg.norm(xstar), method
+        want = step(system, params, x, exact)
+        got = step(system, params, x, iterative)
+        assert np.linalg.norm(got - want) <= 1e-8 * np.linalg.norm(want), method
+
+
+def _affine_map(system, params):
     """Extract the dense iteration matrix and constant of one sweep."""
     n = system.n
     c = step(system, params, np.zeros(n, dtype=complex))
@@ -98,7 +111,7 @@ def test_gadi_matches_closed_form_iteration_matrix():
     rng = np.random.default_rng(21)
     system = random_system(rng, 6)
     params = SplitParams("gadi", alpha=2.3, omega=0.6)
-    M, _ = _affine_map(step_gadi, system, params)
+    M, _ = _affine_map(system, params)
     pair = build_iteration_matrices(system, 2.3, 0.6)
     assert np.linalg.norm(M - pair.M_alpha_omega, "fro") <= 1e-11
 
@@ -107,7 +120,7 @@ def test_hss_matches_closed_form_iteration_matrix():
     rng = np.random.default_rng(22)
     system = random_system(rng, 6)
     params = SplitParams("hss", alpha=1.4)
-    M, _ = _affine_map(step_hss, system, params)
+    M, _ = _affine_map(system, params)
     pair = build_iteration_matrices(system, 1.4, 0.0)
     assert np.linalg.norm(M - pair.T_alpha, "fro") <= 1e-11
 
@@ -130,56 +143,8 @@ def test_two_step_methods_match_dense_composition(method):
     else:  # tscsp
         L = np.linalg.solve(a * T + W, 1j * (a * W - T) @ np.linalg.solve(a * W + T, 1j * (W - a * T)))
     params = SplitParams(method, alpha=a)
-    M, _ = _affine_map(STEPS[method], system, params)
+    M, _ = _affine_map(system, params)
     assert np.linalg.norm(M - L, "fro") <= 1e-12 * max(1.0, np.linalg.norm(L, "fro"))
-
-
-# -- real-arithmetic GADI ------------------------------------------------------
-
-def test_gadi_real_scalar_one_sweep_exact():
-    W = np.array([[2.0]])
-    T = np.array([[1.0]])
-    b = np.array([3.0])
-    p = SplitParams("gadi_real", alpha=1.0, omega=0.0)
-    x1 = step_gadi_real(W, T, b, p, np.zeros(1))
-    assert abs(x1[0] - 1.0) <= 1e-15
-
-
-def test_gadi_real_fixed_point_and_oracle():
-    rng = np.random.default_rng(31)
-    n = 3
-    from helpers import random_psd, random_spd
-    W = random_spd(rng, n)
-    T = random_psd(rng, n, lo=0.2)
-    b = rng.standard_normal(n)
-    xstar = np.linalg.solve(W + T, b)
-    p = SplitParams("gadi_real", alpha=1.2, omega=0.4)
-    assert np.linalg.norm(step_gadi_real(W, T, b, p, xstar) - xstar) <= 1e-11 * np.linalg.norm(xstar)
-    # dense two-step evaluation
-    a, om = 1.2, 0.4
-    I = np.eye(n)
-    x = rng.standard_normal(n)
-    xh = np.linalg.solve(a * I + W, (a * I - T) @ x + b)
-    want = np.linalg.solve(a * I + T, (T - (1 - om) * a * I) @ x + (2 - om) * a * xh)
-    got = step_gadi_real(W, T, b, p, x)
-    assert np.linalg.norm(got - want) <= 1e-12 * max(1.0, np.linalg.norm(want))
-
-
-def test_run_gadi_real_converges():
-    rng = np.random.default_rng(32)
-    from helpers import random_psd, random_spd
-    W = random_spd(rng, 10)
-    T = random_psd(rng, 10, lo=0.2)
-    b = rng.standard_normal(10)
-    p = SplitParams("gadi_real", alpha=default_alpha_real(W), omega=0.1)
-    x, report = run_gadi_real(W, T, b, p, SolveConfig(tol=1e-10, max_outer=2000))
-    assert report.converged
-    assert np.linalg.norm((W + T) @ x - b) <= 1e-9 * np.linalg.norm(b)
-
-
-def default_alpha_real(W):
-    ev = np.linalg.eigvalsh(W)
-    return float(np.sqrt(ev[0] * ev[-1]))
 
 
 # -- driver --------------------------------------------------------------------
@@ -260,13 +225,6 @@ def test_system_rejects_bad_shapes_and_asymmetry():
         ComplexSymSystem(W, T, b)
 
 
-def test_gadi_real_not_valid_in_complex_driver():
-    rng = np.random.default_rng(44)
-    system = random_system(rng, 4)
-    with pytest.raises(ValueError):
-        run_stationary(system, SplitParams("gadi_real", 1.0), SolveConfig())
-
-
 def test_parabolic_grid_m8_tuned_gadi_under_10_iterations():
     # reference iteration count for this row is 5
     system = gen_ex241(8, "h", stencil="unit")
@@ -331,24 +289,7 @@ def test_inner_failure_carries_partial_history():
     assert err.half_step in ("first half-step", "second half-step")
     assert err.report is not None
     assert len(err.report.residual_history) >= 1
-
-
-def test_real_inner_failure_carries_partial_history():
-    from gadisolve import InnerSolverError
-    from helpers import random_psd, random_spd
-    rng = np.random.default_rng(48)
-    W = random_spd(rng, 16)
-    T = random_psd(rng, 16, lo=0.2)
-    b = rng.standard_normal(16)
-    p = SplitParams("gadi_real", alpha=default_alpha_real(W), omega=0.01)
-    cfg = SolveConfig(tol=1e-10, inner="iterative", inner_eta=1e-12,
-                      inner_tau=1e-12, max_inner=1)
-    with pytest.raises(InnerSolverError) as info:
-        run_gadi_real(W, T, b, p, cfg)
-    err = info.value
-    assert err.half_step in ("first half-step", "second half-step")
-    assert err.report is not None
-    assert err.report.residual_history[0] == (0, 1.0)
+    assert err.report.residual_history[0] == (0, 1.0)  # zero initial guess
 
 
 def test_mhss_run_is_pmhss_with_identity_bit_for_bit():
@@ -368,7 +309,6 @@ def test_default_alpha_rules():
     system = random_system(rng, 6)
     bound = default_alpha(system, "gadi")
     assert default_alpha(system, "hss") == default_alpha(system, "mhss") == bound
-    assert default_alpha(system, "gadi_real") == bound
     assert default_alpha(system, "pmhss") == default_alpha(system, "cri") == 1.0
     with pytest.raises(ValueError):
         default_alpha(system, "nope")
@@ -402,7 +342,7 @@ def test_diagonal_pmhss_preconditioner_checked_on_its_diagonal(monkeypatch, n, d
         V = np.diag(d) if dense else sp.diags_array(d, format="csr")
         params = SplitParams("pmhss", 1.0, V=V)
         if bad is None:
-            step_pmhss(system, params, np.zeros(n, dtype=complex))
+            step(system, params, np.zeros(n, dtype=complex))
         else:
             with pytest.raises(NotPositiveDefiniteError):
-                step_pmhss(system, params, np.zeros(n, dtype=complex))
+                step(system, params, np.zeros(n, dtype=complex))
