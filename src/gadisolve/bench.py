@@ -29,7 +29,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .linalg import InnerSolverError, NotPositiveDefiniteError
+from .linalg import NotPositiveDefiniteError
 from .matrixeq import (_eigh, _lift_shift, newton_gadi_riccati,
                        solve_lyapunov_gadi, solve_lyapunov_hss)
 from .problems import ProblemSpec
@@ -37,7 +37,7 @@ from .splitting import (SolveConfig, SolveReport, SplitParams, default_alpha,
                         run_stationary)
 
 __all__ = [
-    "BenchmarkRow", "ParamPolicy", "RunConfig", "SweepCell",
+    "BenchmarkRow", "ParamPolicy", "RunConfig",
     "run_grid", "sweep_params", "best_cell",
     "write_csv", "parse_csv", "write_convergence_series",
     "build_preset", "PRESET_NAMES", "main",
@@ -64,15 +64,6 @@ class BenchmarkRow:
     res: float
     it: int
     cpu: float
-    converged: bool
-
-
-@dataclass
-class SweepCell:
-    alpha: float
-    omega: float
-    it: int
-    res: float
     converged: bool
 
 
@@ -104,7 +95,6 @@ class RunConfig:
     tol: float = 1e-5
     inner: str = "exact"
     max_outer: int = 500
-    newton_options: dict = field(default_factory=dict)
     series: bool = False
 
     def __post_init__(self):
@@ -150,10 +140,8 @@ def _solve_cell(spec, problem, method, alpha, omega, cfg, max_outer):
             solver = solve_lyapunov_gadi if method == "gadi" else solve_lyapunov_hss
         _, report = solver(problem, params, config)
     else:
-        opts = dict(cfg.newton_options)
-        opts.setdefault("inner_forcing", (0.1, 0.1))
         result = newton_gadi_riccati(problem, outer_tol=cfg.tol, alpha=alpha,
-                                     omega=omega, **opts)
+                                     omega=omega, inner_forcing=(0.1, 0.1))
         report = SolveReport(result.converged, result.outer_iterations,
                              result.final_res, result.res_history,
                              result.wall_time, result.inner_iteration_total)
@@ -176,7 +164,7 @@ def _solve_points(spec, problem, method, points, cfg, max_outer):
         t0 = time.perf_counter()
         try:
             out.append(_solve_cell(spec, problem, method, alpha, omega, cfg, max_outer))
-        except (InnerSolverError, RuntimeError, NotPositiveDefiniteError) as err:
+        except (RuntimeError, NotPositiveDefiniteError) as err:
             res = getattr(err, "residual", math.nan)
             row = BenchmarkRow(method, spec.dimension, spec.label(), alpha, omega,
                                res if np.isfinite(res) else math.nan,
@@ -184,10 +172,6 @@ def _solve_points(spec, problem, method, points, cfg, max_outer):
                                time.perf_counter() - t0, False)
             out.append((row, None))
     return out
-
-
-def _cell(row):
-    return SweepCell(row.alpha, row.omega, row.it, row.res, row.converged)
 
 
 def _method_rows(cfg, spec, problem, method):
@@ -211,14 +195,14 @@ def _method_rows(cfg, spec, problem, method):
         solved = _solve_points(spec, problem, method,
                                [(a, w) for w in omegas for a in alphas], cfg,
                                min(cfg.max_outer, SWEEP_MAX_OUTER))
-        cells = [_cell(row) for row, _ in solved]
-        win = best_cell(cells)
+        rows = [row for row, _ in solved]
+        win = best_cell(rows)
         if win.converged:
-            return [solved[cells.index(win)]]
+            return [solved[rows.index(win)]]
         # nothing converged: solve the best cell that ran to the cap again
         # with the full max_outer, or, if every cell failed, the nominal shift
         points = [(alpha_star, omegas[0])]
-        ran = [c for c, (_, report) in zip(cells, solved) if report is not None]
+        ran = [row for row, report in solved if report is not None]
         if ran:
             win = best_cell(ran)
             points = [(win.alpha, win.omega)]
@@ -248,7 +232,7 @@ def sweep_params(spec, method, alpha_grid, omega_grid, tol=1e-5, inner="exact",
     """Full factorial (alpha, omega) sweep for one problem and method.
 
     ``alpha_grid`` None selects the geometric grid around the method's
-    default shift. Returns the list of SweepCell results in grid order; pick
+    default shift. Returns the BenchmarkRow of each cell in grid order; pick
     the winner with :func:`best_cell`.
     """
     if (alpha_grid is not None and len(alpha_grid) == 0) or len(omega_grid) == 0:
@@ -260,8 +244,7 @@ def sweep_params(spec, method, alpha_grid, omega_grid, tol=1e-5, inner="exact",
     if alpha_grid is None:
         alpha_grid = _auto_grid(_auto_alpha(spec, problem, method))
     points = [(a, w) for w in omega_grid for a in alpha_grid]
-    solved = _solve_points(spec, problem, method, points, cfg, max_outer)
-    return [_cell(row) for row, _ in solved]
+    return [row for row, _ in _solve_points(spec, problem, method, points, cfg, max_outer)]
 
 
 def best_cell(cells):
@@ -381,8 +364,7 @@ def build_preset(name, tol=1e-5, inner="exact"):
         specs = tuple(ProblemSpec("ex421", n=n) for n in (8, 16, 24, 32))
         return [RunConfig(specs, ("newton-gadi",),
                           ParamPolicy("fixed", points=((None, 0.01),)),
-                          tol=tol, inner=inner,
-                          newton_options={"inner_forcing": (0.1, 0.1)})]
+                          tol=tol, inner=inner)]
     if name == "fig1":
         return [RunConfig((spec241(32),), ("mhss", "pmhss", "cri", "tscsp", "gadi"),
                           ParamPolicy("auto"), tol=tol, inner=inner, series=True)]
@@ -400,8 +382,7 @@ def build_preset(name, tol=1e-5, inner="exact"):
     if name == "fig7":
         return [RunConfig(tuple(ProblemSpec("ex421", n=n) for n in (8, 16, 24)),
                           ("newton-gadi",), ParamPolicy("fixed", points=((None, 0.01),)),
-                          tol=tol, inner=inner, series=True,
-                          newton_options={"inner_forcing": (0.1, 0.1)})]
+                          tol=tol, inner=inner, series=True)]
     raise ValueError(f"unknown preset {name!r}; choose from {PRESET_NAMES}")
 
 

@@ -2,7 +2,9 @@
 
 Dense matrices are numpy arrays, sparse matrices are scipy.sparse arrays
 (CSR for storage, CSC for factorization). Vectors are 1-d complex numpy
-arrays. All routines are pure functions of their inputs.
+arrays. All routines are pure functions of their inputs. CG and COCG are one
+recurrence that differs only in its form: the Hermitian inner product for CG,
+the unconjugated bilinear form x^T y for COCG.
 """
 import warnings
 
@@ -51,6 +53,16 @@ def _as_matvec(M):
     return M if callable(M) else (lambda v: M @ v)
 
 
+def _dense(M):
+    """A dense numpy copy (or view) of a sparse or dense matrix."""
+    return M.toarray() if sp.issparse(M) else np.asarray(M)
+
+
+def _eye_like(M, n):
+    """The n x n identity, sparse (CSR) when M is sparse."""
+    return sp.eye_array(n, format="csr") if sp.issparse(M) else np.eye(n)
+
+
 def vec(X):
     """Stack the columns of a matrix into a single vector."""
     X = np.asarray(X)
@@ -89,56 +101,7 @@ def cg_hpd(M, b, rel_tol=1e-12, max_it=None, x0=None):
         if the tolerance is not met within ``max_it``; the error carries the
         best iterate seen.
     """
-    op = _as_matvec(M)
-    b = np.asarray(b, dtype=complex)
-    n = b.shape[0]
-    if max_it is None:
-        max_it = 10 * n + 10
-    nb = np.linalg.norm(b)
-    if nb == 0.0:
-        return np.zeros(n, dtype=complex), 0
-    tol = rel_tol * nb
-    x = np.zeros(n, dtype=complex) if x0 is None else np.asarray(x0, dtype=complex).copy()
-    r = b - op(x) if x0 is not None else b.copy()
-    best_x, best_r = x.copy(), np.linalg.norm(r)
-    it = 0
-    while it < max_it:
-        rn = np.linalg.norm(r)
-        if rn < best_r:
-            best_x, best_r = x.copy(), rn
-        if rn <= tol:
-            true_r = np.linalg.norm(b - op(x))
-            if true_r <= tol:
-                return x, it
-            r = b - op(x)  # recurrence drifted: restart from the true residual
-        p = r.copy()
-        rho = np.vdot(r, r).real
-        while it < max_it:
-            q = op(p)
-            curv = np.vdot(p, q).real
-            if curv <= 0.0:
-                raise NotPositiveDefiniteError(
-                    f"nonpositive curvature p^H M p = {curv:.3e} in CG at iteration {it}")
-            a = rho / curv
-            x += a * p
-            r -= a * q
-            it += 1
-            rho_new = np.vdot(r, r).real
-            rn = np.sqrt(rho_new)
-            if rn < best_r:
-                best_x, best_r = x.copy(), rn
-            if rn <= tol:
-                break
-            p = r + (rho_new / rho) * p
-            rho = rho_new
-        if np.linalg.norm(b - op(x)) <= tol:
-            return x, it
-        r = b - op(x)
-    err = InnerSolverError(
-        f"CG did not reach rel_tol={rel_tol:.1e} in {max_it} iterations "
-        f"(best residual {best_r / nb:.3e})",
-        x=best_x, iterations=it, residual=best_r / nb)
-    raise err
+    return _conjugate_gradients(M, b, rel_tol, max_it, x0, hermitian=True)
 
 
 def cocg_sym(M, b, rel_tol=1e-12, max_it=None, x0=None):
@@ -151,6 +114,13 @@ def cocg_sym(M, b, rel_tol=1e-12, max_it=None, x0=None):
     Raises BreakdownError when the bilinear form degenerates, and
     InnerSolverError on non-convergence; both carry the best iterate.
     """
+    return _conjugate_gradients(M, b, rel_tol, max_it, x0, hermitian=False)
+
+
+def _conjugate_gradients(M, b, rel_tol, max_it, x0, hermitian):
+    """The CG recurrence of :func:`cg_hpd` (``hermitian``, form vdot(u, v).real)
+    and of :func:`cocg_sym` (form dot(u, v)), restarted from the true residual
+    whenever the recurrence residual meets the tolerance but the true one does not."""
     op = _as_matvec(M)
     b = np.asarray(b, dtype=complex)
     n = b.shape[0]
@@ -160,49 +130,55 @@ def cocg_sym(M, b, rel_tol=1e-12, max_it=None, x0=None):
     if nb == 0.0:
         return np.zeros(n, dtype=complex), 0
     tol = rel_tol * nb
+    form = (lambda u, v: np.vdot(u, v).real) if hermitian else np.dot
     x = np.zeros(n, dtype=complex) if x0 is None else np.asarray(x0, dtype=complex).copy()
     r = b - op(x) if x0 is not None else b.copy()
     best_x, best_r = x.copy(), np.linalg.norm(r)
     it = 0
-    while it < max_it:
-        if np.linalg.norm(r) <= tol and np.linalg.norm(b - op(x)) <= tol:
+
+    def breakdown(what):
+        return BreakdownError(f"COCG breakdown: {what} at iteration {it}",
+                              x=best_x, iterations=it, residual=best_r / nb)
+
+    while True:
+        # r is the true residual here, so a last iteration that converged returns
+        rn = np.linalg.norm(r)
+        if rn < best_r:
+            best_x, best_r = x.copy(), rn
+        if rn <= tol:
             return x, it
+        if it >= max_it:
+            break
         p = r.copy()
-        rho = np.dot(r, r)
+        rho = form(r, r)
         while it < max_it:
-            rn = np.linalg.norm(r)
-            if abs(rho) <= 1e-300 or abs(rho) < 1e-30 * rn ** 2:
-                err = BreakdownError(
-                    f"COCG breakdown: quasi-null residual form r^T r = {rho:.3e} at iteration {it}",
-                    x=best_x, iterations=it, residual=best_r / nb)
-                raise err
+            if not hermitian and (abs(rho) <= 1e-300 or abs(rho) < 1e-30 * rn ** 2):
+                raise breakdown(f"quasi-null residual form r^T r = {rho:.3e}")
             q = op(p)
-            form = np.dot(p, q)
-            if abs(form) < 1e-30 * (np.linalg.norm(p) * np.linalg.norm(q) + 1e-300):
-                err = BreakdownError(
-                    f"COCG breakdown: p^T M p = {form:.3e} at iteration {it}",
-                    x=best_x, iterations=it, residual=best_r / nb)
-                raise err
-            a = rho / form
+            curv = form(p, q)
+            if hermitian:
+                if curv <= 0.0:
+                    raise NotPositiveDefiniteError(
+                        f"nonpositive curvature p^H M p = {curv:.3e} in CG at iteration {it}")
+            elif abs(curv) < 1e-30 * (np.linalg.norm(p) * np.linalg.norm(q) + 1e-300):
+                raise breakdown(f"p^T M p = {curv:.3e}")
+            a = rho / curv
             x += a * p
             r -= a * q
             it += 1
-            rho_new = np.dot(r, r)
-            rn = np.linalg.norm(r)
+            rho_new = form(r, r)
+            rn = np.sqrt(rho_new) if hermitian else np.linalg.norm(r)
             if rn < best_r:
                 best_x, best_r = x.copy(), rn
             if rn <= tol:
                 break
             p = r + (rho_new / rho) * p
             rho = rho_new
-        if np.linalg.norm(b - op(x)) <= tol:
-            return x, it
         r = b - op(x)
-    err = InnerSolverError(
-        f"COCG did not reach rel_tol={rel_tol:.1e} in {max_it} iterations "
-        f"(best residual {best_r / nb:.3e})",
+    raise InnerSolverError(
+        f"{'CG' if hermitian else 'COCG'} did not reach rel_tol={rel_tol:.1e} in {max_it} "
+        f"iterations (best residual {best_r / nb:.3e})",
         x=best_x, iterations=it, residual=best_r / nb)
-    raise err
 
 
 class DirectSolver:
@@ -243,7 +219,7 @@ class DirectSolver:
 
 def save_matrix_coo(path, A):
     """Write a matrix in the plain-text coordinate format."""
-    C = sp.coo_array(A) if not sp.issparse(A) else sp.coo_array(A)
+    C = sp.coo_array(A)
     with open(path, "w") as fh:
         fh.write(f"{C.shape[0]} {C.shape[1]} {C.nnz}\n")
         for i, j, v in zip(C.row, C.col, C.data):

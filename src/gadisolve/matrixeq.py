@@ -2,13 +2,14 @@
 
 Under column-stacking vec, A* X + X A = Q with A = W + iT is the system
 (W~ + iT~) x = q of size n^2, with W~ = W (x) I + I (x) W and
-T~ = T (x) I - I (x) T. Its GADI and HSS sweeps run on n x n iterates: the
-half-steps aX + WX + XW = R and aX + i(XT - TX) = R are diagonal in the
-eigenbasis of W and of T. Newton steps A_k* X + X A_k = Q_k (A_k = A - G X_k)
-of the Riccati equation A* X + X A + Q - X G X = 0 run the same sweep; their
-second half-step (aI - iT - S) X + X (iT - S^H) = R, S = X_k G, is solved by
-Bartels-Stewart (one complex Schur form per Newton step, LAPACK trsyl per
-sweep). The sparse lifts are built only as reference operators.
+T~ = T (x) I - I (x) T. Its GADI sweeps, and HSS as GADI at omega = 0, run
+on n x n iterates: the half-steps aX + WX + XW = R and aX + i(XT - TX) = R
+are diagonal in the eigenbasis of W and of T. Newton steps
+A_k* X + X A_k = Q_k (A_k = A - G X_k) of the Riccati equation
+A* X + X A + Q - X G X = 0 run the same sweep; their second half-step
+(aI - iT - S) X + X (iT - S^H) = R, S = X_k G, is solved by Bartels-Stewart
+(one complex Schur form per Newton step, LAPACK trsyl per sweep). The sparse
+lifts are built only as reference operators.
 """
 import time
 from dataclasses import dataclass, field
@@ -18,7 +19,7 @@ import scipy.linalg as sla
 import scipy.sparse as sp
 from scipy.linalg.lapack import ztrsyl
 
-from .linalg import (InnerSolverError, NotPositiveDefiniteError, kron,
+from .linalg import (InnerSolverError, NotPositiveDefiniteError, _dense, _eye_like, kron,
                      load_dense_block, load_matrix_coo, save_dense_block,
                      save_matrix_coo, unvec, vec)
 from .splitting import (ComplexSymSystem, SolveConfig, SplitParams, _check_data,
@@ -35,10 +36,6 @@ __all__ = [
 ]
 
 LIFT_LIMIT = 128  # the explicit lifts have n^2 rows
-
-
-def _dense(M):
-    return M.toarray() if sp.issparse(M) else np.asarray(M)
 
 
 class _EquationData:
@@ -135,7 +132,7 @@ def _lift_parts(problem):
     if n > LIFT_LIMIT:
         raise ValueError(f"lift limited to n <= {LIFT_LIMIT}, got n = {n}")
     W, T = problem.W, problem.T
-    I = sp.eye_array(n, format="csr") if sp.issparse(W) else np.eye(n)
+    I = _eye_like(W, n)
     return kron(W, I) + kron(I, W), kron(T, I) - kron(I, T)
 
 
@@ -208,15 +205,12 @@ def _lifted(problem, S, X):
 
 
 def _gadi_step(problem, S, Q, half1, half2, params):
-    """The GADI or HSS sweep of a lifted system, on n x n iterates."""
-    W = problem.W
-    a, om = params.alpha, params.omega
+    """The GADI sweep of a lifted system, on n x n iterates (HSS at omega = 0)."""
+    a, om = params.alpha, params.relaxation
 
     def step(X, res):
         SX = _second_part(problem.T, S, X)
         Xh = half1(a * X - SX + Q)
-        if params.method == "hss":
-            return half2(a * Xh - (W @ Xh + Xh @ W) + Q), 0
         return half2(SX - (1 - om) * a * X + (2 - om) * a * Xh), 0
     return step
 
@@ -277,7 +271,7 @@ def newton_initial_guess(problem, config=None):
     """
     beta = 1.0 + np.linalg.norm(problem.dense_A(), np.inf)
     n = problem.n
-    I = sp.eye_array(n, format="csr") if sp.issparse(problem.W) else np.eye(n)
+    I = _eye_like(problem.W, n)
     shifted = LyapunovProblem(problem.W + beta * I, problem.T, 2.0 * problem.Q)
     config = config or SolveConfig(tol=1e-12, max_outer=500)
     X0, report = solve_lyapunov_gadi(shifted, config=config)

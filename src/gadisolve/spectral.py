@@ -11,7 +11,7 @@ import scipy.linalg as sla
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .linalg import NotPositiveDefiniteError
+from .linalg import NotPositiveDefiniteError, _dense
 
 __all__ = [
     "SpectrumSummary", "IterationMatrixPair",
@@ -56,8 +56,7 @@ def eig_extremes_spd(W, mode="auto", estimate_tol=1e-8):
     if mode == "dense":
         if n > DENSE_EIG_LIMIT:
             raise ValueError(f"dense extremes limited to n <= {DENSE_EIG_LIMIT}, got n = {n}")
-        Wd = W.toarray() if sp.issparse(W) else np.asarray(W)
-        ev = sla.eigvalsh(Wd)
+        ev = sla.eigvalsh(_dense(W))
         gmin, gmax = float(ev[0]), float(ev[-1])
         out = SpectrumSummary(gmin, gmax, "dense-exact", 0.0)
     elif mode == "iterative":
@@ -118,8 +117,7 @@ def build_iteration_matrices(system, alpha, omega):
         raise ValueError(f"dense iteration matrices limited to n <= {DENSE_MATRIX_LIMIT}, got n = {n}")
     if alpha <= 0:
         raise ValueError(f"alpha must be positive, got {alpha}")
-    W = system.W.toarray() if sp.issparse(system.W) else np.asarray(system.W, dtype=float)
-    T = system.T.toarray() if sp.issparse(system.T) else np.asarray(system.T, dtype=float)
+    W, T = _dense(system.W), _dense(system.T)
     I = np.eye(n)
     aW = alpha * I + W
     aT = alpha * I + 1j * T

@@ -2,7 +2,9 @@
 
 Six methods share one two-half-step sweep: GADI, HSS, MHSS, PMHSS, CRI and
 TSCSP. Each method is one row of a table giving its two half-step
-coefficients and right-hand sides; MHSS is the PMHSS row with V = I.
+coefficients and right-hand sides. Algebraically equal methods share a row:
+HSS is the GADI row at omega = 0 (:attr:`SplitParams.relaxation`), and MHSS
+is the PMHSS row with V = I.
 :func:`step` runs one sweep and :func:`run_stationary` sweeps to a
 tolerance. Each sweep solves two shifted subsystems; in "exact" inner mode
 the coefficients are factorized once per solve, in "iterative" mode they are
@@ -18,7 +20,8 @@ import numpy as np
 import scipy.linalg as sla
 import scipy.sparse as sp
 
-from .linalg import DirectSolver, InnerSolverError, NotPositiveDefiniteError, cg_hpd, cocg_sym
+from .linalg import (DirectSolver, InnerSolverError, NotPositiveDefiniteError, _dense,
+                     _eye_like, cg_hpd, cocg_sym)
 from .spectral import eig_extremes_spd, optimal_alpha
 
 __all__ = [
@@ -56,10 +59,6 @@ def _check_data(W, T, **hermitian):
             raise ValueError(f"{name} is not Hermitian")
 
 
-def _eye_like(M, n):
-    return sp.eye_array(n, format="csr") if sp.issparse(M) else np.eye(n)
-
-
 @dataclass
 class ComplexSymSystem:
     """The triple (W, T, b) defining (W + iT) x = b.
@@ -90,17 +89,14 @@ class ComplexSymSystem:
         return self.W @ x + 1j * (self.T @ x)
 
     def dense_matrix(self):
-        W = self.W.toarray() if sp.issparse(self.W) else np.asarray(self.W)
-        T = self.T.toarray() if sp.issparse(self.T) else np.asarray(self.T)
-        return W + 1j * T
+        return _dense(self.W) + 1j * _dense(self.T)
 
 
 @dataclass
 class SplitParams:
     """Iteration parameters: method tag, shift alpha, relaxation omega, PMHSS V.
 
-    `omega` is used by the GADI variants only; `V` only by PMHSS (None selects
-    V = W).
+    `omega` is used by GADI only; `V` only by PMHSS (None selects V = W).
     """
     method: str
     alpha: float
@@ -114,6 +110,11 @@ class SplitParams:
             raise ValueError(f"alpha must be positive, got {self.alpha}")
         if not 0 <= self.omega < 2:
             raise ValueError(f"omega must lie in [0, 2), got {self.omega}")
+
+    @property
+    def relaxation(self):
+        """The omega a GADI sweep runs with: HSS is GADI at omega = 0."""
+        return 0.0 if self.method == "hss" else self.omega
 
 
 @dataclass
@@ -174,9 +175,8 @@ def _check_spd_param(V, n, what):
         if not (d > 0).all():  # a diagonal V is SPD exactly when its diagonal is positive
             raise NotPositiveDefiniteError(f"{what} is not positive definite")
     elif n <= 1024:
-        Vd = V.toarray() if sp.issparse(V) else np.asarray(V)
         try:
-            sla.cho_factor(Vd)
+            sla.cho_factor(_dense(V))
         except sla.LinAlgError:
             raise NotPositiveDefiniteError(f"{what} is not positive definite") from None
 
@@ -191,7 +191,8 @@ def _check_spd_param(V, n, what):
 #
 #   gadi   (aI+W) x_half = (aI-iT) x + b,
 #          (aI+iT) x_next = (iT-(1-w)aI) x + (2-w)a x_half
-#   hss    (aI+W) x_half = (aI-iT) x + b,  (aI+iT) x_next = (aI-W) x_half + b
+#   hss    the gadi row at w = 0, whose second right-hand side then equals
+#          (aI-W) x_half + b, HSS's own form, up to rounding
 #   mhss   (aI+W) x_half = (aI-iT) x + b,  (aI+T) x_next = (aI+iW) x_half - i b
 #   pmhss  (aV+W) x_half = (aV-iT) x + b,  (aV+T) x_next = (aV+iW) x_half - i b
 #   cri    (aT+W) x_half = (a-i) T x + b,  (aW+T) x_next = (a+i) W x_half - i b
@@ -201,6 +202,12 @@ def _check_spd_param(V, n, what):
 def _bound_shift(W):
     """sqrt(gamma_min * gamma_max) of W, the minimizer of the contraction bound."""
     return optimal_alpha(eig_extremes_spd(W))
+
+
+def _gadi(W, T, b, I, V, a, om):
+    return (a * I + W, "hpd", (a * I).astype(complex) + 1j * T, "csym",
+            lambda x: a * x - 1j * (T @ x) + b,
+            lambda x, xh: 1j * (T @ x) - (1 - om) * a * x + (2 - om) * a * xh)
 
 
 def _pmhss(W, T, b, I, V, a, om):
@@ -216,16 +223,9 @@ def _pmhss_checked(W, T, b, I, V, a, om):
 
 
 _METHODS = {
-    "gadi": (_bound_shift, lambda W, T, b, I, V, a, om: (
-        a * I + W, "hpd", (a * I).astype(complex) + 1j * T, "csym",
-        lambda x: a * x - 1j * (T @ x) + b,
-        lambda x, xh: 1j * (T @ x) - (1 - om) * a * x + (2 - om) * a * xh)),
-    # HSS is GADI at w = 0, but GADI's second right-hand side rounds
-    # differently; a row of its own keeps the HSS residual histories bit-stable
-    "hss": (_bound_shift, lambda W, T, b, I, V, a, om: (
-        a * I + W, "hpd", (a * I).astype(complex) + 1j * T, "csym",
-        lambda x: a * x - 1j * (T @ x) + b,
-        lambda x, xh: a * xh - W @ xh + b)),
+    "gadi": (_bound_shift, _gadi),
+    # HSS is GADI at w = 0, which _make_step passes as SplitParams.relaxation
+    "hss": (_bound_shift, _gadi),
     # MHSS is PMHSS with V = I
     "mhss": (_bound_shift, lambda W, T, b, I, V, a, om: _pmhss(W, T, b, I, I, a, om)),
     "pmhss": (lambda W: 1.0, _pmhss_checked),
@@ -260,7 +260,7 @@ def _make_step(system, params, config):
     mode = config.resolved_inner(n)
     max_inner = config.max_inner if config.max_inner is not None else 4 * n + 100
     M1, k1, M2, k2, rhs1, rhs2 = _METHODS[params.method][1](
-        W, system.T, system.b, _eye_like(W, n), params.V, params.alpha, params.omega)
+        W, system.T, system.b, _eye_like(W, n), params.V, params.alpha, params.relaxation)
 
     def half_step(M, kind, which):
         if mode == "exact":

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from gadisolve.bench import (BenchmarkRow, ParamPolicy, RunConfig, SweepCell,
+from gadisolve.bench import (BenchmarkRow, ParamPolicy, RunConfig,
                              best_cell, build_preset, main, parse_csv,
                              run_grid, sweep_params, write_convergence_series,
                              write_csv)
@@ -162,11 +162,12 @@ def test_sweep_empty_grid_rejected():
 
 
 def test_best_cell_tiebreaks():
-    cells = [SweepCell(2.0, 0.0, 7, 1e-6, True),
-             SweepCell(1.0, 0.0, 7, 1e-6, True),
-             SweepCell(3.0, 0.0, 7, 5e-7, True),
-             SweepCell(4.0, 0.0, 9, 1e-8, True),
-             SweepCell(0.5, 0.0, 2, 1e-6, False)]
+    cells = [BenchmarkRow("gadi", 4, "ex241(m=2,tau=h)", alpha, 0.0, res, it, 0.0, converged)
+             for alpha, it, res, converged in ((2.0, 7, 1e-6, True),
+                                               (1.0, 7, 1e-6, True),
+                                               (3.0, 7, 5e-7, True),
+                                               (4.0, 9, 1e-8, True),
+                                               (0.5, 2, 1e-6, False))]
     win = best_cell(cells)
     assert (win.alpha, win.it) == (3.0, 7)  # smaller RES wins the IT tie
 

@@ -1,11 +1,14 @@
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gadisolve import (InnerSolverError, NotPositiveDefiniteError,
                        cg_hpd, cocg_sym, gen_ex241, kron, load_matrix_coo,
                        load_vector, save_matrix_coo, save_vector, unvec,
                        vec)
+from helpers import random_spd, symmetrize
 
 rng = np.random.default_rng(1234)
 
@@ -143,21 +146,46 @@ def test_cg_indefinite_operator_rejected():
         cg_hpd(M, b, rel_tol=1e-12, max_it=20)
 
 
-def test_cg_nonconvergence_carries_best_iterate():
+@pytest.mark.parametrize("solver", [cg_hpd, cocg_sym], ids=lambda f: f.__name__)
+def test_cg_nonconvergence_carries_best_iterate(solver):
     n = 32
     r = np.random.default_rng(5)
     Q, _ = np.linalg.qr(r.standard_normal((n, n)))
     lam = np.exp(r.uniform(np.log(1e-3), np.log(1e3), n))
+    b = r.standard_normal(n).astype(complex)
+    if solver is cocg_sym:
+        # complex symmetric: real eigenvectors, complex eigenvalues
+        lam = lam + 1j * r.uniform(0.0, 1e3, n)
     M = (Q * lam) @ Q.T
     M = (M + M.T) / 2
-    b = r.standard_normal(n).astype(complex)
     with pytest.raises(InnerSolverError) as info:
-        cg_hpd(M, b, rel_tol=1e-14, max_it=3)
+        solver(M, b, rel_tol=1e-14, max_it=3)
     err = info.value
     assert err.x is not None
     # the carried iterate really is the best seen, and matches the reported residual
     got = np.linalg.norm(b - M @ err.x) / np.linalg.norm(b)
     assert abs(got - err.residual) <= 1e-12
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=60)
+@given(n=st.integers(1, 8), seed=st.integers(0, 2 ** 32 - 1),
+       shift=st.floats(0.1, 5.0), rel_tol=st.sampled_from((1e-4, 1e-8, 1e-12)))
+@pytest.mark.parametrize("solver", [cg_hpd, cocg_sym], ids=lambda f: f.__name__)
+def test_krylov_meets_tolerance_and_stops_where_it_converged(solver, n, seed, shift, rel_tol):
+    # CG on a random SPD M, COCG on a I + iT with T real symmetric. Capped at
+    # the count it returned, the same solve must return the same (x, it): the
+    # true-residual check after the last allowed iteration returns, not raises.
+    rng = np.random.default_rng(seed)
+    if solver is cg_hpd:
+        M = random_spd(rng, n)
+    else:
+        M = shift * np.eye(n) + 1j * symmetrize(rng.standard_normal((n, n)))
+    b = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    x, it = solver(M, b, rel_tol=rel_tol)
+    assert np.linalg.norm(b - M @ x) <= rel_tol * np.linalg.norm(b)
+    x_cap, it_cap = solver(M, b, rel_tol=rel_tol, max_it=it)
+    assert it_cap == it
+    assert np.array_equal(x_cap, x)
 
 
 # -- cocg_sym -----------------------------------------------------------------

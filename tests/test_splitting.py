@@ -5,7 +5,8 @@ from hypothesis import strategies as st
 
 from gadisolve import (METHODS, ComplexSymSystem, NotPositiveDefiniteError,
                        SolveConfig, SplitParams, build_iteration_matrices,
-                       default_alpha, gen_ex241, gen_ex242, run_stationary,
+                       default_alpha, gen_ex31, gen_ex241, gen_ex242,
+                       run_stationary, solve_lyapunov_gadi, solve_lyapunov_hss,
                        step)
 from helpers import dense_solution, random_system
 
@@ -59,6 +60,22 @@ def test_pmhss_with_identity_reduces_to_mhss():
     out_m = step(system, p_m, x)
     out_p = step(system, p_p, x)
     assert np.array_equal(out_m, out_p)  # MHSS is the PMHSS row with V = I
+
+
+def test_hss_is_gadi_at_zero_relaxation():
+    # bit for bit, in the sweep, the linear solve and the Lyapunov solve
+    rng = np.random.default_rng(12)
+    system = random_system(rng, 6)
+    x = rng.standard_normal(6) + 1j * rng.standard_normal(6)
+    hss, gadi = SplitParams("hss", 1.7), SplitParams("gadi", 1.7, 0.0)
+    assert np.array_equal(step(system, hss, x), step(system, gadi, x))
+    config = SolveConfig(tol=1e-10)
+    assert (run_stationary(system, hss, config)[1].residual_history
+            == run_stationary(system, gadi, config)[1].residual_history)
+    problem = gen_ex31(8, 0.01)
+    hss, gadi = SplitParams("hss", 0.5), SplitParams("gadi", 0.5, 0.0)
+    assert (solve_lyapunov_hss(problem, hss)[1].residual_history
+            == solve_lyapunov_gadi(problem, gadi)[1].residual_history)
 
 
 # -- fixed points and one-step linearity --------------------------------------
