@@ -33,8 +33,8 @@ from .linalg import NotPositiveDefiniteError
 from .matrixeq import (_eigh, _lift_shift, newton_gadi_riccati,
                        solve_lyapunov_gadi, solve_lyapunov_hss)
 from .problems import ProblemSpec
-from .splitting import (SolveConfig, SolveReport, SplitParams, default_alpha,
-                        run_stationary)
+from .splitting import (DEFAULT_OMEGA, SolveConfig, SolveReport, SplitParams,
+                        default_alpha, run_stationary)
 
 __all__ = [
     "BenchmarkRow", "ParamPolicy", "RunConfig",
@@ -71,19 +71,19 @@ class BenchmarkRow:
 class ParamPolicy:
     """How (alpha, omega) are chosen per (problem, method) cell.
 
-    kind "auto": one point with the method default shift; "fixed": the given
-    (alpha, omega) points, where alpha None means the auto default; "sweep":
-    full factorial over the grids, reporting the single best cell (fewest
-    iterations, residual tiebreak, then smaller alpha).
+    kind "fixed" (the default): the given (alpha, omega) points, where None
+    means the method's default shift or DEFAULT_OMEGA. "sweep": the
+    geometric shift grid around the default shift, times SWEEP_OMEGAS for a
+    method that relaxes, reporting the single best cell (fewest iterations,
+    residual tiebreak, then smaller alpha). A row records the omega its
+    sweeps ran with, 0 for a method that does not relax.
     """
-    kind: str = "auto"
+    kind: str = "fixed"
     points: tuple = ((None, None),)
-    alpha_grid: tuple = None
-    omega_grid: tuple = None
 
     def __post_init__(self):
-        if self.kind not in ("auto", "fixed", "sweep"):
-            raise ValueError(f"policy kind must be auto, fixed or sweep, got {self.kind!r}")
+        if self.kind not in ("fixed", "sweep"):
+            raise ValueError(f"policy kind must be fixed or sweep, got {self.kind!r}")
 
 
 @dataclass
@@ -102,6 +102,8 @@ class RunConfig:
             raise ValueError("problem and method lists must be nonempty")
         if not self.tol > 0:
             raise ValueError(f"tol must be positive, got {self.tol}")
+        if not math.isfinite(self.tol):
+            raise ValueError(f"tol must be finite, got {self.tol}")
         for spec in self.problems:
             allowed = METHODS_BY_FAMILY[spec.family]
             for method in self.methods:
@@ -111,11 +113,11 @@ class RunConfig:
                         f"(allowed: {allowed})")
 
 
-DEFAULT_OMEGA = 0.01  # GADI relaxation used when none is requested
 SWEEP_OMEGAS = (0.0, 0.01, 0.1)
 SWEEP_MAX_OUTER = 200
-# pmhss with V = I is mhss, sweep for sweep; the CSV keeps the alias's name
-METHOD_ALIASES = {"pmhss-vi": "mhss"}
+# pmhss with V = I is mhss, sweep for sweep, and newton-gadi's inner sweeps
+# are gadi's; the CSV keeps the alias's name
+METHOD_ALIASES = {"pmhss-vi": "mhss", "newton-gadi": "gadi"}
 
 
 def _auto_alpha(spec, problem, method):
@@ -129,71 +131,62 @@ def _auto_grid(alpha_star, points=21):
     return tuple(np.geomspace(alpha_star / 5.0, 5.0 * alpha_star, points))
 
 
-def _solve_cell(spec, problem, method, alpha, omega, cfg, max_outer):
-    """Run one benchmark cell; returns (row, report)."""
-    t0 = time.perf_counter()
-    if spec.family != "ex421":
-        params = SplitParams(METHOD_ALIASES.get(method, method), alpha, omega)
-        config = SolveConfig(tol=cfg.tol, max_outer=max_outer, inner=cfg.inner)
-        solver = run_stationary
-        if spec.family == "ex31":
-            solver = solve_lyapunov_gadi if method == "gadi" else solve_lyapunov_hss
-        _, report = solver(problem, params, config)
-    else:
-        result = newton_gadi_riccati(problem, outer_tol=cfg.tol, alpha=alpha,
-                                     omega=omega, inner_forcing=(0.1, 0.1))
-        report = SolveReport(result.converged, result.outer_iterations,
-                             result.final_res, result.res_history,
-                             result.wall_time, result.inner_iteration_total)
-    # the ex421 history is indexed by outer step, and its IT column carries
-    # the cumulative inner sweep count
-    it = report.inner_iteration_total if spec.family == "ex421" else report.iterations
-    row = BenchmarkRow(method, spec.dimension, spec.label(), float(alpha), float(omega),
-                       report.final_res, it, time.perf_counter() - t0, report.converged)
-    return row, report
+def _solve_cell(spec, problem, params, cfg, max_outer):
+    """Run one benchmark cell; returns its SolveReport."""
+    if spec.family == "ex421":
+        result = newton_gadi_riccati(problem, outer_tol=cfg.tol, alpha=params.alpha,
+                                     omega=params.omega, inner_forcing=(0.1, 0.1))
+        return SolveReport(result.converged, result.outer_iterations,
+                           result.final_res, result.res_history,
+                           result.wall_time, result.inner_iteration_total)
+    config = SolveConfig(tol=cfg.tol, max_outer=max_outer, inner=cfg.inner)
+    solver = run_stationary
+    if spec.family == "ex31":
+        solver = solve_lyapunov_gadi if params.method == "gadi" else solve_lyapunov_hss
+    return solver(problem, params, config)[1]
 
 
 def _solve_points(spec, problem, method, points, cfg, max_outer):
     """Solve each (alpha, omega) point; returns [(row, report)].
 
-    A solver failure becomes a non-converged row with report None.
+    A row records the omega the sweeps ran with, SplitParams.relaxation. A
+    solver failure becomes a non-converged row with report None.
     """
     out = []
     for alpha, omega in points:
-        alpha, omega = float(alpha), float(omega)
+        params = SplitParams(METHOD_ALIASES.get(method, method), float(alpha), float(omega))
         t0 = time.perf_counter()
         try:
-            out.append(_solve_cell(spec, problem, method, alpha, omega, cfg, max_outer))
+            report = _solve_cell(spec, problem, params, cfg, max_outer)
+            # the ex421 history is indexed by outer step, and its IT column
+            # carries the cumulative inner sweep count
+            it = report.inner_iteration_total if spec.family == "ex421" else report.iterations
+            res, converged = report.final_res, report.converged
         except (RuntimeError, NotPositiveDefiniteError) as err:
+            report, converged = None, False
             res = getattr(err, "residual", math.nan)
-            row = BenchmarkRow(method, spec.dimension, spec.label(), alpha, omega,
-                               res if np.isfinite(res) else math.nan,
-                               int(getattr(err, "iterations", 0)),
-                               time.perf_counter() - t0, False)
-            out.append((row, None))
+            res = res if np.isfinite(res) else math.nan
+            it = int(getattr(err, "iterations", 0))
+        out.append((BenchmarkRow(method, spec.dimension, spec.label(), params.alpha,
+                                 params.relaxation, res, it, time.perf_counter() - t0,
+                                 converged), report))
     return out
 
 
 def _method_rows(cfg, spec, problem, method):
     """The [(row, report)] one method contributes to a batch under its policy."""
-    policy = cfg.policy
-    relaxed = method in ("gadi", "newton-gadi")
     auto = functools.cache(lambda: _auto_alpha(spec, problem, method))
-    if policy.kind == "auto":
-        points = [(auto(), DEFAULT_OMEGA if relaxed else 0.0)]
-    elif policy.kind == "fixed":
+    if cfg.policy.kind == "fixed":
         points = [(auto() if alpha is None else alpha, DEFAULT_OMEGA if omega is None else omega)
-                  for alpha, omega in policy.points]
+                  for alpha, omega in cfg.policy.points]
     else:
         # sweep: the single best cell of the factorial grid. A winner that
         # converged within the sweep cap is what a full solve would give.
         alpha_star = auto()
-        alphas = policy.alpha_grid if policy.alpha_grid is not None else _auto_grid(alpha_star)
-        omegas = policy.omega_grid
-        if omegas is None:
-            omegas = SWEEP_OMEGAS if relaxed else (0.0,)
+        # only GADI relaxes: another method sweeps its shift alone
+        omegas = SWEEP_OMEGAS if METHOD_ALIASES.get(method, method) == "gadi" else (0.0,)
         solved = _solve_points(spec, problem, method,
-                               [(a, w) for w in omegas for a in alphas], cfg,
+                               [(a, w) for w in omegas for a in _auto_grid(alpha_star)], cfg,
                                min(cfg.max_outer, SWEEP_MAX_OUTER))
         rows = [row for row, _ in solved]
         win = best_cell(rows)
@@ -336,7 +329,7 @@ def build_preset(name, tol=1e-5, inner="exact"):
     if name == "table1":
         return [
             RunConfig(tuple(spec241(m) for m in _T1_SIZES), comparison,
-                      ParamPolicy("auto"), tol=tol, inner=inner),
+                      ParamPolicy(), tol=tol, inner=inner),
             RunConfig(tuple(spec241(m) for m in _T1_SIZES), ("gadi",),
                       ParamPolicy("sweep"), tol=tol, inner=inner),
             RunConfig(tuple(spec241(m, "500h") for m in _T1_SIZES), ("gadi",),
@@ -345,7 +338,7 @@ def build_preset(name, tol=1e-5, inner="exact"):
     if name == "table2":
         return [
             RunConfig(tuple(spec242(m) for m in _T1_SIZES), comparison,
-                      ParamPolicy("auto"), tol=tol, inner=inner),
+                      ParamPolicy(), tol=tol, inner=inner),
             RunConfig(tuple(spec242(m) for m in _T1_SIZES), ("gadi",),
                       ParamPolicy("sweep"), tol=tol, inner=inner),
         ]
@@ -367,10 +360,10 @@ def build_preset(name, tol=1e-5, inner="exact"):
                           tol=tol, inner=inner)]
     if name == "fig1":
         return [RunConfig((spec241(32),), ("mhss", "pmhss", "cri", "tscsp", "gadi"),
-                          ParamPolicy("auto"), tol=tol, inner=inner, series=True)]
+                          ParamPolicy(), tol=tol, inner=inner, series=True)]
     if name == "fig2":
         return [RunConfig((spec242(32),), ("mhss", "pmhss", "cri", "tscsp", "gadi"),
-                          ParamPolicy("auto"), tol=tol, inner=inner, series=True)]
+                          ParamPolicy(), tol=tol, inner=inner, series=True)]
     if name in ("fig3", "fig5"):
         return [RunConfig((ProblemSpec("ex31", n=32, t=0.01),), ("hss", "gadi"),
                           ParamPolicy("fixed", points=((None, 0.0),)),
@@ -478,8 +471,8 @@ def _build_parser():
     sweep_p.add_argument("--method", default="gadi", choices=methods)
     sweep_p.add_argument("--alpha-grid", type=_parse_grid, default="auto", dest="alpha_grid",
                          help="'start:stop:step', comma list, or 'auto'")
-    sweep_p.add_argument("--omega-grid", type=_parse_grid, default="0.01", dest="omega_grid",
-                         help="comma-separated relaxation values")
+    sweep_p.add_argument("--omega-grid", type=_parse_grid, default=(DEFAULT_OMEGA,),
+                         dest="omega_grid", help="comma-separated relaxation values")
     sweep_p.add_argument("--out", default=None, help="write all sweep cells as CSV here")
     _add_common_flags(sweep_p)
     return parser

@@ -86,12 +86,12 @@ def kron(A, B):
     return np.kron(np.asarray(A), np.asarray(B))
 
 
-def cg_hpd(M, b, rel_tol=1e-12, max_it=None, x0=None):
+def cg_hpd(M, b, rel_tol=1e-12, max_it=None):
     """Conjugate gradients for a Hermitian positive definite operator.
 
     Works in complex arithmetic, so a real SPD matrix applied to complex
-    right-hand sides is handled in a single solve. Returns ``(x, iterations)``
-    with ``||b - M x|| <= rel_tol * ||b||``.
+    right-hand sides is handled in a single solve. Starts from x = 0 and
+    returns ``(x, iterations)`` with ``||b - M x|| <= rel_tol * ||b||``.
 
     Raises
     ------
@@ -101,23 +101,24 @@ def cg_hpd(M, b, rel_tol=1e-12, max_it=None, x0=None):
         if the tolerance is not met within ``max_it``; the error carries the
         best iterate seen.
     """
-    return _conjugate_gradients(M, b, rel_tol, max_it, x0, hermitian=True)
+    return _conjugate_gradients(M, b, rel_tol, max_it, hermitian=True)
 
 
-def cocg_sym(M, b, rel_tol=1e-12, max_it=None, x0=None):
+def cocg_sym(M, b, rel_tol=1e-12, max_it=None):
     """Conjugate-orthogonal CG for complex symmetric (M^T = M) systems.
 
-    Identical to CG except that the unconjugated bilinear form x^T y replaces
-    the Hermitian inner product, which is the standard adaptation for complex
-    symmetric coefficients.
+    Starts from x = 0, like :func:`cg_hpd`, and is identical to it except
+    that the unconjugated bilinear form x^T y replaces the Hermitian inner
+    product, which is the standard adaptation for complex symmetric
+    coefficients.
 
     Raises BreakdownError when the bilinear form degenerates, and
     InnerSolverError on non-convergence; both carry the best iterate.
     """
-    return _conjugate_gradients(M, b, rel_tol, max_it, x0, hermitian=False)
+    return _conjugate_gradients(M, b, rel_tol, max_it, hermitian=False)
 
 
-def _conjugate_gradients(M, b, rel_tol, max_it, x0, hermitian):
+def _conjugate_gradients(M, b, rel_tol, max_it, hermitian):
     """The CG recurrence of :func:`cg_hpd` (``hermitian``, form vdot(u, v).real)
     and of :func:`cocg_sym` (form dot(u, v)), restarted from the true residual
     whenever the recurrence residual meets the tolerance but the true one does not."""
@@ -127,12 +128,10 @@ def _conjugate_gradients(M, b, rel_tol, max_it, x0, hermitian):
     if max_it is None:
         max_it = 10 * n + 10
     nb = np.linalg.norm(b)
-    if nb == 0.0:
-        return np.zeros(n, dtype=complex), 0
     tol = rel_tol * nb
     form = (lambda u, v: np.vdot(u, v).real) if hermitian else np.dot
-    x = np.zeros(n, dtype=complex) if x0 is None else np.asarray(x0, dtype=complex).copy()
-    r = b - op(x) if x0 is not None else b.copy()
+    x = np.zeros(n, dtype=complex)
+    r = b.copy()
     best_x, best_r = x.copy(), np.linalg.norm(r)
     it = 0
 

@@ -22,8 +22,8 @@ from scipy.linalg.lapack import ztrsyl
 from .linalg import (InnerSolverError, NotPositiveDefiniteError, _dense, _eye_like, kron,
                      load_dense_block, load_matrix_coo, save_dense_block,
                      save_matrix_coo, unvec, vec)
-from .splitting import (ComplexSymSystem, SolveConfig, SplitParams, _check_data,
-                        _Diverged, _sweep)
+from .splitting import (DEFAULT_OMEGA, ComplexSymSystem, SolveConfig, SplitParams,
+                        _check_data, _Diverged, _sweep)
 
 __all__ = [
     "LyapunovProblem", "RiccatiProblem", "LyapunovLift", "NewtonLift",
@@ -36,6 +36,7 @@ __all__ = [
 ]
 
 LIFT_LIMIT = 128  # the explicit lifts have n^2 rows
+NEWTON_MAX_INNER = 500  # inner GADI sweeps per Newton step
 
 
 class _EquationData:
@@ -222,7 +223,7 @@ def _solve_lyapunov(problem, method, params, config):
         raise ValueError("Q = 0: relative residual is undefined")
     eig_W = _eigh(problem.W)
     if params is None:
-        params = SplitParams(method, alpha=_lift_shift(eig_W[0]), omega=0.01)
+        params = SplitParams(method, alpha=_lift_shift(eig_W[0]))
     if params.method not in ("gadi", "hss"):
         raise ValueError(f"Lyapunov sweeps are 'gadi' or 'hss', got {params.method!r}")
     n = problem.n
@@ -241,8 +242,8 @@ def solve_lyapunov_gadi(problem, params=None, config=None):
     Returns ``(X, SolveReport)``; the report's residuals are the lifted
     relative residuals, which coincide with ||Q - A*X - XA||_F / ||Q||_F.
     With ``params=None`` the shift is sqrt(gamma_min*gamma_max) of the lifted
-    real part and omega = 0.01. Of ``config`` only ``tol``, ``max_outer`` and
-    ``x0`` (a vec of length n^2) apply.
+    real part and omega is DEFAULT_OMEGA. Of ``config`` only ``tol``,
+    ``max_outer`` and ``x0`` (a vec of length n^2) apply.
     """
     return _solve_lyapunov(problem, "gadi", params, config)
 
@@ -370,14 +371,13 @@ def _sylvester_solver(T, S, a):
 
 
 def newton_gadi_riccati(problem, outer_tol=1e-6, max_outer=30, inner_tol=1e-8,
-                        inner_forcing=None, max_inner=500, alpha=None, omega=0.01,
-                        x0=None):
+                        inner_forcing=None, alpha=None, omega=DEFAULT_OMEGA, x0=None):
     """Newton outer iteration with GADI inner sweeps for the Riccati equation.
 
     Each Newton step solves A_k* X + X A_k = Q_k (A_k = A - G X_k,
     Q_k = -X_k G X_k - Q) by GADI sweeps on its Kronecker lift, run in n x n
     form and warm-started at X_k, and stops when the absolute lifted residual
-    drops below ``inner_tol * ||Q_k||_F`` or after ``max_inner`` sweeps.
+    drops below ``inner_tol * ||Q_k||_F`` or after ``NEWTON_MAX_INNER`` sweeps.
     ``inner_forcing=(eta_max, eta_fac)`` switches to the adaptive rule
     min(eta_max, eta_fac * Res_k) * ||Q_k||_F, which spends far fewer inner
     sweeps when only a modest outer tolerance is needed. The outer loop stops
@@ -434,7 +434,7 @@ def newton_gadi_riccati(problem, outer_tol=1e-6, max_outer=30, inner_tol=1e-8,
                 lambda: _gadi_step(problem, S, Q_k, half1,
                                    _sylvester_solver(problem.T, S, params.alpha), params),
                 lambda Y: np.linalg.norm(_lifted(problem, S, Y) - Q_k), X,
-                np.nextafter(eps_abs, -np.inf), max_inner, guard=True)
+                np.nextafter(eps_abs, -np.inf), NEWTON_MAX_INNER, guard=True)
         except _Diverged as div:
             total_inner += div.args[0].iterations
             if restarted or k > 0:

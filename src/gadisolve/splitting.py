@@ -3,8 +3,9 @@
 Six methods share one two-half-step sweep: GADI, HSS, MHSS, PMHSS, CRI and
 TSCSP. Each method is one row of a table giving its two half-step
 coefficients and right-hand sides. Algebraically equal methods share a row:
-HSS is the GADI row at omega = 0 (:attr:`SplitParams.relaxation`), and MHSS
-is the PMHSS row with V = I.
+HSS is the GADI row at omega = 0 (:attr:`SplitParams.relaxation`, which
+is omega for GADI and 0 for every other method). PMHSS runs with the
+preconditioner V = W, and MHSS is the PMHSS row with V = I.
 :func:`step` runs one sweep and :func:`run_stationary` sweeps to a
 tolerance. Each sweep solves two shifted subsystems; in "exact" inner mode
 the coefficients are factorized once per solve, in "iterative" mode they are
@@ -17,20 +18,19 @@ import time
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg as sla
 import scipy.sparse as sp
 
-from .linalg import (DirectSolver, InnerSolverError, NotPositiveDefiniteError, _dense,
-                     _eye_like, cg_hpd, cocg_sym)
+from .linalg import DirectSolver, InnerSolverError, _dense, _eye_like, cg_hpd, cocg_sym
 from .spectral import eig_extremes_spd, optimal_alpha
 
 __all__ = [
-    "METHODS", "ComplexSymSystem", "SplitParams", "SolveConfig", "SolveReport",
-    "step", "run_stationary", "default_alpha",
+    "METHODS", "DEFAULT_OMEGA", "ComplexSymSystem", "SplitParams", "SolveConfig",
+    "SolveReport", "step", "run_stationary", "default_alpha",
 ]
 
 # exact-mode factorization is the default up to this dimension
 EXACT_INNER_LIMIT = 4096
+DEFAULT_OMEGA = 0.01  # the GADI relaxation when none is given
 
 
 def _is_exactly_symmetric(M):
@@ -94,27 +94,29 @@ class ComplexSymSystem:
 
 @dataclass
 class SplitParams:
-    """Iteration parameters: method tag, shift alpha, relaxation omega, PMHSS V.
+    """Iteration parameters: method tag, shift alpha and relaxation omega.
 
-    `omega` is used by GADI only; `V` only by PMHSS (None selects V = W).
+    Only GADI relaxes: :attr:`relaxation` is the omega a sweep runs with,
+    and the omega a benchmark row records.
     """
     method: str
     alpha: float
-    omega: float = 0.01
-    V: object = None
+    omega: float = DEFAULT_OMEGA
 
     def __post_init__(self):
         if self.method not in METHODS:
             raise ValueError(f"unknown method {self.method!r}; expected one of {METHODS}")
         if not self.alpha > 0:
             raise ValueError(f"alpha must be positive, got {self.alpha}")
+        if not np.isfinite(self.alpha):
+            raise ValueError(f"alpha must be finite, got {self.alpha}")
         if not 0 <= self.omega < 2:
             raise ValueError(f"omega must lie in [0, 2), got {self.omega}")
 
     @property
     def relaxation(self):
-        """The omega a GADI sweep runs with: HSS is GADI at omega = 0."""
-        return 0.0 if self.method == "hss" else self.omega
+        """omega for GADI, 0 for every other method: HSS is GADI at omega = 0."""
+        return self.omega if self.method == "gadi" else 0.0
 
 
 @dataclass
@@ -138,6 +140,8 @@ class SolveConfig:
     def __post_init__(self):
         if not self.tol > 0:
             raise ValueError("tol must be positive")
+        if not np.isfinite(self.tol):
+            raise ValueError(f"tol must be finite, got {self.tol}")
         if self.max_outer < 1:
             raise ValueError("max_outer must be at least 1")
         if self.inner not in ("auto", "exact", "iterative"):
@@ -165,36 +169,21 @@ class SolveReport:
     inner_iteration_total: int = 0
 
 
-def _check_spd_param(V, n, what):
-    if V.shape != (n, n):
-        raise ValueError(f"{what} must be {n}x{n}, got {V.shape}")
-    if not _is_exactly_symmetric(V):
-        raise NotPositiveDefiniteError(f"{what} is not symmetric")
-    d = V.diagonal()
-    if np.count_nonzero(d) == (V.count_nonzero() if sp.issparse(V) else np.count_nonzero(V)):
-        if not (d > 0).all():  # a diagonal V is SPD exactly when its diagonal is positive
-            raise NotPositiveDefiniteError(f"{what} is not positive definite")
-    elif n <= 1024:
-        try:
-            sla.cho_factor(_dense(V))
-        except sla.LinAlgError:
-            raise NotPositiveDefiniteError(f"{what} is not positive definite") from None
-
-
 # -- the methods as data ------------------------------------------------------
 #
 # Each row gives a method's default shift, as a function of W, and its
-# half-step data: a map from (W, T, b, I, V, a, w) to (M1, kind1, M2, kind2,
+# half-step data: a map from (W, T, b, I, a, w) to (M1, kind1, M2, kind2,
 # rhs1, rhs2). A sweep solves M1 x_half = rhs1(x), then
 # M2 x_next = rhs2(x, x_half); a kind is "hpd" (CG in iterative mode) or
-# "csym" (COCG). The rows, with PMHSS's V defaulting to W:
+# "csym" (COCG). The rows:
 #
 #   gadi   (aI+W) x_half = (aI-iT) x + b,
 #          (aI+iT) x_next = (iT-(1-w)aI) x + (2-w)a x_half
 #   hss    the gadi row at w = 0, whose second right-hand side then equals
 #          (aI-W) x_half + b, HSS's own form, up to rounding
 #   mhss   (aI+W) x_half = (aI-iT) x + b,  (aI+T) x_next = (aI+iW) x_half - i b
-#   pmhss  (aV+W) x_half = (aV-iT) x + b,  (aV+T) x_next = (aV+iW) x_half - i b
+#   pmhss  (aV+W) x_half = (aV-iT) x + b,  (aV+T) x_next = (aV+iW) x_half - i b,
+#          with V = W
 #   cri    (aT+W) x_half = (a-i) T x + b,  (aW+T) x_next = (a+i) W x_half - i b
 #   tscsp  (aW+T) x_half = i(W-aT) x + (a-i) b,
 #          (aT+W) x_next = i(aW-T) x_half + (1-ia) b
@@ -204,22 +193,16 @@ def _bound_shift(W):
     return optimal_alpha(eig_extremes_spd(W))
 
 
-def _gadi(W, T, b, I, V, a, om):
+def _gadi(W, T, b, I, a, om):
     return (a * I + W, "hpd", (a * I).astype(complex) + 1j * T, "csym",
             lambda x: a * x - 1j * (T @ x) + b,
             lambda x, xh: 1j * (T @ x) - (1 - om) * a * x + (2 - om) * a * xh)
 
 
-def _pmhss(W, T, b, I, V, a, om):
+def _pmhss(W, T, b, V, a):
     return (a * V + W, "hpd", a * V + T, "hpd",
             lambda x: a * (V @ x) - 1j * (T @ x) + b,
             lambda x, xh: a * (V @ xh) + 1j * (W @ xh) - 1j * b)
-
-
-def _pmhss_checked(W, T, b, I, V, a, om):
-    V = W if V is None else V
-    _check_spd_param(V, W.shape[0], "PMHSS preconditioner V")
-    return _pmhss(W, T, b, I, V, a, om)
 
 
 _METHODS = {
@@ -227,13 +210,13 @@ _METHODS = {
     # HSS is GADI at w = 0, which _make_step passes as SplitParams.relaxation
     "hss": (_bound_shift, _gadi),
     # MHSS is PMHSS with V = I
-    "mhss": (_bound_shift, lambda W, T, b, I, V, a, om: _pmhss(W, T, b, I, I, a, om)),
-    "pmhss": (lambda W: 1.0, _pmhss_checked),
-    "cri": (lambda W: 1.0, lambda W, T, b, I, V, a, om: (
+    "mhss": (_bound_shift, lambda W, T, b, I, a, om: _pmhss(W, T, b, I, a)),
+    "pmhss": (lambda W: 1.0, lambda W, T, b, I, a, om: _pmhss(W, T, b, W, a)),
+    "cri": (lambda W: 1.0, lambda W, T, b, I, a, om: (
         a * T + W, "hpd", a * W + T, "hpd",
         lambda x: (a - 1j) * (T @ x) + b,
         lambda x, xh: (a + 1j) * (W @ xh) - 1j * b)),
-    "tscsp": (lambda W: 1.0, lambda W, T, b, I, V, a, om: (
+    "tscsp": (lambda W: 1.0, lambda W, T, b, I, a, om: (
         a * W + T, "hpd", a * T + W, "hpd",
         lambda x: 1j * (W @ x - a * (T @ x)) + (a - 1j) * b,
         lambda x, xh: 1j * (a * (W @ xh) - T @ xh) + (1 - 1j * a) * b)),
@@ -260,7 +243,7 @@ def _make_step(system, params, config):
     mode = config.resolved_inner(n)
     max_inner = config.max_inner if config.max_inner is not None else 4 * n + 100
     M1, k1, M2, k2, rhs1, rhs2 = _METHODS[params.method][1](
-        W, system.T, system.b, _eye_like(W, n), params.V, params.alpha, params.relaxation)
+        W, system.T, system.b, _eye_like(W, n), params.alpha, params.relaxation)
 
     def half_step(M, kind, which):
         if mode == "exact":

@@ -1,9 +1,10 @@
+import csv
 import math
 
 import numpy as np
 import pytest
 
-from gadisolve.bench import (BenchmarkRow, ParamPolicy, RunConfig,
+from gadisolve.bench import (SWEEP_OMEGAS, BenchmarkRow, ParamPolicy, RunConfig,
                              best_cell, build_preset, main, parse_csv,
                              run_grid, sweep_params, write_convergence_series,
                              write_csv)
@@ -14,7 +15,7 @@ from gadisolve.splitting import SolveReport
 # -- run_grid -------------------------------------------------------------------
 
 def test_single_trivial_problem_one_row():
-    cfg = RunConfig((ProblemSpec("ex241", m=1),), ("gadi",), ParamPolicy("auto"),
+    cfg = RunConfig((ProblemSpec("ex241", m=1),), ("gadi",), ParamPolicy(),
                     tol=1e-8)
     rows = run_grid(cfg)
     assert len(rows) == 1
@@ -75,29 +76,26 @@ def _count_solves(monkeypatch):
 
 def test_sweep_policy_reuses_the_winning_cell(monkeypatch):
     spec = ProblemSpec("ex241", m=4, stencil="unit")
-    alphas = (2.0, 4.0, 8.0)
-    omegas = (0.0, 0.01)
-    cells = sweep_params(spec, "gadi", alphas, omegas, tol=1e-5)
+    cells = sweep_params(spec, "gadi", None, SWEEP_OMEGAS, tol=1e-5)
     best = best_cell(cells)
     calls = _count_solves(monkeypatch)
     reports = []
-    cfg = RunConfig((spec,), ("gadi",), ParamPolicy("sweep", alpha_grid=alphas,
-                                                    omega_grid=omegas), tol=1e-5)
+    cfg = RunConfig((spec,), ("gadi",), ParamPolicy("sweep"), tol=1e-5)
     (row,) = run_grid(cfg, on_report=lambda r, rep: reports.append(rep))
-    assert len(calls) == len(alphas) * len(omegas)  # no second solve of the winner
+    assert len(calls) == len(cells) == 21 * 3  # no second solve of the winner
     assert (row.alpha, row.omega, row.it, row.res) == (best.alpha, best.omega, best.it, best.res)
     assert len(reports) == 1 and reports[0].iterations == row.it
 
 
 def test_sweep_policy_without_a_converged_cell_solves_once_more(monkeypatch):
     spec = ProblemSpec("ex241", m=4, stencil="unit")
+    best = best_cell(sweep_params(spec, "gadi", None, SWEEP_OMEGAS, tol=1e-300, max_outer=3))
     calls = _count_solves(monkeypatch)
-    cfg = RunConfig((spec,), ("gadi",), ParamPolicy("sweep", alpha_grid=(2.0, 4.0),
-                                                    omega_grid=(0.0,)),
-                    tol=1e-300, max_outer=3)
+    cfg = RunConfig((spec,), ("gadi",), ParamPolicy("sweep"), tol=1e-300, max_outer=3)
     (row,) = run_grid(cfg)
-    assert len(calls) == 3
+    assert len(calls) == 21 * 3 + 1
     assert not row.converged and row.it == 3
+    assert (row.alpha, row.omega) == (best.alpha, best.omega)
 
 
 def test_table1_preset_gadi_strictly_smallest_per_size():
@@ -118,7 +116,7 @@ def test_table1_preset_gadi_strictly_smallest_per_size():
 
 def test_sweep_policy_not_worse_than_auto():
     spec = (ProblemSpec("ex241", m=8, stencil="unit"),)
-    auto = run_grid(RunConfig(spec, ("gadi",), ParamPolicy("auto"), tol=1e-5))
+    auto = run_grid(RunConfig(spec, ("gadi",), ParamPolicy(), tol=1e-5))
     swept = run_grid(RunConfig(spec, ("gadi",), ParamPolicy("sweep"), tol=1e-5))
     assert swept[0].it <= auto[0].it
 
@@ -214,7 +212,7 @@ def test_series_minimal_report(tmp_path):
 
 
 def test_series_length_matches_history(tmp_path):
-    cfg = RunConfig((ProblemSpec("ex241", m=3),), ("gadi",), ParamPolicy("auto"),
+    cfg = RunConfig((ProblemSpec("ex241", m=3),), ("gadi",), ParamPolicy(),
                     tol=1e-6)
     captured = []
     rows = run_grid(cfg, on_report=lambda row, rep: captured.append(rep))
@@ -351,3 +349,49 @@ def test_cli_solve_prints_the_written_row(tmp_path, capsys):
 def test_unknown_preset_rejected():
     with pytest.raises(ValueError):
         build_preset("table9")
+
+
+# -- the pinned reproduction rows ---------------------------------------------------
+
+# every column but CPU of the table4 and table5 presets; the table4 GADI rows
+# match the reference digit for digit, and table5 at n = 8 gives 37 sweeps
+PINNED_ROWS = {
+    "table4": """\
+hss,8,"ex31(n=8,t=0.01)",5.291740428,0,8.9841e-06,10,true
+gadi,8,"ex31(n=8,t=0.01)",5.291740428,0,8.9841e-06,10,true
+hss,8,"ex31(n=8,t=0.1)",5.514140916,0,2.8720e-06,10,true
+gadi,8,"ex31(n=8,t=0.1)",5.514140916,0,2.8720e-06,10,true
+hss,16,"ex31(n=16,t=0.01)",2.619756743,0,5.3789e-06,19,true
+gadi,16,"ex31(n=16,t=0.01)",2.619756743,0,5.3789e-06,19,true
+hss,16,"ex31(n=16,t=0.1)",3.081044239,0,6.4057e-06,15,true
+gadi,16,"ex31(n=16,t=0.1)",3.081044239,0,6.4057e-06,15,true
+hss,24,"ex31(n=24,t=0.01)",1.79642232,0,8.4557e-06,26,true
+gadi,24,"ex31(n=24,t=0.01)",1.79642232,0,8.4557e-06,26,true
+hss,24,"ex31(n=24,t=0.1)",2.430222442,0,8.9194e-06,18,true
+gadi,24,"ex31(n=24,t=0.1)",2.430222442,0,8.9194e-06,18,true
+hss,32,"ex31(n=32,t=0.01)",1.40109256,0,8.4981e-06,33,true
+gadi,32,"ex31(n=32,t=0.01)",1.40109256,0,8.4981e-06,33,true
+hss,32,"ex31(n=32,t=0.1)",2.158719281,0,9.2584e-06,20,true
+gadi,32,"ex31(n=32,t=0.1)",2.158719281,0,9.2584e-06,20,true
+hss,48,"ex31(n=48,t=0.01)",1.027667517,0,7.7812e-06,45,true
+gadi,48,"ex31(n=48,t=0.01)",1.027667517,0,7.7812e-06,45,true
+hss,48,"ex31(n=48,t=0.1)",1.940754589,0,9.7814e-06,22,true
+gadi,48,"ex31(n=48,t=0.1)",1.940754589,0,9.7814e-06,22,true
+""",
+    "table5": """\
+newton-gadi,8,ex421(n=8),1.368080573,0.01,7.4812e-06,37,true
+newton-gadi,16,ex421(n=16),0.7349980713,0.01,3.9356e-06,77,true
+newton-gadi,24,ex421(n=24),0.5013329343,0.01,8.1429e-06,136,true
+newton-gadi,32,ex421(n=32),0.3802241732,0.01,8.2803e-06,189,true
+""",
+}
+
+
+@pytest.mark.parametrize("preset", sorted(PINNED_ROWS))
+def test_preset_rows_are_pinned(tmp_path, preset):
+    out = tmp_path / f"{preset}.csv"
+    assert main(["run", "--preset", preset, "--out", str(out)]) == 0
+    with open(out, newline="") as fh:
+        got = [rec[:7] + rec[8:] for rec in csv.reader(fh)]
+    assert got[0] == ["algorithm", "n", "problem", "alpha", "omega", "RES", "IT", "converged"]
+    assert got[1:] == list(csv.reader(PINNED_ROWS[preset].splitlines()))

@@ -1,4 +1,5 @@
 """The bench command line: INI files as flags, exit codes and one-line input errors."""
+import csv
 import os
 import tempfile
 
@@ -129,6 +130,9 @@ def test_bad_config_file_value_exits_2(tmp_path, capsys, key, value, message):
     (["solve", "--m", "2"], "the following arguments are required: --family, --method"),
     (["run", "--tol", "1e-5"], "the following arguments are required: --preset"),
     (["run", "--preset", "table5", "--tol", "-1"], "run: tol must be positive, got -1.0"),
+    (SOLVE + ["--tol", "inf"], "solve: tol must be finite, got inf"),
+    (SOLVE + ["--alpha", "inf"], "solve: alpha must be finite, got inf"),
+    (["run", "--preset", "table5", "--tol", "inf"], "run: tol must be finite, got inf"),
 ])
 def test_bad_flag_exits_2(capsys, argv, message):
     code, err = _exit_code(argv, capsys)
@@ -186,3 +190,26 @@ def test_solve_failure_prints_a_false_row_and_exits_1(tmp_path, capsys):
     (row,) = parse_csv(out)
     assert (row.algorithm, row.n, row.converged) == ("newton-gadi", 40, False)
     assert not series.exists()  # no report, so no series
+
+
+# -- the omega column is the omega the sweeps ran with ------------------------------------
+
+@pytest.mark.parametrize("method, omega", [("gadi", "0.5"), ("hss", "0"), ("mhss", "0"),
+                                           ("pmhss", "0"), ("cri", "0"), ("tscsp", "0")])
+def test_solve_row_records_the_omega_its_sweeps_ran_with(capsys, method, omega):
+    code = main(["solve", "--family", "ex241", "--m", "8", "--stencil", "unit",
+                 "--method", method, "--omega", "0.5"])
+    assert code == 0
+    (row,) = csv.DictReader(capsys.readouterr().out.splitlines())
+    assert row["omega"] == omega
+
+
+def test_sweep_cells_of_a_method_that_does_not_relax_record_omega_0(tmp_path, capsys):
+    out = tmp_path / "cells.csv"
+    main(["sweep", "--family", "ex241", "--m", "4", "--stencil", "unit", "--method", "hss",
+          "--omega-grid", "0,0.5", "--out", str(out)])
+    with open(out, newline="") as fh:
+        cells = list(csv.DictReader(fh))
+    assert len(cells) == 2 * 21
+    assert {cell["omega"] for cell in cells} == {"0"}
+    assert "omega=0 " in capsys.readouterr().out

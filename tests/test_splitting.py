@@ -3,11 +3,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gadisolve import (METHODS, ComplexSymSystem, NotPositiveDefiniteError,
-                       SolveConfig, SplitParams, build_iteration_matrices,
-                       default_alpha, gen_ex31, gen_ex241, gen_ex242,
-                       run_stationary, solve_lyapunov_gadi, solve_lyapunov_hss,
-                       step)
+from gadisolve import (METHODS, ComplexSymSystem, SolveConfig, SplitParams,
+                       build_iteration_matrices, default_alpha, gen_ex31,
+                       gen_ex241, gen_ex242, run_stationary, solve_lyapunov_gadi,
+                       solve_lyapunov_hss, step)
 from helpers import dense_solution, random_system
 
 
@@ -36,7 +35,7 @@ def test_step_mhss_scalar():
 
 def test_step_pmhss_scalar_v_equals_w():
     sys1 = scalar_system()
-    p = SplitParams("pmhss", 1.0, V=sys1.W)
+    p = SplitParams("pmhss", 1.0)
     x1 = step(sys1, p, np.zeros(1, dtype=complex))
     assert abs(x1[0] - (1 - 1j) / 6) <= 1e-15
 
@@ -49,17 +48,6 @@ def test_step_cri_scalar():
 def test_step_tscsp_scalar():
     x1 = step(scalar_system(), SplitParams("tscsp", 1.0), np.zeros(1, dtype=complex))
     assert abs(x1[0] - (4 - 2j) / 9) <= 1e-15
-
-
-def test_pmhss_with_identity_reduces_to_mhss():
-    rng = np.random.default_rng(11)
-    system = random_system(rng, 4)
-    x = rng.standard_normal(4) + 1j * rng.standard_normal(4)
-    p_m = SplitParams("mhss", 1.7)
-    p_p = SplitParams("pmhss", 1.7, V=np.eye(4))
-    out_m = step(system, p_m, x)
-    out_p = step(system, p_p, x)
-    assert np.array_equal(out_m, out_p)  # MHSS is the PMHSS row with V = I
 
 
 def test_hss_is_gadi_at_zero_relaxation():
@@ -309,18 +297,6 @@ def test_inner_failure_carries_partial_history():
     assert err.report.residual_history[0] == (0, 1.0)  # zero initial guess
 
 
-def test_mhss_run_is_pmhss_with_identity_bit_for_bit():
-    import scipy.sparse as sp
-    system = gen_ex241(8, "h", stencil="unit")
-    alpha = default_alpha(system, "mhss")
-    cfg = SolveConfig(tol=1e-8, max_outer=100)
-    _, rep_m = run_stationary(system, SplitParams("mhss", alpha), cfg)
-    _, rep_p = run_stationary(system, SplitParams("pmhss", alpha,
-                                                  V=sp.eye_array(system.n, format="csr")), cfg)
-    assert rep_m.converged
-    assert rep_m.residual_history == rep_p.residual_history
-
-
 def test_default_alpha_rules():
     rng = np.random.default_rng(49)
     system = random_system(rng, 6)
@@ -338,28 +314,15 @@ def test_invalid_params_rejected():
         SplitParams("gadi", alpha=1.0, omega=2.0)
     with pytest.raises(ValueError):
         SplitParams("nope", alpha=1.0)
+    for bad in (np.inf, np.nan):
+        with pytest.raises(ValueError, match="alpha must be"):
+            SplitParams("gadi", alpha=bad)
+        with pytest.raises(ValueError, match="tol must be"):
+            SolveConfig(tol=bad)
 
 
-@pytest.mark.parametrize("n, dense", [(64, False), (64, True), (2000, False)])
-def test_diagonal_pmhss_preconditioner_checked_on_its_diagonal(monkeypatch, n, dense):
-    # a diagonal V is SPD exactly when its diagonal is positive: no dense
-    # Cholesky, and a nonpositive entry is caught at every size
-    import scipy.sparse as sp
-    import gadisolve.splitting as splitting
-
-    def no_cholesky(*args, **kwargs):
-        raise AssertionError("dense Cholesky of a diagonal V")
-    monkeypatch.setattr(splitting.sla, "cho_factor", no_cholesky)
-    I = sp.eye_array(n, format="csr")
-    system = ComplexSymSystem(2.0 * I, I, np.ones(n, dtype=complex))
-    d = np.linspace(1.0, 2.0, n)
-    for bad in (None, -1.0, 0.0):
-        if bad is not None:
-            d[n // 2] = bad
-        V = np.diag(d) if dense else sp.diags_array(d, format="csr")
-        params = SplitParams("pmhss", 1.0, V=V)
-        if bad is None:
-            step(system, params, np.zeros(n, dtype=complex))
-        else:
-            with pytest.raises(NotPositiveDefiniteError):
-                step(system, params, np.zeros(n, dtype=complex))
+def test_relaxation_is_omega_for_gadi_only():
+    assert SplitParams("gadi", 1.0, 0.5).relaxation == 0.5
+    for method in METHODS:
+        if method != "gadi":
+            assert SplitParams(method, 1.0, 0.5).relaxation == 0.0
