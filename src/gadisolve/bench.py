@@ -75,8 +75,12 @@ class ParamPolicy:
     means the method's default shift or DEFAULT_OMEGA. "sweep": the
     geometric shift grid around the default shift, times SWEEP_OMEGAS for a
     method that relaxes, reporting the single best cell (fewest iterations,
-    residual tiebreak, then smaller alpha). A row records the omega its
-    sweeps ran with, 0 for a method that does not relax.
+    residual tiebreak, then smaller alpha). It finds the full grid's winner
+    with less work: the shifts run nearest the default first, each with all
+    its omegas on one factorization, and a cell stops once it has taken as
+    many sweeps as the best converged cell so far (except on ex421, whose IT
+    counts inner sweeps). A row records the omega its sweeps ran with, 0 for
+    a method that does not relax.
     """
     kind: str = "fixed"
     points: tuple = ((None, None),)
@@ -125,6 +129,12 @@ def _auto_alpha(spec, problem, method):
         return default_alpha(problem, METHOD_ALIASES.get(method, method))
     # ex31 and ex421: the shift of the lifted real part, the solvers' default
     return _lift_shift(_eigh(problem.W)[0])
+
+
+def _swept_omegas(method, omega_grid=SWEEP_OMEGAS):
+    """The omegas a sweep of ``method`` runs: only GADI relaxes, so any other
+    method sweeps its shift alone, at omega 0."""
+    return omega_grid if METHOD_ALIASES.get(method, method) == "gadi" else (0.0,)
 
 
 def _auto_grid(alpha_star, points=21):
@@ -180,14 +190,25 @@ def _method_rows(cfg, spec, problem, method):
         points = [(auto() if alpha is None else alpha, DEFAULT_OMEGA if omega is None else omega)
                   for alpha, omega in cfg.policy.points]
     else:
-        # sweep: the single best cell of the factorial grid. A winner that
-        # converged within the sweep cap is what a full solve would give.
+        # sweep: the single best cell of the grid. A winner that converged
+        # within the sweep cap is what a full solve would give. The nominal
+        # shift comes first, and each shift's omegas run together, so they
+        # share its factorization. No cell may take more sweeps than the best
+        # converged cell so far: one that needs more cannot win, and the cap
+        # is inclusive, so a tie still competes on RES and then on alpha.
+        # ex421's IT column counts inner sweeps, which max_outer does not
+        # bound, so its cells run uncapped.
         alpha_star = auto()
-        # only GADI relaxes: another method sweeps its shift alone
-        omegas = SWEEP_OMEGAS if METHOD_ALIASES.get(method, method) == "gadi" else (0.0,)
-        solved = _solve_points(spec, problem, method,
-                               [(a, w) for w in omegas for a in _auto_grid(alpha_star)], cfg,
-                               min(cfg.max_outer, SWEEP_MAX_OUTER))
+        omegas = _swept_omegas(method)
+        shifts = sorted(_auto_grid(alpha_star), key=lambda a: (abs(math.log(a / alpha_star)), a))
+        cap = min(cfg.max_outer, SWEEP_MAX_OUTER)
+        solved = []
+        for a in shifts:
+            for w in omegas:
+                solved += _solve_points(spec, problem, method, [(a, w)], cfg, cap)
+                row = solved[-1][0]
+                if row.converged and spec.family != "ex421":
+                    cap = min(cap, row.it)
         rows = [row for row, _ in solved]
         win = best_cell(rows)
         if win.converged:
@@ -225,8 +246,10 @@ def sweep_params(spec, method, alpha_grid, omega_grid, tol=1e-5, inner="exact",
     """Full factorial (alpha, omega) sweep for one problem and method.
 
     ``alpha_grid`` None selects the geometric grid around the method's
-    default shift. Returns the BenchmarkRow of each cell in grid order; pick
-    the winner with :func:`best_cell`.
+    default shift. A method that does not relax runs at omega 0 alone,
+    whatever ``omega_grid`` holds. Every cell runs to ``max_outer``. Returns
+    the BenchmarkRow of each cell in grid order; pick the winner with
+    :func:`best_cell`.
     """
     if (alpha_grid is not None and len(alpha_grid) == 0) or len(omega_grid) == 0:
         raise ValueError("sweep grids must be nonempty")
@@ -236,7 +259,7 @@ def sweep_params(spec, method, alpha_grid, omega_grid, tol=1e-5, inner="exact",
     problem = spec.build()
     if alpha_grid is None:
         alpha_grid = _auto_grid(_auto_alpha(spec, problem, method))
-    points = [(a, w) for w in omega_grid for a in alpha_grid]
+    points = [(a, w) for w in _swept_omegas(method, omega_grid) for a in alpha_grid]
     return [row for row, _ in _solve_points(spec, problem, method, points, cfg, max_outer)]
 
 

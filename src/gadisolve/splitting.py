@@ -8,14 +8,15 @@ is omega for GADI and 0 for every other method). PMHSS runs with the
 preconditioner V = W, and MHSS is the PMHSS row with V = I.
 :func:`step` runs one sweep and :func:`run_stationary` sweeps to a
 tolerance. Each sweep solves two shifted subsystems; in "exact" inner mode
-the coefficients are factorized once per solve, in "iterative" mode they are
-solved by CG (Hermitian positive definite coefficients) or COCG (complex
-symmetric coefficients) to a configurable tolerance. One sweep loop,
-:func:`_sweep`, drives every method and the Lyapunov and Newton sweeps of
-:mod:`gadisolve.matrixeq`.
+the coefficients are factorized once per shift and kept on the system, in
+"iterative" mode they are solved by CG (Hermitian positive definite
+coefficients) or COCG (complex symmetric coefficients) to a configurable
+tolerance. One sweep loop, :func:`_sweep`, drives every method and the
+Lyapunov and Newton sweeps of :mod:`gadisolve.matrixeq`.
 """
+import functools
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.sparse as sp
@@ -59,7 +60,7 @@ def _check_data(W, T, **hermitian):
             raise ValueError(f"{name} is not Hermitian")
 
 
-@dataclass
+@dataclass(frozen=True)
 class ComplexSymSystem:
     """The triple (W, T, b) defining (W + iT) x = b.
 
@@ -67,14 +68,22 @@ class ComplexSymSystem:
     W is assumed positive definite and T positive semi-definite, which is not
     enforced at construction because the Kronecker-lifted systems used for
     matrix equations have indefinite T.
+
+    The system is frozen, so what it keeps cannot go stale: the bound shift of
+    W (:attr:`bound_shift`, one eigensolve per system), and in exact inner
+    mode the factorized half-step pair of the last (method-table row builder,
+    alpha) it was solved at. That is one slot, replaced when the key changes,
+    so one shift's factors are alive at a time and a sweep over omega at one
+    shift factorizes once.
     """
     W: object
     T: object
     b: np.ndarray
+    _factors: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         _check_data(self.W, self.T)
-        self.b = np.asarray(self.b, dtype=complex)
+        object.__setattr__(self, "b", np.asarray(self.b, dtype=complex))
         if self.b.shape != (self.n,):
             raise ValueError(f"b has shape {self.b.shape}, expected ({self.n},)")
         if not np.isfinite(self.b).all():
@@ -84,12 +93,28 @@ class ComplexSymSystem:
     def n(self):
         return self.W.shape[0]
 
+    @functools.cached_property
+    def bound_shift(self):
+        """sqrt(gamma_min * gamma_max) of W, the minimizer of the contraction bound."""
+        return optimal_alpha(eig_extremes_spd(self.W))
+
     def matvec(self, x):
         """A x = W x + i T x."""
         return self.W @ x + 1j * (self.T @ x)
 
     def dense_matrix(self):
         return _dense(self.W) + 1j * _dense(self.T)
+
+    def _factorized(self, key, M1, M2):
+        """DirectSolvers of the half-step coefficients M1, M2 built for ``key``.
+
+        Factorizes only when ``key`` differs from the slot's; the old pair is
+        dropped first, so two pairs are never alive together.
+        """
+        if key not in self._factors:
+            self._factors.clear()
+            self._factors[key] = (DirectSolver(M1), DirectSolver(M2))
+        return self._factors[key]
 
 
 @dataclass
@@ -171,7 +196,7 @@ class SolveReport:
 
 # -- the methods as data ------------------------------------------------------
 #
-# Each row gives a method's default shift, as a function of W, and its
+# Each row gives a method's default shift, as a function of the system, and its
 # half-step data: a map from (W, T, b, I, a, w) to (M1, kind1, M2, kind2,
 # rhs1, rhs2). A sweep solves M1 x_half = rhs1(x), then
 # M2 x_next = rhs2(x, x_half); a kind is "hpd" (CG in iterative mode) or
@@ -188,9 +213,8 @@ class SolveReport:
 #   tscsp  (aW+T) x_half = i(W-aT) x + (a-i) b,
 #          (aT+W) x_next = i(aW-T) x_half + (1-ia) b
 
-def _bound_shift(W):
-    """sqrt(gamma_min * gamma_max) of W, the minimizer of the contraction bound."""
-    return optimal_alpha(eig_extremes_spd(W))
+def _bound_shift(system):
+    return system.bound_shift
 
 
 def _gadi(W, T, b, I, a, om):
@@ -211,12 +235,12 @@ _METHODS = {
     "hss": (_bound_shift, _gadi),
     # MHSS is PMHSS with V = I
     "mhss": (_bound_shift, lambda W, T, b, I, a, om: _pmhss(W, T, b, I, a)),
-    "pmhss": (lambda W: 1.0, lambda W, T, b, I, a, om: _pmhss(W, T, b, W, a)),
-    "cri": (lambda W: 1.0, lambda W, T, b, I, a, om: (
+    "pmhss": (lambda system: 1.0, lambda W, T, b, I, a, om: _pmhss(W, T, b, W, a)),
+    "cri": (lambda system: 1.0, lambda W, T, b, I, a, om: (
         a * T + W, "hpd", a * W + T, "hpd",
         lambda x: (a - 1j) * (T @ x) + b,
         lambda x, xh: (a + 1j) * (W @ xh) - 1j * b)),
-    "tscsp": (lambda W: 1.0, lambda W, T, b, I, a, om: (
+    "tscsp": (lambda system: 1.0, lambda W, T, b, I, a, om: (
         a * W + T, "hpd", a * T + W, "hpd",
         lambda x: 1j * (W @ x - a * (T @ x)) + (a - 1j) * b,
         lambda x, xh: 1j * (a * (W @ xh) - T @ xh) + (1 - 1j * a) * b)),
@@ -234,21 +258,23 @@ def _inner_tols(config, current_res):
 def _make_step(system, params, config):
     """The sweep of ``params.method`` on ``system`` as ``step(x, res) -> (x_next, inner)``.
 
-    Factorizes the two half-step coefficients in exact inner mode, or sets up
-    CG/COCG for them in iterative mode, with tolerances from
-    :func:`_inner_tols` at the current residual ``res``. An InnerSolverError
-    is tagged with the half-step it came from. ``inner`` counts Krylov steps.
+    In exact inner mode the two half-step solvers come from the system's
+    factor slot, keyed by the method-table row builder and alpha: the
+    coefficients depend on nothing else, so consecutive solves at one shift
+    share one factorization whatever their omega (gadi and hss share the
+    ``_gadi`` builder, hence the slot). In iterative mode CG/COCG solve the
+    half-steps, with tolerances from :func:`_inner_tols` at the current
+    residual ``res``. An InnerSolverError is tagged with the half-step it came
+    from. ``inner`` counts Krylov steps.
     """
     W, n = system.W, system.n
     mode = config.resolved_inner(n)
     max_inner = config.max_inner if config.max_inner is not None else 4 * n + 100
-    M1, k1, M2, k2, rhs1, rhs2 = _METHODS[params.method][1](
+    builder = _METHODS[params.method][1]
+    M1, k1, M2, k2, rhs1, rhs2 = builder(
         W, system.T, system.b, _eye_like(W, n), params.alpha, params.relaxation)
 
     def half_step(M, kind, which):
-        if mode == "exact":
-            direct = DirectSolver(M)
-            return lambda rhs, tol: (direct.solve(rhs), 0)
         krylov = cg_hpd if kind == "hpd" else cocg_sym
 
         def solve(rhs, tol):
@@ -259,8 +285,13 @@ def _make_step(system, params, config):
                 raise
         return solve
 
-    half1 = half_step(M1, k1, "first half-step")
-    half2 = half_step(M2, k2, "second half-step")
+    if mode == "exact":
+        direct1, direct2 = system._factorized((builder, params.alpha), M1, M2)
+        half1 = lambda rhs, tol: (direct1.solve(rhs), 0)
+        half2 = lambda rhs, tol: (direct2.solve(rhs), 0)
+    else:
+        half1 = half_step(M1, k1, "first half-step")
+        half2 = half_step(M2, k2, "second half-step")
 
     def step(x, res):
         eta, tau = _inner_tols(config, res)
@@ -350,9 +381,10 @@ def default_alpha(system, method):
     """Default shift of a method in METHODS, from its row of the method table.
 
     GADI, HSS and MHSS use the bound-minimizing sqrt(gamma_min*gamma_max) of
-    W; PMHSS, CRI and TSCSP use the scale-free choice alpha = 1. Any other
+    W, which each system computes once (:attr:`ComplexSymSystem.bound_shift`);
+    PMHSS, CRI and TSCSP use the scale-free choice alpha = 1. Any other
     name raises ValueError.
     """
     if method not in _METHODS:
         raise ValueError(f"unknown method {method!r}")
-    return _METHODS[method][0](system.W)
+    return _METHODS[method][0](system)

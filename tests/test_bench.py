@@ -98,6 +98,53 @@ def test_sweep_policy_without_a_converged_cell_solves_once_more(monkeypatch):
     assert (row.alpha, row.omega) == (best.alpha, best.omega)
 
 
+@pytest.mark.parametrize("spec", [
+    ProblemSpec("ex241", m=6, tau_mode="h", stencil="unit"),
+    ProblemSpec("ex241", m=6, tau_mode="500h", stencil="unit"),
+    ProblemSpec("ex242", m=6, stencil="unit"),
+], ids=lambda spec: spec.label())
+def test_capped_sweep_policy_finds_the_full_grid_winner(monkeypatch, spec):
+    full = sweep_params(spec, "gadi", None, SWEEP_OMEGAS)
+    best = best_cell(full)
+    reports = []
+    from gadisolve import bench
+    original = bench.run_stationary
+
+    def recorded(*args):
+        x, report = original(*args)
+        reports.append(report)
+        return x, report
+    monkeypatch.setattr(bench, "run_stationary", recorded)
+    (row,) = run_grid(RunConfig((spec,), ("gadi",), ParamPolicy("sweep")))
+    assert (row.alpha, row.omega, row.it, row.res) == (best.alpha, best.omega, best.it, best.res)
+    # every cell still runs, but none beyond the best converged count so far
+    assert len(reports) == len(full)
+    assert sum(r.iterations for r in reports) < sum(c.it for c in full)
+
+
+def test_uncapped_ex421_sweep_policy_finds_the_full_grid_winner():
+    spec = ProblemSpec("ex421", n=4)
+    best = best_cell(sweep_params(spec, "newton-gadi", None, SWEEP_OMEGAS))
+    (row,) = run_grid(RunConfig((spec,), ("newton-gadi",), ParamPolicy("sweep")))
+    assert best.converged
+    assert (row.alpha, row.omega, row.it, row.res) == (best.alpha, best.omega, best.it, best.res)
+
+
+def test_sweep_policy_factorizes_each_shift_once(monkeypatch):
+    from gadisolve import linalg, splitting
+    made = []
+
+    class Counted(linalg.DirectSolver):
+        def __init__(self, M):
+            made.append(M.shape)
+            super().__init__(M)
+    monkeypatch.setattr(splitting, "DirectSolver", Counted)
+    spec = ProblemSpec("ex241", m=4, stencil="unit")
+    (row,) = run_grid(RunConfig((spec,), ("gadi",), ParamPolicy("sweep"), inner="exact"))
+    assert row.converged
+    assert len(made) == 2 * 21  # one pair per shift, not per (shift, omega)
+
+
 def test_table1_preset_gadi_strictly_smallest_per_size():
     # the tau = h batches of the table1 preset: 5 comparison methods (plus the
     # second PMHSS variant) and the swept GADI rows over all five grid sizes

@@ -307,6 +307,49 @@ def test_default_alpha_rules():
         default_alpha(system, "nope")
 
 
+def test_default_alpha_eigensolves_each_system_once(monkeypatch):
+    from gadisolve import splitting
+    calls = []
+    original = splitting.eig_extremes_spd
+
+    def counted(W, *args, **kwargs):
+        calls.append(W.shape)
+        return original(W, *args, **kwargs)
+    monkeypatch.setattr(splitting, "eig_extremes_spd", counted)
+    system = gen_ex241(m=4, tau_mode="h")
+    assert len({default_alpha(system, method) for method in ("gadi", "hss", "mhss")}) == 1
+    assert len(calls) == 1
+
+
+def test_exact_solves_at_one_shift_share_one_factor_pair(monkeypatch):
+    import gc
+    import weakref
+
+    from gadisolve import linalg, splitting
+    made, alive = [], weakref.WeakSet()
+
+    class Tracked(linalg.DirectSolver):
+        def __init__(self, M):
+            super().__init__(M)
+            made.append(M.shape)
+            alive.add(self)
+    monkeypatch.setattr(splitting, "DirectSolver", Tracked)
+    config = SolveConfig(tol=1e-8, inner="exact")
+    system = gen_ex241(m=4, tau_mode="h")
+    alpha = default_alpha(system, "gadi")
+    run_stationary(system, SplitParams("gadi", alpha, 0.01), config)
+    x, report = run_stationary(system, SplitParams("gadi", alpha, 0.1), config)
+    run_stationary(system, SplitParams("hss", alpha), config)  # gadi's builder at w = 0
+    assert len(made) == 2
+    fresh_x, fresh = run_stationary(gen_ex241(m=4, tau_mode="h"),
+                                    SplitParams("gadi", alpha, 0.1), config)
+    assert np.array_equal(x, fresh_x)
+    assert report.residual_history == fresh.residual_history
+    run_stationary(system, SplitParams("gadi", 2 * alpha, 0.1), config)
+    gc.collect()
+    assert len(made) == 6 and len(alive) == 2  # the slot holds the new shift's pair only
+
+
 def test_invalid_params_rejected():
     with pytest.raises(ValueError):
         SplitParams("gadi", alpha=-1.0)
