@@ -145,7 +145,7 @@ def _solve_cell(spec, problem, params, cfg, max_outer):
     """Run one benchmark cell; returns its SolveReport."""
     if spec.family == "ex421":
         result = newton_gadi_riccati(problem, outer_tol=cfg.tol, alpha=params.alpha,
-                                     omega=params.omega, inner_forcing=(0.1, 0.1))
+                                     omega=params.omega)
         return SolveReport(result.converged, result.outer_iterations,
                            result.final_res, result.res_history,
                            result.wall_time, result.inner_iteration_total)
@@ -247,9 +247,10 @@ def sweep_params(spec, method, alpha_grid, omega_grid, tol=1e-5, inner="exact",
 
     ``alpha_grid`` None selects the geometric grid around the method's
     default shift. A method that does not relax runs at omega 0 alone,
-    whatever ``omega_grid`` holds. Every cell runs to ``max_outer``. Returns
-    the BenchmarkRow of each cell in grid order; pick the winner with
-    :func:`best_cell`.
+    whatever ``omega_grid`` holds. Every cell runs to ``max_outer``, shift by
+    shift, so each shift's omegas share one factorization. Returns the
+    BenchmarkRow of each cell in grid order (omega-major); pick the winner
+    with :func:`best_cell`.
     """
     if (alpha_grid is not None and len(alpha_grid) == 0) or len(omega_grid) == 0:
         raise ValueError("sweep grids must be nonempty")
@@ -259,8 +260,10 @@ def sweep_params(spec, method, alpha_grid, omega_grid, tol=1e-5, inner="exact",
     problem = spec.build()
     if alpha_grid is None:
         alpha_grid = _auto_grid(_auto_alpha(spec, problem, method))
-    points = [(a, w) for w in _swept_omegas(method, omega_grid) for a in alpha_grid]
-    return [row for row, _ in _solve_points(spec, problem, method, points, cfg, max_outer)]
+    omegas = _swept_omegas(method, omega_grid)
+    points = [(a, w) for a in alpha_grid for w in omegas]
+    rows = [row for row, _ in _solve_points(spec, problem, method, points, cfg, max_outer)]
+    return [row for j in range(len(omegas)) for row in rows[j::len(omegas)]]
 
 
 def best_cell(cells):

@@ -21,7 +21,7 @@ from scipy.linalg.lapack import ztrsyl
 
 from .linalg import (InnerSolverError, NotPositiveDefiniteError, _dense, _eye_like, kron,
                      load_dense_block, load_matrix_coo, save_dense_block,
-                     save_matrix_coo, unvec, vec)
+                     save_matrix_coo, vec)
 from .splitting import (DEFAULT_OMEGA, ComplexSymSystem, SolveConfig, SplitParams,
                         _check_data, _Diverged, _sweep)
 
@@ -227,13 +227,11 @@ def _solve_lyapunov(problem, method, params, config):
     if params.method not in ("gadi", "hss"):
         raise ValueError(f"Lyapunov sweeps are 'gadi' or 'hss', got {params.method!r}")
     n = problem.n
-    X = (np.zeros((n, n), dtype=complex) if config.x0 is None
-         else unvec(np.asarray(config.x0, dtype=complex), n, n))
     Q, a = problem.Q, params.alpha
     return _sweep(lambda: _gadi_step(problem, None, Q, _first_half(eig_W, a),
                                      _second_half(problem.T, a), params),
                   lambda X: float(np.linalg.norm(Q - _lifted(problem, None, X)) / nq),
-                  X, config.tol, config.max_outer)
+                  np.zeros((n, n), dtype=complex), config.tol, config.max_outer)
 
 
 def solve_lyapunov_gadi(problem, params=None, config=None):
@@ -242,8 +240,8 @@ def solve_lyapunov_gadi(problem, params=None, config=None):
     Returns ``(X, SolveReport)``; the report's residuals are the lifted
     relative residuals, which coincide with ||Q - A*X - XA||_F / ||Q||_F.
     With ``params=None`` the shift is sqrt(gamma_min*gamma_max) of the lifted
-    real part and omega is DEFAULT_OMEGA. Of ``config`` only ``tol``,
-    ``max_outer`` and ``x0`` (a vec of length n^2) apply.
+    real part and omega is DEFAULT_OMEGA. The sweeps start at X = 0, and of
+    ``config`` only ``tol`` and ``max_outer`` apply.
     """
     return _solve_lyapunov(problem, "gadi", params, config)
 
@@ -263,19 +261,19 @@ def lyapunov_residual(problem, X):
     return float(np.linalg.norm(problem.Q - A.conj().T @ X - X @ A, "fro") / nq)
 
 
-def newton_initial_guess(problem, config=None):
+def newton_initial_guess(problem):
     """Starting matrix for the Newton iteration.
 
     Solves the shifted Lyapunov equation B* X + X B = 2Q with
     B = A + (1 + ||A||_inf) I, whose strongly dominant real part makes the
-    lifted GADI iteration converge in a handful of sweeps.
+    lifted GADI iteration converge in a handful of sweeps; it is solved to
+    RES 1e-12 in at most 500 sweeps.
     """
     beta = 1.0 + np.linalg.norm(problem.dense_A(), np.inf)
     n = problem.n
     I = _eye_like(problem.W, n)
     shifted = LyapunovProblem(problem.W + beta * I, problem.T, 2.0 * problem.Q)
-    config = config or SolveConfig(tol=1e-12, max_outer=500)
-    X0, report = solve_lyapunov_gadi(shifted, config=config)
+    X0, report = solve_lyapunov_gadi(shifted, config=SolveConfig(tol=1e-12, max_outer=500))
     if not report.converged:
         raise InnerSolverError(
             f"initial shifted Lyapunov solve did not converge (RES={report.final_res:.3e})",
@@ -370,18 +368,19 @@ def _sylvester_solver(T, S, a):
     return solve
 
 
-def newton_gadi_riccati(problem, outer_tol=1e-6, max_outer=30, inner_tol=1e-8,
-                        inner_forcing=None, alpha=None, omega=DEFAULT_OMEGA, x0=None):
+def newton_gadi_riccati(problem, outer_tol=1e-6, max_outer=30, inner_forcing=(0.1, 0.1),
+                        alpha=None, omega=DEFAULT_OMEGA, x0=None):
     """Newton outer iteration with GADI inner sweeps for the Riccati equation.
 
     Each Newton step solves A_k* X + X A_k = Q_k (A_k = A - G X_k,
     Q_k = -X_k G X_k - Q) by GADI sweeps on its Kronecker lift, run in n x n
-    form and warm-started at X_k, and stops when the absolute lifted residual
-    drops below ``inner_tol * ||Q_k||_F`` or after ``NEWTON_MAX_INNER`` sweeps.
-    ``inner_forcing=(eta_max, eta_fac)`` switches to the adaptive rule
-    min(eta_max, eta_fac * Res_k) * ||Q_k||_F, which spends far fewer inner
-    sweeps when only a modest outer tolerance is needed. The outer loop stops
-    when Res(X) = ||A* X + X A + Q - X G X||_2 / ||Q||_2 < outer_tol. The
+    form and warm-started at X_k, until the absolute lifted residual drops
+    below min(eta_max, eta_fac * Res_k) ||Q_k||_F, with the finite, positive
+    ``inner_forcing=(eta_max, eta_fac)``, or for ``NEWTON_MAX_INNER`` sweeps.
+    A forcing term of the order of the residual keeps Newton's local
+    quadratic convergence (Dembo, Eisenstat & Steihaug 1982). The outer loop
+    stops when Res(X) = ||A* X + X A + Q - X G X||_2 / ||Q||_2 < outer_tol,
+    or after ``max_outer`` steps; both are checked as by SolveConfig. The
     default shift ``alpha`` is that of the lifted real part, as for
     :func:`solve_lyapunov_gadi`.
 
@@ -393,9 +392,13 @@ def newton_gadi_riccati(problem, outer_tol=1e-6, max_outer=30, inner_tol=1e-8,
     executed sweeps count toward ``inner_iteration_total``.
 
     Returns a :class:`RiccatiResult`; reaching max_outer yields
-    ``converged=False``.
+    ``converged=False``. Bad arguments raise a one-line ValueError.
     """
     t0 = time.perf_counter()
+    SolveConfig(tol=outer_tol, max_outer=max_outer)  # the checks of a sweep's tol and budget
+    eta_max, eta_fac = inner_forcing
+    if not all(np.isfinite(f) and f > 0 for f in (eta_max, eta_fac)):
+        raise ValueError(f"inner_forcing entries must be finite and positive, got {inner_forcing}")
     n = problem.n
     X = newton_initial_guess(problem) if x0 is None else np.asarray(x0, dtype=complex).copy()
     X, _ = _ensure_invertible_start(problem, X)
@@ -424,8 +427,7 @@ def newton_gadi_riccati(problem, outer_tol=1e-6, max_outer=30, inner_tol=1e-8,
         Q_k = -X @ G @ X - problem.Q
         state = NewtonState(k=k, X=X, A_k=A - G @ X, Q_k=Q_k)
         S = X @ G
-        eta = inner_tol if inner_forcing is None else min(inner_forcing[0], inner_forcing[1] * res)
-        eps_abs = eta * np.linalg.norm(Q_k)
+        eps_abs = min(eta_max, eta_fac * res) * np.linalg.norm(Q_k)
         # the inner sweeps stop on the absolute residual, once it is below
         # eps_abs, and a residual that keeps growing means the lifted term
         # g_lift pushed the contraction factor above one

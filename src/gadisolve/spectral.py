@@ -19,7 +19,7 @@ __all__ = [
     "build_iteration_matrices", "spectral_radius", "min_radius_alpha",
 ]
 
-DENSE_EIG_LIMIT = 2000
+DENSE_EIG_LIMIT = 2000  # the extremes of larger matrices are Lanczos estimates
 DENSE_MATRIX_LIMIT = 512
 
 
@@ -41,35 +41,29 @@ class IterationMatrixPair:
     omega: float
 
 
-def eig_extremes_spd(W, mode="auto", estimate_tol=1e-8):
+def eig_extremes_spd(W):
     """Extreme eigenvalues of a symmetric positive definite matrix.
 
-    mode "dense" performs a full symmetric eigensolve (n <= 2000); mode
-    "iterative" uses Lanczos for the largest eigenvalue and shift-invert
-    Lanczos for the smallest; "auto" picks dense below the size limit.
+    Up to n = DENSE_EIG_LIMIT a full symmetric eigensolve gives them exactly;
+    above it, Lanczos (tolerance 1e-8) estimates the largest and
+    shift-invert Lanczos the smallest.
 
     Raises NotPositiveDefiniteError when the computed minimum is <= 0.
     """
     n = W.shape[0]
-    if mode == "auto":
-        mode = "dense" if n <= DENSE_EIG_LIMIT else "iterative"
-    if mode == "dense":
-        if n > DENSE_EIG_LIMIT:
-            raise ValueError(f"dense extremes limited to n <= {DENSE_EIG_LIMIT}, got n = {n}")
+    if n <= DENSE_EIG_LIMIT:
         ev = sla.eigvalsh(_dense(W))
-        gmin, gmax = float(ev[0]), float(ev[-1])
-        out = SpectrumSummary(gmin, gmax, "dense-exact", 0.0)
-    elif mode == "iterative":
+        out = SpectrumSummary(float(ev[0]), float(ev[-1]), "dense-exact", 0.0)
+    else:
         Ws = sp.csc_matrix(W) if sp.issparse(W) else sp.csc_matrix(np.asarray(W))
+        tol = 1e-8
         # deterministic Lanczos start so repeated runs give identical estimates
         v0 = np.random.default_rng(0).standard_normal(n)
-        gmax = float(spla.eigsh(Ws, k=1, which="LA", tol=estimate_tol, v0=v0,
+        gmax = float(spla.eigsh(Ws, k=1, which="LA", tol=tol, v0=v0,
                                 return_eigenvectors=False)[0])
-        gmin = float(spla.eigsh(Ws, k=1, sigma=0.0, which="LM", tol=estimate_tol,
+        gmin = float(spla.eigsh(Ws, k=1, sigma=0.0, which="LM", tol=tol,
                                 v0=v0, return_eigenvectors=False)[0])
-        out = SpectrumSummary(gmin, gmax, "iterative-estimate", estimate_tol)
-    else:
-        raise ValueError(f"mode must be 'auto', 'dense' or 'iterative', got {mode!r}")
+        out = SpectrumSummary(gmin, gmax, "iterative-estimate", tol)
     if out.gamma_min <= 0:
         raise NotPositiveDefiniteError(
             f"matrix is not positive definite: minimum eigenvalue {out.gamma_min:.6e}")

@@ -10,8 +10,8 @@ preconditioner V = W, and MHSS is the PMHSS row with V = I.
 tolerance. Each sweep solves two shifted subsystems; in "exact" inner mode
 the coefficients are factorized once per shift and kept on the system, in
 "iterative" mode they are solved by CG (Hermitian positive definite
-coefficients) or COCG (complex symmetric coefficients) to a configurable
-tolerance. One sweep loop, :func:`_sweep`, drives every method and the
+coefficients) or COCG (complex symmetric coefficients) to 1e-2 times the
+current residual. One sweep loop, :func:`_sweep`, drives every method and the
 Lyapunov and Newton sweeps of :mod:`gadisolve.matrixeq`.
 """
 import functools
@@ -146,21 +146,15 @@ class SplitParams:
 
 @dataclass
 class SolveConfig:
-    """Driver configuration: outer tolerance and inner-solve mode.
+    """Driver configuration: outer tolerance, sweep budget and inner-solve mode.
 
     inner: "exact" (direct factorization), "iterative" (CG/COCG), or "auto"
-    (exact up to n = 4096). In iterative mode `inner_eta` / `inner_tau` are
-    the relative tolerances of the two half-step solves; leaving them None
-    selects the proportional rule 1e-2 * (current outer residual), floored
-    at 1e-14.
+    (exact up to n = 4096). In iterative mode both half-step solves run to
+    the relative tolerance 1e-2 * (current outer residual), floored at 1e-14.
     """
     tol: float = 1e-6
     max_outer: int = 1000
     inner: str = "auto"
-    inner_eta: float = None
-    inner_tau: float = None
-    max_inner: int = None
-    x0: np.ndarray = None
 
     def __post_init__(self):
         if not self.tol > 0:
@@ -248,11 +242,9 @@ _METHODS = {
 METHODS = tuple(_METHODS)
 
 
-def _inner_tols(config, current_res):
-    floor = 1e-14
-    eta = config.inner_eta if config.inner_eta is not None else max(1e-2 * current_res, floor)
-    tau = config.inner_tau if config.inner_tau is not None else max(1e-2 * current_res, floor)
-    return eta, tau
+def _inner_tol(res):
+    """Relative tolerance of both iterative half-step solves at outer residual ``res``."""
+    return max(1e-2 * res, 1e-14)
 
 
 def _make_step(system, params, config):
@@ -263,13 +255,12 @@ def _make_step(system, params, config):
     coefficients depend on nothing else, so consecutive solves at one shift
     share one factorization whatever their omega (gadi and hss share the
     ``_gadi`` builder, hence the slot). In iterative mode CG/COCG solve the
-    half-steps, with tolerances from :func:`_inner_tols` at the current
-    residual ``res``. An InnerSolverError is tagged with the half-step it came
-    from. ``inner`` counts Krylov steps.
+    half-steps to :func:`_inner_tol` of the current residual ``res``, in at
+    most 4 n + 100 Krylov steps each. An InnerSolverError is tagged with the
+    half-step it came from. ``inner`` counts Krylov steps.
     """
     W, n = system.W, system.n
     mode = config.resolved_inner(n)
-    max_inner = config.max_inner if config.max_inner is not None else 4 * n + 100
     builder = _METHODS[params.method][1]
     M1, k1, M2, k2, rhs1, rhs2 = builder(
         W, system.T, system.b, _eye_like(W, n), params.alpha, params.relaxation)
@@ -279,7 +270,7 @@ def _make_step(system, params, config):
 
         def solve(rhs, tol):
             try:
-                return krylov(M, rhs, rel_tol=tol, max_it=max_inner)
+                return krylov(M, rhs, rel_tol=tol, max_it=4 * n + 100)
             except InnerSolverError as err:
                 err.half_step = which
                 raise
@@ -294,9 +285,9 @@ def _make_step(system, params, config):
         half2 = half_step(M2, k2, "second half-step")
 
     def step(x, res):
-        eta, tau = _inner_tols(config, res)
-        xh, n1 = half1(rhs1(x), eta)
-        xn, n2 = half2(rhs2(x, xh), tau)
+        tol = _inner_tol(res)
+        xh, n1 = half1(rhs1(x), tol)
+        xn, n2 = half2(rhs2(x, xh), tol)
         return xn, n1 + n2
     return step
 
@@ -361,7 +352,7 @@ def step(system, params, x, config=None):
 def run_stationary(system, params, config=None):
     """Iterate one splitting method until RES = ||b - A x||/||b|| <= tol.
 
-    Starts from config.x0 (default 0) and returns ``(x, SolveReport)``.
+    Starts from x = 0 and returns ``(x, SolveReport)``.
     Reaching max_outer is reported via ``converged=False``, not an exception;
     an inner-solver failure raises InnerSolverError with the partial report
     attached as ``err.report``.
@@ -371,10 +362,9 @@ def run_stationary(system, params, config=None):
     nb = np.linalg.norm(b)
     if nb == 0.0:
         raise ValueError("b = 0: relative residual is undefined")
-    x = np.zeros(system.n, complex) if config.x0 is None else np.asarray(config.x0, complex).copy()
     return _sweep(lambda: _make_step(system, params, config),
                   lambda x: float(np.linalg.norm(b - system.matvec(x)) / nb),
-                  x, config.tol, config.max_outer)
+                  np.zeros(system.n, complex), config.tol, config.max_outer)
 
 
 def default_alpha(system, method):

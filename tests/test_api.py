@@ -1,13 +1,17 @@
 """Every exported name is bound, and so is every name the benchmark's tracer wraps.
 
 `perfbench/tracing.py` looks up the functions and methods it wraps by name,
-so removing or renaming one of them breaks the traced benchmark run.
+and `perfbench/worker.py` calls the library with keyword arguments, so
+removing or renaming one of them breaks the benchmark run.
 """
 import importlib
+import inspect
 import os
 import pkgutil
 
 import gadisolve
+from gadisolve import SolveConfig, SplitParams, matrixeq
+from gadisolve.bench import RunConfig
 
 PERFBENCH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
                          "perfbench")
@@ -33,3 +37,19 @@ def test_every_name_the_tracer_wraps_resolves(monkeypatch):
     for home, cls_name, attr, *_ in tracing.METHODS:
         cls = getattr(importlib.import_module(f"gadisolve.{home}"), cls_name, None)
         assert callable(getattr(cls, attr, None)), f"gadisolve.{home}.{cls_name}.{attr}"
+
+
+def test_the_calls_the_benchmark_makes_bind():
+    # the keyword calls of perfbench/worker.py, bound to today's signatures
+    calls = [
+        (SolveConfig, (), {"tol": 1e-6, "max_outer": 500, "inner": "exact"}),
+        (matrixeq.newton_gadi_riccati, ("p",), {"outer_tol": 1e-6, "inner_forcing": (0.1, 0.1)}),
+        (matrixeq.solve_lyapunov_gadi, ("p",), {"config": None}),
+        (matrixeq.solve_lyapunov_hss, ("p",), {"config": None}),
+        (RunConfig, ("specs", "methods", "policy"), {"tol": 1e-6, "inner": "exact"}),
+        (SplitParams, ("gadi", 1.0, 0.01), {}),
+        (SplitParams, ("gadi", 1.0), {}),
+        (gadisolve.run_stationary, ("system", "params", "config"), {}),
+    ]
+    for fn, args, kwargs in calls:
+        inspect.signature(fn).bind(*args, **kwargs)

@@ -145,6 +145,24 @@ def test_sweep_policy_factorizes_each_shift_once(monkeypatch):
     assert len(made) == 2 * 21  # one pair per shift, not per (shift, omega)
 
 
+def test_sweep_params_factorizes_each_shift_once(monkeypatch):
+    from gadisolve import linalg, splitting
+    made = []
+
+    class Counted(linalg.DirectSolver):
+        def __init__(self, M):
+            made.append(M.shape)
+            super().__init__(M)
+    monkeypatch.setattr(splitting, "DirectSolver", Counted)
+    cells = sweep_params(ProblemSpec("ex241", m=4, stencil="unit"), "gadi", None, SWEEP_OMEGAS)
+    assert len(cells) == 21 * 3
+    assert len(made) == 2 * 21  # one pair per shift, not per (shift, omega)
+    # the cells come back omega-major, each omega's shifts in ascending order
+    assert [c.omega for c in cells] == [w for w in SWEEP_OMEGAS for _ in range(21)]
+    assert [c.alpha for c in cells[:21]] == sorted(c.alpha for c in cells[:21])
+    assert [c.alpha for c in cells[21:42]] == [c.alpha for c in cells[:21]]
+
+
 def test_table1_preset_gadi_strictly_smallest_per_size():
     # the tau = h batches of the table1 preset: 5 comparison methods (plus the
     # second PMHSS variant) and the swept GADI rows over all five grid sizes

@@ -337,6 +337,18 @@ def test_newton_early_exit_at_exact_solution():
     assert np.array_equal(result.X, Xs)
 
 
+@pytest.mark.parametrize("kwargs", [
+    {"outer_tol": np.inf}, {"max_outer": -2},
+    {"inner_forcing": (-1.0, 0.1)}, {"inner_forcing": (np.nan, 0.1)},
+    {"inner_forcing": (0.1, 0.0)}, {"inner_forcing": (0.1, np.inf)},
+], ids=["outer_tol=inf", "max_outer=-2", "eta_max=-1", "eta_max=nan", "eta_fac=0",
+        "eta_fac=inf"])
+def test_newton_rejects_bad_arguments(kwargs):
+    with pytest.raises(ValueError) as info:
+        newton_gadi_riccati(gen_ex421(8), **kwargs)
+    assert "\n" not in str(info.value)
+
+
 def test_newton_restart_guard_on_expansive_start():
     p = gen_ex421(8)
     result = newton_gadi_riccati(p, outer_tol=1e-5, inner_forcing=(0.1, 0.1))

@@ -38,11 +38,14 @@ def test_extremes_lifted_anchor_values():
         assert abs(optimal_alpha(s) - expected) <= 5e-4
 
 
-def test_extremes_iterative_mode_agrees_with_dense():
+def test_extremes_iterative_mode_agrees_with_dense(monkeypatch):
+    from gadisolve import spectral
     rng = np.random.default_rng(3)
     W = sp.csr_array(random_spd(rng, 300, 0.5, 50.0))
-    dense = eig_extremes_spd(W, mode="dense")
-    it = eig_extremes_spd(W, mode="iterative", estimate_tol=1e-10)
+    dense = eig_extremes_spd(W)
+    assert dense.method == "dense-exact"
+    monkeypatch.setattr(spectral, "DENSE_EIG_LIMIT", 299)  # W is above it: Lanczos
+    it = eig_extremes_spd(W)
     assert it.method == "iterative-estimate"
     assert abs(it.gamma_min - dense.gamma_min) <= 1e-6 * dense.gamma_min
     assert abs(it.gamma_max - dense.gamma_max) <= 1e-6 * dense.gamma_max
