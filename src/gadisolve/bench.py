@@ -33,7 +33,7 @@ from .linalg import NotPositiveDefiniteError
 from .matrixeq import (_eigh, _lift_shift, newton_gadi_riccati,
                        solve_lyapunov_gadi, solve_lyapunov_hss)
 from .problems import ProblemSpec
-from .splitting import (DEFAULT_OMEGA, SolveConfig, SolveReport, SplitParams,
+from .splitting import (DEFAULT_OMEGA, SolveConfig, SolveReport, SplitParams, _mixed_gadi,
                         default_alpha, run_stationary)
 
 __all__ = [
@@ -76,11 +76,13 @@ class ParamPolicy:
     geometric shift grid around the default shift, times SWEEP_OMEGAS for a
     method that relaxes, reporting the single best cell (fewest iterations,
     residual tiebreak, then smaller alpha). It finds the full grid's winner
-    with less work: the shifts run nearest the default first, each with all
-    its omegas on one factorization, and a cell stops once it has taken as
-    many sweeps as the best converged cell so far (except on ex421, whose IT
-    counts inner sweeps). A row records the omega its sweeps ran with, 0 for
-    a method that does not relax.
+    with less work: the shifts run nearest the default first, and a cell
+    stops once it has taken as many sweeps as the best converged cell so far
+    (except on ex421, whose IT counts inner sweeps). GADI on ex241 and ex242
+    in exact inner mode reads all the omegas of a shift off one HSS run at
+    that shift (GADI relaxes HSS), so a shift costs one factorization and
+    the sweeps of its slowest cell. A row records the omega its sweeps ran
+    with, 0 for a method that does not relax.
     """
     kind: str = "fixed"
     points: tuple = ((None, None),)
@@ -156,31 +158,60 @@ def _solve_cell(spec, problem, params, cfg, max_outer):
     return solver(problem, params, config)[1]
 
 
-def _solve_points(spec, problem, method, points, cfg, max_outer):
-    """Solve each (alpha, omega) point; returns [(row, report)].
+def _row(spec, method, params, solve):
+    """Run ``solve() -> SolveReport`` as one cell of ``method``; returns (row, report).
 
     A row records the omega the sweeps ran with, SplitParams.relaxation. A
     solver failure becomes a non-converged row with report None.
     """
+    t0 = time.perf_counter()
+    try:
+        report = solve()
+        # the ex421 history is indexed by outer step, and its IT column
+        # carries the cumulative inner sweep count
+        it = report.inner_iteration_total if spec.family == "ex421" else report.iterations
+        res, converged = report.final_res, report.converged
+    except (RuntimeError, NotPositiveDefiniteError) as err:
+        report, converged = None, False
+        res = getattr(err, "residual", math.nan)
+        res = res if np.isfinite(res) else math.nan
+        it = int(getattr(err, "iterations", 0))
+    return (BenchmarkRow(method, spec.dimension, spec.label(), params.alpha,
+                         params.relaxation, res, it, time.perf_counter() - t0, converged),
+            report)
+
+
+def _params(method, alpha, omega):
+    return SplitParams(METHOD_ALIASES.get(method, method), float(alpha), float(omega))
+
+
+def _solve_points(spec, problem, method, points, cfg, max_outer):
+    """Solve each (alpha, omega) point on its own; returns [(row, report)]."""
     out = []
     for alpha, omega in points:
-        params = SplitParams(METHOD_ALIASES.get(method, method), float(alpha), float(omega))
-        t0 = time.perf_counter()
-        try:
-            report = _solve_cell(spec, problem, params, cfg, max_outer)
-            # the ex421 history is indexed by outer step, and its IT column
-            # carries the cumulative inner sweep count
-            it = report.inner_iteration_total if spec.family == "ex421" else report.iterations
-            res, converged = report.final_res, report.converged
-        except (RuntimeError, NotPositiveDefiniteError) as err:
-            report, converged = None, False
-            res = getattr(err, "residual", math.nan)
-            res = res if np.isfinite(res) else math.nan
-            it = int(getattr(err, "iterations", 0))
-        out.append((BenchmarkRow(method, spec.dimension, spec.label(), params.alpha,
-                                 params.relaxation, res, it, time.perf_counter() - t0,
-                                 converged), report))
+        params = _params(method, alpha, omega)
+        out.append(_row(spec, method, params,
+                        lambda: _solve_cell(spec, problem, params, cfg, max_outer)))
     return out
+
+
+def _shift_cells(spec, problem, method, alpha, cfg):
+    """The sweep cells at one shift, as ``cell(omega, max_outer) -> (row, report)``.
+
+    GADI on ex241 and ex242 in exact inner mode reads every omega off one HSS
+    run at the shift (splitting._mixed_gadi), giving the rows separate solves
+    would give; every other cell is its own solve.
+    """
+    if not (spec.family in ("ex241", "ex242") and METHOD_ALIASES.get(method, method) == "gadi"
+            and SolveConfig(inner=cfg.inner).resolved_inner(problem.n) == "exact"):
+        return lambda omega, max_outer: _solve_points(
+            spec, problem, method, [(alpha, omega)], cfg, max_outer)[0]
+    mixed = _mixed_gadi(problem, float(alpha), cfg.tol)
+
+    def cell(omega, max_outer):
+        params = _params(method, alpha, omega)
+        return _row(spec, method, params, lambda: mixed(params.omega, max_outer))
+    return cell
 
 
 def _method_rows(cfg, spec, problem, method):
@@ -192,8 +223,8 @@ def _method_rows(cfg, spec, problem, method):
     else:
         # sweep: the single best cell of the grid. A winner that converged
         # within the sweep cap is what a full solve would give. The nominal
-        # shift comes first, and each shift's omegas run together, so they
-        # share its factorization. No cell may take more sweeps than the best
+        # shift comes first, and each shift's omegas run together, from one
+        # HSS run where they can. No cell may take more sweeps than the best
         # converged cell so far: one that needs more cannot win, and the cap
         # is inclusive, so a tie still competes on RES and then on alpha.
         # ex421's IT column counts inner sweeps, which max_outer does not
@@ -204,8 +235,9 @@ def _method_rows(cfg, spec, problem, method):
         cap = min(cfg.max_outer, SWEEP_MAX_OUTER)
         solved = []
         for a in shifts:
+            cell = _shift_cells(spec, problem, method, a, cfg)
             for w in omegas:
-                solved += _solve_points(spec, problem, method, [(a, w)], cfg, cap)
+                solved.append(cell(w, cap))
                 row = solved[-1][0]
                 if row.converged and spec.family != "ex421":
                     cap = min(cap, row.it)
@@ -247,10 +279,11 @@ def sweep_params(spec, method, alpha_grid, omega_grid, tol=1e-5, inner="exact",
 
     ``alpha_grid`` None selects the geometric grid around the method's
     default shift. A method that does not relax runs at omega 0 alone,
-    whatever ``omega_grid`` holds. Every cell runs to ``max_outer``, shift by
-    shift, so each shift's omegas share one factorization. Returns the
-    BenchmarkRow of each cell in grid order (omega-major); pick the winner
-    with :func:`best_cell`.
+    whatever ``omega_grid`` holds. Every cell may run to ``max_outer``. The
+    grid runs shift by shift, so GADI on ex241 and ex242 in exact inner mode
+    reads every omega of a shift off one HSS run, as the sweep policy does.
+    Returns the BenchmarkRow of each cell in grid order (omega-major); pick
+    the winner with :func:`best_cell`.
     """
     if (alpha_grid is not None and len(alpha_grid) == 0) or len(omega_grid) == 0:
         raise ValueError("sweep grids must be nonempty")
@@ -261,9 +294,11 @@ def sweep_params(spec, method, alpha_grid, omega_grid, tol=1e-5, inner="exact",
     if alpha_grid is None:
         alpha_grid = _auto_grid(_auto_alpha(spec, problem, method))
     omegas = _swept_omegas(method, omega_grid)
-    points = [(a, w) for a in alpha_grid for w in omegas]
-    rows = [row for row, _ in _solve_points(spec, problem, method, points, cfg, max_outer)]
-    return [row for j in range(len(omegas)) for row in rows[j::len(omegas)]]
+    by_shift = []
+    for a in alpha_grid:
+        cell = _shift_cells(spec, problem, method, a, cfg)
+        by_shift.append([cell(w, max_outer)[0] for w in omegas])
+    return [at_shift[j] for j in range(len(omegas)) for at_shift in by_shift]
 
 
 def best_cell(cells):

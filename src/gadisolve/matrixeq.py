@@ -380,9 +380,9 @@ def newton_gadi_riccati(problem, outer_tol=1e-6, max_outer=30, inner_forcing=(0.
     A forcing term of the order of the residual keeps Newton's local
     quadratic convergence (Dembo, Eisenstat & Steihaug 1982). The outer loop
     stops when Res(X) = ||A* X + X A + Q - X G X||_2 / ||Q||_2 < outer_tol,
-    or after ``max_outer`` steps; both are checked as by SolveConfig. The
-    default shift ``alpha`` is that of the lifted real part, as for
-    :func:`solve_lyapunov_gadi`.
+    or after ``max_outer`` steps; outer_tol must be finite and positive, and
+    max_outer at least 1. The default shift ``alpha`` is that of the lifted
+    real part, as for :func:`solve_lyapunov_gadi`.
 
     Two safeguards keep the iteration well posed: a start whose first step
     operator is numerically singular is inflated by a multiple of the
@@ -395,7 +395,10 @@ def newton_gadi_riccati(problem, outer_tol=1e-6, max_outer=30, inner_forcing=(0.
     ``converged=False``. Bad arguments raise a one-line ValueError.
     """
     t0 = time.perf_counter()
-    SolveConfig(tol=outer_tol, max_outer=max_outer)  # the checks of a sweep's tol and budget
+    if not (outer_tol > 0 and np.isfinite(outer_tol)):
+        raise ValueError(f"outer_tol must be finite and positive, got {outer_tol}")
+    if max_outer < 1:
+        raise ValueError(f"max_outer must be at least 1, got {max_outer}")
     eta_max, eta_fac = inner_forcing
     if not all(np.isfinite(f) and f > 0 for f in (eta_max, eta_fac)):
         raise ValueError(f"inner_forcing entries must be finite and positive, got {inner_forcing}")

@@ -8,15 +8,16 @@ is omega for GADI and 0 for every other method). PMHSS runs with the
 preconditioner V = W, and MHSS is the PMHSS row with V = I.
 :func:`step` runs one sweep and :func:`run_stationary` sweeps to a
 tolerance. Each sweep solves two shifted subsystems; in "exact" inner mode
-the coefficients are factorized once per shift and kept on the system, in
-"iterative" mode they are solved by CG (Hermitian positive definite
-coefficients) or COCG (complex symmetric coefficients) to 1e-2 times the
-current residual. One sweep loop, :func:`_sweep`, drives every method and the
-Lyapunov and Newton sweeps of :mod:`gadisolve.matrixeq`.
+the coefficients are factorized once per solve, in "iterative" mode they are
+solved by CG (Hermitian positive definite coefficients) or COCG (complex
+symmetric coefficients) to 1e-2 times the current residual. One sweep loop,
+:func:`_sweep`, drives every method and the Lyapunov and Newton sweeps of
+:mod:`gadisolve.matrixeq`. Beside it, :func:`_mixed_gadi` reads the GADI
+solves of every omega at one shift off a single HSS run.
 """
 import functools
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
@@ -69,17 +70,13 @@ class ComplexSymSystem:
     enforced at construction because the Kronecker-lifted systems used for
     matrix equations have indefinite T.
 
-    The system is frozen, so what it keeps cannot go stale: the bound shift of
-    W (:attr:`bound_shift`, one eigensolve per system), and in exact inner
-    mode the factorized half-step pair of the last (method-table row builder,
-    alpha) it was solved at. That is one slot, replaced when the key changes,
-    so one shift's factors are alive at a time and a sweep over omega at one
-    shift factorizes once.
+    The system is frozen, so the one thing it keeps cannot go stale: the
+    bound shift of W (:attr:`bound_shift`, one eigensolve per system). It
+    keeps no factors; a solve's factorizations live as long as the solve.
     """
     W: object
     T: object
     b: np.ndarray
-    _factors: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         _check_data(self.W, self.T)
@@ -104,17 +101,6 @@ class ComplexSymSystem:
 
     def dense_matrix(self):
         return _dense(self.W) + 1j * _dense(self.T)
-
-    def _factorized(self, key, M1, M2):
-        """DirectSolvers of the half-step coefficients M1, M2 built for ``key``.
-
-        Factorizes only when ``key`` differs from the slot's; the old pair is
-        dropped first, so two pairs are never alive together.
-        """
-        if key not in self._factors:
-            self._factors.clear()
-            self._factors[key] = (DirectSolver(M1), DirectSolver(M2))
-        return self._factors[key]
 
 
 @dataclass
@@ -250,19 +236,15 @@ def _inner_tol(res):
 def _make_step(system, params, config):
     """The sweep of ``params.method`` on ``system`` as ``step(x, res) -> (x_next, inner)``.
 
-    In exact inner mode the two half-step solvers come from the system's
-    factor slot, keyed by the method-table row builder and alpha: the
-    coefficients depend on nothing else, so consecutive solves at one shift
-    share one factorization whatever their omega (gadi and hss share the
-    ``_gadi`` builder, hence the slot). In iterative mode CG/COCG solve the
+    In exact inner mode the two half-step coefficients are factorized here,
+    once for every sweep of the step. In iterative mode CG/COCG solve the
     half-steps to :func:`_inner_tol` of the current residual ``res``, in at
     most 4 n + 100 Krylov steps each. An InnerSolverError is tagged with the
     half-step it came from. ``inner`` counts Krylov steps.
     """
     W, n = system.W, system.n
     mode = config.resolved_inner(n)
-    builder = _METHODS[params.method][1]
-    M1, k1, M2, k2, rhs1, rhs2 = builder(
+    M1, k1, M2, k2, rhs1, rhs2 = _METHODS[params.method][1](
         W, system.T, system.b, _eye_like(W, n), params.alpha, params.relaxation)
 
     def half_step(M, kind, which):
@@ -277,7 +259,7 @@ def _make_step(system, params, config):
         return solve
 
     if mode == "exact":
-        direct1, direct2 = system._factorized((builder, params.alpha), M1, M2)
+        direct1, direct2 = DirectSolver(M1), DirectSolver(M2)
         half1 = lambda rhs, tol: (direct1.solve(rhs), 0)
         half2 = lambda rhs, tol: (direct2.solve(rhs), 0)
     else:
@@ -332,6 +314,67 @@ def _sweep(make_step, residual, x, tol, max_sweeps, guard=False):
         if guard and grow >= 6 and res > 2.0 * history[0][1]:
             raise _Diverged(report())
     return x, report()
+
+
+def _mixed_gadi(system, alpha, tol):
+    """The GADI solves of every omega at shift ``alpha``, read off one HSS run.
+
+    Returns ``solve(omega, max_sweeps) -> SolveReport``, the report of
+    :func:`run_stationary` with ``SplitParams("gadi", alpha, omega)``, exact
+    inner mode, ``tol`` and ``max_sweeps``, up to rounding. The method table's
+    gadi row gives GADI_w(x) = th HSS(x) + (1 - th) x with th = 1 - w/2, and
+    both maps are affine, so from x = 0 the k-th GADI iterate is the binomial
+    mix ``sum_j C(k, j) th^j (1 - th)^(k-j) y_j`` of the HSS iterates y_j. The
+    weights are positive and sum to 1, so the residual is the same mix of the
+    HSS residual vectors R_j, and a solve makes no matvec. At omega = 0 the
+    RES is that of R_k itself, bit for bit that of run_stationary.
+
+    The HSS run is shared by every solve: it factorizes at its first sweep,
+    is extended one sweep at a time as far as a solve asks, and keeps only the
+    residual vectors reached, in rows grown geometrically. A factorization
+    failure raises from each solve that needs a sweep.
+    """
+    b, n = system.b, system.n
+    nb = np.linalg.norm(b)
+    if nb == 0.0:
+        raise ValueError("b = 0: relative residual is undefined")
+    R = np.empty((8, n), complex)
+    R[0] = b
+    y = np.zeros(n, complex)
+    reached = 1
+    hss = None
+
+    def extend(k):
+        """Run the HSS sweeps up to y_k, keeping R_k = b - A y_k."""
+        nonlocal R, y, reached, hss
+        while reached <= k:
+            hss = hss or _make_step(system, SplitParams("gadi", alpha, 0.0),
+                                    SolveConfig(inner="exact"))
+            y = hss(y, 0.0)[0]
+            if reached == len(R):
+                R = np.concatenate([R, np.empty_like(R)])
+            R[reached] = b - system.matvec(y)
+            reached += 1
+
+    def solve(omega, max_sweeps):
+        th = 1.0 - omega / 2.0
+        c = np.zeros(8)  # c[j] weighs y_j in the current iterate; zero beyond it
+        c[0] = 1.0
+
+        def mix(k, res):
+            nonlocal c
+            extend(k + 1)
+            if k + 2 > len(c):
+                c = np.concatenate([c, np.zeros_like(c)])
+            c[1:k + 2] = th * c[:k + 1] + (1.0 - th) * c[1:k + 2]
+            c[0] *= 1.0 - th
+            return k + 1, 0
+
+        def residual(k):
+            r = R[k] if omega == 0.0 else (c[:k + 1] @ R[:k + 1].view(float)).view(complex)
+            return float(np.linalg.norm(r) / nb)
+        return _sweep(lambda: mix, residual, 0, tol, max_sweeps)[1]
+    return solve
 
 
 def step(system, params, x, config=None):

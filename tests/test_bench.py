@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from gadisolve.bench import (SWEEP_OMEGAS, BenchmarkRow, ParamPolicy, RunConfig,
+from gadisolve.bench import (SWEEP_MAX_OUTER, SWEEP_OMEGAS, BenchmarkRow, ParamPolicy, RunConfig,
                              best_cell, build_preset, main, parse_csv,
                              run_grid, sweep_params, write_convergence_series,
                              write_csv)
@@ -74,15 +74,36 @@ def _count_solves(monkeypatch):
     return calls
 
 
+def _count_hss_runs(monkeypatch):
+    """One list per HSS run a GADI sweep makes (one per shift), holding the
+    report of each cell read off that run."""
+    from gadisolve import bench
+    runs = []
+    original = bench._mixed_gadi
+
+    def counted(system, alpha, tol):
+        solve, cells = original(system, alpha, tol), []
+        runs.append(cells)
+
+        def cell(omega, max_sweeps):
+            cells.append(solve(omega, max_sweeps))
+            return cells[-1]
+        return cell
+    monkeypatch.setattr(bench, "_mixed_gadi", counted)
+    return runs
+
+
 def test_sweep_policy_reuses_the_winning_cell(monkeypatch):
     spec = ProblemSpec("ex241", m=4, stencil="unit")
     cells = sweep_params(spec, "gadi", None, SWEEP_OMEGAS, tol=1e-5)
     best = best_cell(cells)
+    runs = _count_hss_runs(monkeypatch)
     calls = _count_solves(monkeypatch)
     reports = []
     cfg = RunConfig((spec,), ("gadi",), ParamPolicy("sweep"), tol=1e-5)
     (row,) = run_grid(cfg, on_report=lambda r, rep: reports.append(rep))
-    assert len(calls) == len(cells) == 21 * 3  # no second solve of the winner
+    assert len(runs) == 21 and sum(map(len, runs)) == len(cells) == 21 * 3
+    assert calls == []  # no second solve of the winner
     assert (row.alpha, row.omega, row.it, row.res) == (best.alpha, best.omega, best.it, best.res)
     assert len(reports) == 1 and reports[0].iterations == row.it
 
@@ -90,10 +111,12 @@ def test_sweep_policy_reuses_the_winning_cell(monkeypatch):
 def test_sweep_policy_without_a_converged_cell_solves_once_more(monkeypatch):
     spec = ProblemSpec("ex241", m=4, stencil="unit")
     best = best_cell(sweep_params(spec, "gadi", None, SWEEP_OMEGAS, tol=1e-300, max_outer=3))
+    runs = _count_hss_runs(monkeypatch)
     calls = _count_solves(monkeypatch)
     cfg = RunConfig((spec,), ("gadi",), ParamPolicy("sweep"), tol=1e-300, max_outer=3)
     (row,) = run_grid(cfg)
-    assert len(calls) == 21 * 3 + 1
+    assert len(runs) == 21 and sum(map(len, runs)) == 21 * 3
+    assert len(calls) == 1  # the best cell again, with the full max_outer
     assert not row.converged and row.it == 3
     assert (row.alpha, row.omega) == (best.alpha, best.omega)
 
@@ -106,20 +129,34 @@ def test_sweep_policy_without_a_converged_cell_solves_once_more(monkeypatch):
 def test_capped_sweep_policy_finds_the_full_grid_winner(monkeypatch, spec):
     full = sweep_params(spec, "gadi", None, SWEEP_OMEGAS)
     best = best_cell(full)
-    reports = []
-    from gadisolve import bench
-    original = bench.run_stationary
-
-    def recorded(*args):
-        x, report = original(*args)
-        reports.append(report)
-        return x, report
-    monkeypatch.setattr(bench, "run_stationary", recorded)
+    runs = _count_hss_runs(monkeypatch)
+    calls = _count_solves(monkeypatch)
     (row,) = run_grid(RunConfig((spec,), ("gadi",), ParamPolicy("sweep")))
     assert (row.alpha, row.omega, row.it, row.res) == (best.alpha, best.omega, best.it, best.res)
     # every cell still runs, but none beyond the best converged count so far
-    assert len(reports) == len(full)
+    reports = [report for cells in runs for report in cells]
+    assert len(runs) == 21 and len(reports) == len(full) and calls == []
     assert sum(r.iterations for r in reports) < sum(c.it for c in full)
+    cap = SWEEP_MAX_OUTER
+    for report in reports:
+        assert report.iterations <= cap
+        if report.converged:
+            cap = min(cap, report.iterations)
+
+
+def test_a_factorization_failure_fails_every_omega_of_its_shift(monkeypatch):
+    from gadisolve import splitting
+
+    def singular(M):
+        raise RuntimeError("Factor is exactly singular")
+    monkeypatch.setattr(splitting, "DirectSolver", singular)
+    spec = ProblemSpec("ex241", m=4, stencil="unit")
+    cells = sweep_params(spec, "gadi", None, SWEEP_OMEGAS)
+    assert len(cells) == 21 * 3
+    assert all(not c.converged and c.it == 0 and math.isnan(c.res) for c in cells)
+    assert [c.omega for c in cells] == [w for w in SWEEP_OMEGAS for _ in range(21)]
+    (row,) = run_grid(RunConfig((spec,), ("gadi",), ParamPolicy("sweep")))
+    assert not row.converged and row.it == 0
 
 
 def test_uncapped_ex421_sweep_policy_finds_the_full_grid_winner():
@@ -154,8 +191,10 @@ def test_sweep_params_factorizes_each_shift_once(monkeypatch):
             made.append(M.shape)
             super().__init__(M)
     monkeypatch.setattr(splitting, "DirectSolver", Counted)
+    runs = _count_hss_runs(monkeypatch)
     cells = sweep_params(ProblemSpec("ex241", m=4, stencil="unit"), "gadi", None, SWEEP_OMEGAS)
     assert len(cells) == 21 * 3
+    assert [len(run) for run in runs] == [3] * 21  # every omega of a shift from one HSS run
     assert len(made) == 2 * 21  # one pair per shift, not per (shift, omega)
     # the cells come back omega-major, each omega's shifts in ascending order
     assert [c.omega for c in cells] == [w for w in SWEEP_OMEGAS for _ in range(21)]

@@ -242,6 +242,31 @@ def test_cocg_benchmark_subsystems_vs_direct(m):
     assert np.linalg.norm(x - xd) <= 1e-10 * np.linalg.norm(xd)
 
 
+# -- direct solves --------------------------------------------------------------
+
+@pytest.mark.parametrize("dense", [False, True], ids=["sparse", "dense"])
+def test_direct_complex_rhs_on_real_factor_equals_two_real_solves(dense):
+    import scipy.linalg as sla
+    import scipy.sparse.linalg as spla
+
+    from gadisolve import DirectSolver
+    system = gen_ex241(16, "500h", stencil="unit")
+    M = system.W + 3.0 * sp.eye(system.n, format="csr")
+    M = M.toarray() if dense else M
+    solver = DirectSolver(M)
+    lu = sla.lu_factor(M) if dense else spla.splu(sp.csc_matrix(M))
+    real_solve = (lambda v: sla.lu_solve(lu, v)) if dense else lu.solve
+    local = np.random.default_rng(16)
+    for _ in range(50):
+        b = local.standard_normal(system.n) + 1j * local.standard_normal(system.n)
+        two = real_solve(b.real) + 1j * real_solve(b.imag)
+        assert np.array_equal(solver.solve(b).view(float), two.view(float))
+    B = local.standard_normal((system.n, 3)) + 1j * local.standard_normal((system.n, 3))
+    X = solver.solve(B)
+    assert X.shape == B.shape
+    assert np.linalg.norm(M @ X - B) <= 1e-12 * np.linalg.norm(B)
+
+
 # -- coordinate text formats --------------------------------------------------
 
 def test_matrix_round_trip(tmp_path):

@@ -338,15 +338,17 @@ def test_newton_early_exit_at_exact_solution():
 
 
 @pytest.mark.parametrize("kwargs", [
-    {"outer_tol": np.inf}, {"max_outer": -2},
+    {"outer_tol": np.inf}, {"outer_tol": 0.0}, {"max_outer": -2},
     {"inner_forcing": (-1.0, 0.1)}, {"inner_forcing": (np.nan, 0.1)},
     {"inner_forcing": (0.1, 0.0)}, {"inner_forcing": (0.1, np.inf)},
-], ids=["outer_tol=inf", "max_outer=-2", "eta_max=-1", "eta_max=nan", "eta_fac=0",
-        "eta_fac=inf"])
+], ids=["outer_tol=inf", "outer_tol=0", "max_outer=-2", "eta_max=-1", "eta_max=nan",
+        "eta_fac=0", "eta_fac=inf"])
 def test_newton_rejects_bad_arguments(kwargs):
     with pytest.raises(ValueError) as info:
         newton_gadi_riccati(gen_ex421(8), **kwargs)
     assert "\n" not in str(info.value)
+    (name,) = kwargs
+    assert str(info.value).startswith(f"{name} ")  # the message names the argument
 
 
 def test_newton_restart_guard_on_expansive_start():

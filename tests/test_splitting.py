@@ -343,7 +343,8 @@ def test_default_alpha_eigensolves_each_system_once(monkeypatch):
     assert len(calls) == 1
 
 
-def test_exact_solves_at_one_shift_share_one_factor_pair(monkeypatch):
+def test_exact_solves_keep_no_factors(monkeypatch):
+    import dataclasses
     import gc
     import weakref
 
@@ -356,20 +357,68 @@ def test_exact_solves_at_one_shift_share_one_factor_pair(monkeypatch):
             made.append(M.shape)
             alive.add(self)
     monkeypatch.setattr(splitting, "DirectSolver", Tracked)
+    assert [f.name for f in dataclasses.fields(ComplexSymSystem)] == ["W", "T", "b"]
     config = SolveConfig(tol=1e-8, inner="exact")
     system = gen_ex241(m=4, tau_mode="h")
     alpha = default_alpha(system, "gadi")
-    run_stationary(system, SplitParams("gadi", alpha, 0.01), config)
-    x, report = run_stationary(system, SplitParams("gadi", alpha, 0.1), config)
-    run_stationary(system, SplitParams("hss", alpha), config)  # gadi's builder at w = 0
-    assert len(made) == 2
-    fresh_x, fresh = run_stationary(gen_ex241(m=4, tau_mode="h"),
-                                    SplitParams("gadi", alpha, 0.1), config)
-    assert np.array_equal(x, fresh_x)
-    assert report.residual_history == fresh.residual_history
-    run_stationary(system, SplitParams("gadi", 2 * alpha, 0.1), config)
+    # two solves on one system are those of fresh systems, bit for bit
+    for omega in (0.01, 0.1):
+        x, report = run_stationary(system, SplitParams("gadi", alpha, omega), config)
+        fresh_x, fresh = run_stationary(gen_ex241(m=4, tau_mode="h"),
+                                        SplitParams("gadi", alpha, omega), config)
+        assert np.array_equal(x, fresh_x)
+        assert report.residual_history == fresh.residual_history
     gc.collect()
-    assert len(made) == 6 and len(alive) == 2  # the slot holds the new shift's pair only
+    assert len(made) == 8 and len(alive) == 0  # no factor outlives its solve
+
+
+# -- every omega of a shift from one HSS run -------------------------------------
+
+MIX_FAMILIES = {
+    "ex241-h": lambda m: gen_ex241(m, "h", stencil="unit"),
+    "ex241-500h": lambda m: gen_ex241(m, "500h", stencil="unit"),
+    "ex242": lambda m: gen_ex242(m, stencil="unit"),
+}
+MIX_CONFIG = SolveConfig(tol=1e-5, max_outer=200, inner="exact")
+
+
+def _mix_shift(system, index):
+    from gadisolve.bench import _auto_grid
+    return float(_auto_grid(default_alpha(system, "gadi"))[index])
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=60)
+@given(family=st.sampled_from(sorted(MIX_FAMILIES)), m=st.integers(1, 6),
+       index=st.integers(0, 20),
+       omegas=st.lists(st.sampled_from([0.5, 1.0, 1.5])
+                       | st.floats(0.0, 2.0, exclude_max=True), min_size=1, max_size=3))
+def test_mixed_gadi_solves_match_direct_solves(family, m, index, omegas):
+    # the omegas of one example share the HSS run, which each solve extends
+    # as far as it needs
+    from gadisolve import splitting
+    system = MIX_FAMILIES[family](m)
+    alpha = _mix_shift(system, index)
+    solve = splitting._mixed_gadi(system, alpha, MIX_CONFIG.tol)
+    for omega in omegas:
+        mixed = solve(omega, MIX_CONFIG.max_outer)
+        direct = run_stationary(system, SplitParams("gadi", alpha, omega), MIX_CONFIG)[1]
+        assert (mixed.iterations, mixed.converged) == (direct.iterations, direct.converged)
+        assert abs(mixed.final_res - direct.final_res) <= 1e-9 * direct.final_res
+
+
+@pytest.mark.parametrize("family", sorted(MIX_FAMILIES))
+def test_mixed_gadi_at_omega_0_is_the_hss_solve_bit_for_bit(family):
+    from gadisolve import splitting
+    system = MIX_FAMILIES[family](6)
+    alpha = _mix_shift(system, 3)
+    solve = splitting._mixed_gadi(system, alpha, MIX_CONFIG.tol)
+    solve(1.5, 40)  # a solve that runs the HSS sweeps first changes nothing
+    for max_sweeps in (2, MIX_CONFIG.max_outer):
+        mixed = solve(0.0, max_sweeps)
+        direct = run_stationary(system, SplitParams("hss", alpha), SolveConfig(
+            tol=MIX_CONFIG.tol, max_outer=max_sweeps, inner="exact"))[1]
+        assert mixed.residual_history == direct.residual_history
+        assert mixed.converged == direct.converged
 
 
 def test_invalid_params_rejected():
