@@ -25,7 +25,7 @@ import os
 import re
 import sys
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -75,14 +75,16 @@ class ParamPolicy:
     means the method's default shift or DEFAULT_OMEGA. "sweep": the
     geometric shift grid around the default shift, times SWEEP_OMEGAS for a
     method that relaxes, reporting the single best cell (fewest iterations,
-    residual tiebreak, then smaller alpha). It finds the full grid's winner
-    with less work: the shifts run nearest the default first, and a cell
-    stops once it has taken as many sweeps as the best converged cell so far
-    (except on ex421, whose IT counts inner sweeps). GADI on ex241 and ex242
-    in exact inner mode reads all the omegas of a shift off one HSS run at
-    that shift (GADI relaxes HSS), so a shift costs one factorization and
-    the sweeps of its slowest cell. A row records the omega its sweeps ran
-    with, 0 for a method that does not relax.
+    residual tiebreak, then smaller alpha). It runs the grid in the same
+    shift-by-shift loop as :func:`sweep_params`, but finds the full grid's
+    winner with less work: the shifts run nearest the default first, and a
+    cell stops once it has taken as many sweeps as the best converged cell so
+    far (except on ex421, whose IT counts inner sweeps). GADI on ex241 and
+    ex242 in exact inner mode reads all the omegas of a shift off one HSS run
+    at that shift (GADI relaxes HSS), so a shift costs one factorization and
+    the sweeps of its slowest cell; a fixed point is always its own solve. A
+    row records the omega its sweeps ran with, 0 for a method that does not
+    relax.
     """
     kind: str = "fixed"
     points: tuple = ((None, None),)
@@ -102,14 +104,13 @@ class RunConfig:
     inner: str = "exact"
     max_outer: int = 500
     series: bool = False
+    # the solver settings of a cell, checked here: a cell may lower max_outer
+    solve_config: SolveConfig = field(init=False, repr=False)
 
     def __post_init__(self):
         if not self.problems or not self.methods:
             raise ValueError("problem and method lists must be nonempty")
-        if not self.tol > 0:
-            raise ValueError(f"tol must be positive, got {self.tol}")
-        if not math.isfinite(self.tol):
-            raise ValueError(f"tol must be finite, got {self.tol}")
+        self.solve_config = SolveConfig(self.tol, self.max_outer, self.inner)
         for spec in self.problems:
             allowed = METHODS_BY_FAMILY[spec.family]
             for method in self.methods:
@@ -143,75 +144,70 @@ def _auto_grid(alpha_star, points=21):
     return tuple(np.geomspace(alpha_star / 5.0, 5.0 * alpha_star, points))
 
 
-def _solve_cell(spec, problem, params, cfg, max_outer):
-    """Run one benchmark cell; returns its SolveReport."""
-    if spec.family == "ex421":
-        result = newton_gadi_riccati(problem, outer_tol=cfg.tol, alpha=params.alpha,
-                                     omega=params.omega)
-        return SolveReport(result.converged, result.outer_iterations,
-                           result.final_res, result.res_history,
-                           result.wall_time, result.inner_iteration_total)
-    config = SolveConfig(tol=cfg.tol, max_outer=max_outer, inner=cfg.inner)
-    solver = run_stationary
-    if spec.family == "ex31":
-        solver = solve_lyapunov_gadi if params.method == "gadi" else solve_lyapunov_hss
-    return solver(problem, params, config)[1]
+def _cells(spec, problem, method, alpha, cfg, mix=False):
+    """The cells of ``method`` at shift ``alpha``, as ``cell(omega, max_outer) -> (row, report)``.
 
-
-def _row(spec, method, params, solve):
-    """Run ``solve() -> SolveReport`` as one cell of ``method``; returns (row, report).
-
-    A row records the omega the sweeps ran with, SplitParams.relaxation. A
-    solver failure becomes a non-converged row with report None.
-    """
-    t0 = time.perf_counter()
-    try:
-        report = solve()
-        # the ex421 history is indexed by outer step, and its IT column
-        # carries the cumulative inner sweep count
-        it = report.inner_iteration_total if spec.family == "ex421" else report.iterations
-        res, converged = report.final_res, report.converged
-    except (RuntimeError, NotPositiveDefiniteError) as err:
-        report, converged = None, False
-        res = getattr(err, "residual", math.nan)
-        res = res if np.isfinite(res) else math.nan
-        it = int(getattr(err, "iterations", 0))
-    return (BenchmarkRow(method, spec.dimension, spec.label(), params.alpha,
-                         params.relaxation, res, it, time.perf_counter() - t0, converged),
-            report)
-
-
-def _params(method, alpha, omega):
-    return SplitParams(METHOD_ALIASES.get(method, method), float(alpha), float(omega))
-
-
-def _solve_points(spec, problem, method, points, cfg, max_outer):
-    """Solve each (alpha, omega) point on its own; returns [(row, report)]."""
-    out = []
-    for alpha, omega in points:
-        params = _params(method, alpha, omega)
-        out.append(_row(spec, method, params,
-                        lambda: _solve_cell(spec, problem, params, cfg, max_outer)))
-    return out
-
-
-def _shift_cells(spec, problem, method, alpha, cfg):
-    """The sweep cells at one shift, as ``cell(omega, max_outer) -> (row, report)``.
-
+    Newton-GADI runs on ex421, whose ``max_outer`` counts Newton steps and
+    whose IT column the inner sweeps; a Lyapunov solve on ex31. With ``mix``,
     GADI on ex241 and ex242 in exact inner mode reads every omega off one HSS
     run at the shift (splitting._mixed_gadi), giving the rows separate solves
-    would give; every other cell is its own solve.
+    would give; otherwise a cell is one run_stationary solve. A row records
+    the omega the sweeps ran with, SplitParams.relaxation. A solver failure
+    becomes a non-converged row with report None.
     """
-    if not (spec.family in ("ex241", "ex242") and METHOD_ALIASES.get(method, method) == "gadi"
-            and SolveConfig(inner=cfg.inner).resolved_inner(problem.n) == "exact"):
-        return lambda omega, max_outer: _solve_points(
-            spec, problem, method, [(alpha, omega)], cfg, max_outer)[0]
-    mixed = _mixed_gadi(problem, float(alpha), cfg.tol)
+    name = METHOD_ALIASES.get(method, method)
+    config = lambda max_outer: replace(cfg.solve_config, max_outer=max_outer)
+    if spec.family == "ex421":
+        def solve(params, max_outer):
+            result = newton_gadi_riccati(problem, outer_tol=cfg.tol, max_outer=max_outer,
+                                         alpha=params.alpha, omega=params.omega)
+            return SolveReport(result.converged, result.outer_iterations,
+                               result.final_res, result.res_history,
+                               result.wall_time, result.inner_iteration_total)
+    elif spec.family == "ex31":
+        lyapunov = solve_lyapunov_gadi if name == "gadi" else solve_lyapunov_hss
+        solve = lambda params, max_outer: lyapunov(problem, params, config(max_outer))[1]
+    elif mix and name == "gadi" and cfg.solve_config.resolved_inner(problem.n) == "exact":
+        mixed = _mixed_gadi(problem, float(alpha), cfg.tol)
+        solve = lambda params, max_outer: mixed(params.omega, max_outer)
+    else:
+        solve = lambda params, max_outer: run_stationary(problem, params, config(max_outer))[1]
 
     def cell(omega, max_outer):
-        params = _params(method, alpha, omega)
-        return _row(spec, method, params, lambda: mixed(params.omega, max_outer))
+        params = SplitParams(name, float(alpha), float(omega))
+        t0 = time.perf_counter()
+        try:
+            report = solve(params, max_outer)
+            it = report.inner_iteration_total if spec.family == "ex421" else report.iterations
+            res, converged = report.final_res, report.converged
+        except (RuntimeError, NotPositiveDefiniteError) as err:
+            report, converged = None, False
+            res = getattr(err, "residual", math.nan)
+            res = res if np.isfinite(res) else math.nan
+            it = int(getattr(err, "iterations", 0))
+        return (BenchmarkRow(method, spec.dimension, spec.label(), params.alpha,
+                             params.relaxation, res, it, time.perf_counter() - t0, converged),
+                report)
     return cell
+
+
+def _grid(spec, problem, method, shifts, omegas, cfg, max_outer, capped):
+    """Every (shift, omega) cell, shift by shift; returns [(row, report)] shift-major.
+
+    The omegas of a shift share one :func:`_cells`, so GADI reads them off
+    one HSS run where it can. With ``capped`` no cell may take more sweeps
+    than the best converged cell so far: one that needs more cannot win, and
+    the cap is inclusive, so a tie still competes on RES and then on alpha.
+    """
+    solved = []
+    for a in shifts:
+        cell = _cells(spec, problem, method, a, cfg, mix=True)
+        for w in omegas:
+            solved.append(cell(w, max_outer))
+            row = solved[-1][0]
+            if capped and row.converged:
+                max_outer = min(max_outer, row.it)
+    return solved
 
 
 def _method_rows(cfg, spec, problem, method):
@@ -221,26 +217,15 @@ def _method_rows(cfg, spec, problem, method):
         points = [(auto() if alpha is None else alpha, DEFAULT_OMEGA if omega is None else omega)
                   for alpha, omega in cfg.policy.points]
     else:
-        # sweep: the single best cell of the grid. A winner that converged
-        # within the sweep cap is what a full solve would give. The nominal
-        # shift comes first, and each shift's omegas run together, from one
-        # HSS run where they can. No cell may take more sweeps than the best
-        # converged cell so far: one that needs more cannot win, and the cap
-        # is inclusive, so a tie still competes on RES and then on alpha.
-        # ex421's IT column counts inner sweeps, which max_outer does not
-        # bound, so its cells run uncapped.
+        # sweep: the single best cell of the grid, nominal shift first. A
+        # winner that converged within the sweep cap is what a full solve
+        # would give. ex421's IT column counts inner sweeps, while its
+        # max_outer counts Newton steps, so its cells run uncapped.
         alpha_star = auto()
         omegas = _swept_omegas(method)
         shifts = sorted(_auto_grid(alpha_star), key=lambda a: (abs(math.log(a / alpha_star)), a))
-        cap = min(cfg.max_outer, SWEEP_MAX_OUTER)
-        solved = []
-        for a in shifts:
-            cell = _shift_cells(spec, problem, method, a, cfg)
-            for w in omegas:
-                solved.append(cell(w, cap))
-                row = solved[-1][0]
-                if row.converged and spec.family != "ex421":
-                    cap = min(cap, row.it)
+        solved = _grid(spec, problem, method, shifts, omegas, cfg,
+                       min(cfg.max_outer, SWEEP_MAX_OUTER), capped=spec.family != "ex421")
         rows = [row for row, _ in solved]
         win = best_cell(rows)
         if win.converged:
@@ -252,7 +237,8 @@ def _method_rows(cfg, spec, problem, method):
         if ran:
             win = best_cell(ran)
             points = [(win.alpha, win.omega)]
-    return _solve_points(spec, problem, method, points, cfg, cfg.max_outer)
+    return [_cells(spec, problem, method, alpha, cfg)(omega, cfg.max_outer)
+            for alpha, omega in points]
 
 
 def run_grid(cfg, on_report=None):
@@ -279,11 +265,12 @@ def sweep_params(spec, method, alpha_grid, omega_grid, tol=1e-5, inner="exact",
 
     ``alpha_grid`` None selects the geometric grid around the method's
     default shift. A method that does not relax runs at omega 0 alone,
-    whatever ``omega_grid`` holds. Every cell may run to ``max_outer``. The
-    grid runs shift by shift, so GADI on ex241 and ex242 in exact inner mode
-    reads every omega of a shift off one HSS run, as the sweep policy does.
-    Returns the BenchmarkRow of each cell in grid order (omega-major); pick
-    the winner with :func:`best_cell`.
+    whatever ``omega_grid`` holds. Every cell may run to ``max_outer``
+    sweeps (Newton steps on ex421). The grid runs in the sweep policy's
+    shift-by-shift loop, uncapped, so GADI on ex241 and ex242 in exact inner
+    mode reads every omega of a shift off one HSS run. Returns the
+    BenchmarkRow of each cell in grid order (omega-major); pick the winner
+    with :func:`best_cell`.
     """
     if (alpha_grid is not None and len(alpha_grid) == 0) or len(omega_grid) == 0:
         raise ValueError("sweep grids must be nonempty")
@@ -294,11 +281,9 @@ def sweep_params(spec, method, alpha_grid, omega_grid, tol=1e-5, inner="exact",
     if alpha_grid is None:
         alpha_grid = _auto_grid(_auto_alpha(spec, problem, method))
     omegas = _swept_omegas(method, omega_grid)
-    by_shift = []
-    for a in alpha_grid:
-        cell = _shift_cells(spec, problem, method, a, cfg)
-        by_shift.append([cell(w, max_outer)[0] for w in omegas])
-    return [at_shift[j] for j in range(len(omegas)) for at_shift in by_shift]
+    rows = [row for row, _ in _grid(spec, problem, method, alpha_grid, omegas, cfg,
+                                    max_outer, capped=False)]
+    return [row for j in range(len(omegas)) for row in rows[j::len(omegas)]]
 
 
 def best_cell(cells):

@@ -144,7 +144,7 @@ class SolveConfig:
 
     def __post_init__(self):
         if not self.tol > 0:
-            raise ValueError("tol must be positive")
+            raise ValueError(f"tol must be positive, got {self.tol}")
         if not np.isfinite(self.tol):
             raise ValueError(f"tol must be finite, got {self.tol}")
         if self.max_outer < 1:

@@ -9,7 +9,7 @@ from gadisolve.bench import (SWEEP_MAX_OUTER, SWEEP_OMEGAS, BenchmarkRow, ParamP
                              run_grid, sweep_params, write_convergence_series,
                              write_csv)
 from gadisolve.problems import ProblemSpec
-from gadisolve.splitting import SolveReport
+from gadisolve.splitting import DEFAULT_OMEGA, SolveReport
 
 
 # -- run_grid -------------------------------------------------------------------
@@ -60,6 +60,59 @@ def test_indefinite_inner_cg_recorded_as_failed_rows():
     rows = run_grid(cfg)
     assert [r.algorithm for r in rows] == ["gadi", "mhss"]
     assert not any(r.converged for r in rows)
+
+
+def test_run_config_checks_its_solver_settings():
+    specs, methods = (ProblemSpec("ex241", m=2),), ("gadi",)
+    for kwargs, message in (({"max_outer": 0}, "max_outer must be at least 1"),
+                            ({"inner": "fast"}, "inner must be 'auto', 'exact' or 'iterative'"),
+                            ({"tol": -1.0}, "tol must be positive, got -1.0")):
+        with pytest.raises(ValueError, match=message):
+            RunConfig(specs, methods, **kwargs)
+    # the mixed GADI path solves without a SolveConfig of its own, so the
+    # check must come before any cell runs, as it does for mhss and ex31
+    for spec, method in ((ProblemSpec("ex241", m=4, stencil="unit"), "gadi"),
+                         (ProblemSpec("ex241", m=4, stencil="unit"), "mhss"),
+                         (ProblemSpec("ex31", n=4), "gadi")):
+        with pytest.raises(ValueError, match="max_outer must be at least 1"):
+            sweep_params(spec, method, (1.0,), (0.01,), max_outer=0)
+
+
+def test_solve_config_names_a_nonpositive_tol():
+    from gadisolve import SolveConfig
+    with pytest.raises(ValueError, match="tol must be positive, got -1.0"):
+        SolveConfig(tol=-1.0)
+
+
+def test_max_outer_bounds_the_newton_steps():
+    spec = ProblemSpec("ex421", n=8)
+    policy = ParamPolicy("fixed", points=((None, 0.01),))
+    (full,) = run_grid(RunConfig((spec,), ("newton-gadi",), policy))
+    reports = []
+    (row,) = run_grid(RunConfig((spec,), ("newton-gadi",), policy, max_outer=1),
+                      on_report=lambda r, rep: reports.append(rep))
+    assert full.converged and not row.converged
+    assert reports[0].iterations == 1 and row.it < full.it
+
+
+def test_fixed_policy_cells_are_direct_solves(monkeypatch):
+    # fig1 and fig2 write the GADI series of a fixed cell: it must be
+    # run_stationary's, not a history read off an HSS run
+    from gadisolve import SolveConfig, SplitParams, default_alpha, run_stationary
+    spec = ProblemSpec("ex241", m=4, stencil="unit")
+    runs = _count_hss_runs(monkeypatch)
+    reports = []
+    points = ((None, None), (None, 0.0), (1.0, 0.5))
+    run_grid(RunConfig((spec,), ("gadi",), ParamPolicy("fixed", points=points), inner="exact"),
+             on_report=lambda row, report: reports.append((row, report)))
+    assert runs == [] and len(reports) == len(points)
+    system = spec.build()
+    for (row, report), (alpha, omega) in zip(reports, points):
+        params = SplitParams("gadi", default_alpha(system, "gadi") if alpha is None else alpha,
+                             DEFAULT_OMEGA if omega is None else omega)
+        direct = run_stationary(system, params, SolveConfig(1e-5, 500, "exact"))[1]
+        assert row.omega == params.omega
+        assert report.residual_history == direct.residual_history
 
 
 def _count_solves(monkeypatch):

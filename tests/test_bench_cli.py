@@ -192,6 +192,20 @@ def test_solve_failure_prints_a_false_row_and_exits_1(tmp_path, capsys):
     assert not series.exists()  # no report, so no series
 
 
+NEWTON = ["solve", "--family", "ex421", "--n", "8", "--method", "newton-gadi"]
+
+
+def test_max_outer_counts_newton_steps_on_ex421(capsys):
+    assert main(NEWTON + ["--max-outer", "1"]) == 1  # one Newton step does not converge
+    (row,) = csv.DictReader(capsys.readouterr().out.splitlines())
+    assert row["converged"] == "false"
+
+
+def test_max_outer_0_exits_2_on_ex421(capsys):
+    code, err = _exit_code(NEWTON + ["--max-outer", "0"], capsys)
+    assert code == 2 and "solve: max_outer must be at least 1" in err
+
+
 # -- the omega column is the omega the sweeps ran with ------------------------------------
 
 @pytest.mark.parametrize("method, omega", [("gadi", "0.5"), ("hss", "0"), ("mhss", "0"),
