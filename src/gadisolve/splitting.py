@@ -10,7 +10,8 @@ preconditioner V = W, and MHSS is the PMHSS row with V = I.
 tolerance. Each sweep solves two shifted subsystems; in "exact" inner mode
 the coefficients are factorized once per solve, in "iterative" mode they are
 solved by CG (Hermitian positive definite coefficients) or COCG (complex
-symmetric coefficients) to 1e-2 times the current residual. One sweep loop,
+symmetric coefficients) to 1e-2 times the current residual, each warm-started
+from its previous solution. One sweep loop,
 :func:`_sweep`, drives every method and the Lyapunov and Newton sweeps of
 :mod:`gadisolve.matrixeq`. Beside it, :func:`_mixed_gadi` reads the GADI
 solves of every omega at one shift off a single HSS run.
@@ -137,6 +138,9 @@ class SolveConfig:
     inner: "exact" (direct factorization), "iterative" (CG/COCG), or "auto"
     (exact up to n = 4096). In iterative mode both half-step solves run to
     the relative tolerance 1e-2 * (current outer residual), floored at 1e-14.
+    From a solve's second sweep on, each half-step is warm-started from its
+    previous solution; its Krylov tolerance is rescaled so that the absolute
+    target, tol * ||rhs||, is that of a solve started from zero.
     """
     tol: float = 1e-6
     max_outer: int = 1000
@@ -239,8 +243,13 @@ def _make_step(system, params, config):
     In exact inner mode the two half-step coefficients are factorized here,
     once for every sweep of the step. In iterative mode CG/COCG solve the
     half-steps to :func:`_inner_tol` of the current residual ``res``, in at
-    most 4 n + 100 Krylov steps each. An InnerSolverError is tagged with the
-    half-step it came from. ``inner`` counts Krylov steps.
+    most 4 n + 100 Krylov steps each. From the second sweep on, each half-step
+    is warm-started from its own previous solution x_prev: it solves the
+    correction M d = rhs - M x_prev to the relative tolerance that keeps the
+    cold solve's absolute target ``tol * ||rhs||``, and returns x_prev + d.
+    A real coefficient is cast to complex once here, so no product upcasts it
+    again. An InnerSolverError carries the half-step iterate x_prev + d and is
+    tagged with the half-step it came from. ``inner`` counts Krylov steps.
     """
     W, n = system.W, system.n
     mode = config.resolved_inner(n)
@@ -249,13 +258,27 @@ def _make_step(system, params, config):
 
     def half_step(M, kind, which):
         krylov = cg_hpd if kind == "hpd" else cocg_sym
+        M = M.astype(complex, copy=False)
+        x_prev = None  # this half-step's last solution; the first solve is cold
 
         def solve(rhs, tol):
+            nonlocal x_prev
+            r = rhs
+            if x_prev is not None:
+                r = rhs - M @ x_prev
+                nr = np.linalg.norm(r)
+                if nr == 0.0:
+                    return x_prev, 0
+                tol *= np.linalg.norm(rhs) / nr  # keeps the cold target tol * ||rhs||
             try:
-                return krylov(M, rhs, rel_tol=tol, max_it=4 * n + 100)
+                d, steps = krylov(M, r, rel_tol=tol, max_it=4 * n + 100)
             except InnerSolverError as err:
+                if x_prev is not None:
+                    err.x = x_prev + err.x
                 err.half_step = which
                 raise
+            x_prev = d if x_prev is None else x_prev + d
+            return x_prev, steps
         return solve
 
     if mode == "exact":

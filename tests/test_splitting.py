@@ -319,6 +319,113 @@ def test_inner_failure_carries_partial_history(monkeypatch):
     assert err.report.residual_history[0] == (0, 1.0)  # zero initial guess
 
 
+@pytest.mark.parametrize("system", [gen_ex241(m=12, tau_mode="500h", stencil="unit"),
+                                    random_system(np.random.default_rng(50), 9)],
+                         ids=["sparse", "dense"])
+def test_complex_cast_coefficients_give_bit_identical_products(system):
+    # the iterative half-steps cast a real coefficient to complex once; a
+    # product must not move by a bit for it
+    from gadisolve import splitting
+    rng = np.random.default_rng(51)
+    I = splitting._eye_like(system.W, system.n)
+    for method in METHODS:
+        M1, _, M2, _, _, _ = splitting._METHODS[method][1](
+            system.W, system.T, system.b, I, 1.7, 0.3)
+        for M in (M1, M2):
+            Mc = M.astype(complex)
+            for _ in range(5):
+                v = rng.standard_normal(system.n) + 1j * rng.standard_normal(system.n)
+                assert np.array_equal(M @ v, Mc @ v), method
+
+
+def test_warm_started_inner_failure_carries_the_half_step_iterate(monkeypatch):
+    # a Krylov failure on the second sweep's warm-started first half-step
+    # reports the half-step iterate x_prev + d, not the correction d alone
+    from gadisolve import InnerSolverError, splitting
+    original, solutions = splitting.cg_hpd, []
+    partial = np.full(64, 0.5 - 0.25j)
+
+    def second_fails(M, b, rel_tol, max_it):
+        if solutions:
+            raise InnerSolverError("no convergence", x=partial, iterations=7)
+        solutions.append(original(M, b, rel_tol=rel_tol, max_it=max_it)[0])
+        return solutions[0], 1
+    monkeypatch.setattr(splitting, "cg_hpd", second_fails)
+    system = gen_ex241(m=8, tau_mode="500h", stencil="unit")
+    p = SplitParams("gadi", alpha=default_alpha(system, "gadi"))
+    with pytest.raises(InnerSolverError) as info:
+        run_stationary(system, p, SolveConfig(tol=1e-10, inner="iterative"))
+    err = info.value
+    assert np.array_equal(err.x, solutions[0] + partial)
+    assert err.half_step == "first half-step"
+    assert err.report.iterations == 1
+    assert [k for k, _ in err.report.residual_history] == [0, 1]
+
+
+@pytest.mark.parametrize("method", METHODS)
+def test_warm_started_half_steps_meet_the_cold_absolute_target(monkeypatch, method):
+    # every half-step solution x of M x = rhs meets ||rhs - M x|| <=
+    # _inner_tol(res) ||rhs||, res the residual the sweep started from, though
+    # from the second sweep on the Krylov solver sees only the correction
+    from gadisolve import splitting
+    seen = {"x": [], "rhs1": [], "xh": [], "rhs2": [], "krylov_rhs": []}
+    shift, data = splitting._METHODS[method]
+
+    def recorded(*args):
+        M1, k1, M2, k2, rhs1, rhs2 = data(*args)
+        seen["M"] = (M1, M2)
+
+        def r1(x):
+            seen["x"].append(x)
+            seen["rhs1"].append(rhs1(x))
+            return seen["rhs1"][-1]
+
+        def r2(x, xh):
+            seen["xh"].append(xh)
+            seen["rhs2"].append(rhs2(x, xh))
+            return seen["rhs2"][-1]
+        return M1, k1, M2, k2, r1, r2
+
+    def krylov(original):
+        def wrapped(M, b, rel_tol, max_it):
+            seen["krylov_rhs"].append(b)
+            return original(M, b, rel_tol=rel_tol, max_it=max_it)
+        return wrapped
+    monkeypatch.setitem(splitting._METHODS, method, (shift, recorded))
+    monkeypatch.setattr(splitting, "cg_hpd", krylov(splitting.cg_hpd))
+    monkeypatch.setattr(splitting, "cocg_sym", krylov(splitting.cocg_sym))
+    system = gen_ex241(m=16, tau_mode="500h", stencil="unit")
+    p = SplitParams(method, alpha=default_alpha(system, method))
+    x, report = run_stationary(system, p, SolveConfig(tol=1e-6, inner="iterative"))
+    assert report.converged and report.iterations >= 3
+    M1, M2 = seen["M"]
+    xn = seen["x"][1:] + [x]
+    for k in range(report.iterations):
+        tol = splitting._inner_tol(report.residual_history[k][1])
+        for M, rhs, sol in ((M1, seen["rhs1"][k], seen["xh"][k]),
+                            (M2, seen["rhs2"][k], xn[k])):
+            assert np.linalg.norm(rhs - M @ sol) <= tol * np.linalg.norm(rhs), (k, method)
+    # the first sweep is cold; every later Krylov solve is of a correction
+    krylov_rhs = seen["krylov_rhs"]
+    assert krylov_rhs[0] is seen["rhs1"][0] and krylov_rhs[1] is seen["rhs2"][0]
+    later = seen["rhs1"][1:] + seen["rhs2"][1:]
+    assert {id(b) for b in krylov_rhs[2:]}.isdisjoint(id(rhs) for rhs in later)
+
+
+def test_warm_started_iterative_mode_keeps_the_exact_sweep_counts():
+    # warm-starting cuts the Krylov steps, not the sweeps: at ex241 m = 32,
+    # 500h every method sweeps as often as in exact mode, and GADI takes at
+    # most 800 Krylov steps (1603 when every half-step started from zero)
+    system = gen_ex241(m=32, tau_mode="500h", stencil="unit")
+    for method in METHODS:
+        p = SplitParams(method, alpha=default_alpha(system, method))
+        _, exact = run_stationary(system, p, SolveConfig(tol=1e-5, inner="exact"))
+        _, iterative = run_stationary(system, p, SolveConfig(tol=1e-5, inner="iterative"))
+        assert iterative.converged and iterative.iterations == exact.iterations, method
+        if method == "gadi":
+            assert iterative.inner_iteration_total <= 800
+
+
 def test_default_alpha_rules():
     rng = np.random.default_rng(49)
     system = random_system(rng, 6)
