@@ -6,6 +6,7 @@ arrays. All routines are pure functions of their inputs. CG and COCG are one
 recurrence that differs only in its form: the Hermitian inner product for CG,
 the unconjugated bilinear form x^T y for COCG.
 """
+import itertools
 import warnings
 
 import numpy as np
@@ -223,14 +224,26 @@ class DirectSolver:
 # Vectors:         header "n", one component per line "re im".
 # Dense blocks:    header "m n", one row per line as n "re im" pairs.
 
+_ROWS_PER_WRITE = 256  # bounds the text a writer holds, whatever the file's size
+
+
+def _write_columns(fh, fmt, *columns):
+    """Write fmt.format(*row) for each row of equal-length 1-D columns.
+
+    Rows go out a block at a time, each block one string built by one join.
+    """
+    for k in range(0, len(columns[0]), _ROWS_PER_WRITE):
+        block = (c[k:k + _ROWS_PER_WRITE].tolist() for c in columns)
+        fh.write("".join(map(fmt.format, *block)))
+
+
 def save_matrix_coo(path, A):
     """Write a matrix in the plain-text coordinate format."""
     C = sp.coo_array(A)
+    vals = np.asarray(C.data, dtype=complex)
     with open(path, "w") as fh:
         fh.write(f"{C.shape[0]} {C.shape[1]} {C.nnz}\n")
-        for i, j, v in zip(C.row, C.col, C.data):
-            c = complex(v)
-            fh.write(f"{i} {j} {c.real:.17g} {c.imag:.17g}\n")
+        _write_columns(fh, "{} {} {:.17g} {:.17g}\n", C.row, C.col, vals.real, vals.imag)
 
 
 def _read_rows(fh, count, dtype):
@@ -270,8 +283,7 @@ def save_vector(path, x):
     x = np.asarray(x, dtype=complex)
     with open(path, "w") as fh:
         fh.write(f"{x.shape[0]}\n")
-        for c in x:
-            fh.write(f"{c.real:.17g} {c.imag:.17g}\n")
+        _write_columns(fh, "{:.17g} {:.17g}\n", x.real, x.imag)
 
 
 def load_vector(path):
@@ -282,10 +294,12 @@ def load_vector(path):
 
 def save_dense_block(path, M):
     M = np.asarray(M, dtype=complex)
+    pairs = np.empty((M.shape[0], 2 * M.shape[1]))  # each row as re, im, re, im, ...
+    pairs[:, 0::2], pairs[:, 1::2] = M.real, M.imag
+    row = " ".join(["{:.17g}"] * pairs.shape[1]) + "\n"
     with open(path, "w") as fh:
         fh.write(f"{M.shape[0]} {M.shape[1]}\n")
-        for row in M:
-            fh.write(" ".join(f"{c.real:.17g} {c.imag:.17g}" for c in row) + "\n")
+        fh.write("".join(itertools.starmap(row.format, pairs.tolist())))
 
 
 def load_dense_block(path):

@@ -3,6 +3,12 @@
 Provides eigenvalue extremes of SPD matrices, the bound-minimizing shift
 sqrt(gamma_min*gamma_max), the contraction bound sigma(alpha), and dense
 construction of the HSS/GADI iteration matrices with their spectral radii.
+
+Above DENSE_EIG_LIMIT the extremes come from shift-invert Lanczos at shifts
+just outside the Gershgorin interval [lo, hi] of W: lo - d for the smallest
+eigenvalue and hi + d for the largest, with d = 1e-3 (hi - lo). A shift
+below the whole spectrum targets the smallest eigenvalue whatever its sign,
+so an indefinite W is rejected, not mistaken for the eigenvalue nearest 0.
 """
 from dataclasses import dataclass
 
@@ -41,29 +47,46 @@ class IterationMatrixPair:
     omega: float
 
 
+def _gershgorin(W):
+    """Gershgorin interval [lo, hi] of a CSR matrix, from one pass over its entries."""
+    n = W.shape[0]
+    rows = np.repeat(np.arange(n), np.diff(W.indptr))
+    on = W.indices == rows
+    centre = np.bincount(rows[on], W.data[on], n)
+    radius = np.bincount(rows[~on], np.abs(W.data[~on]), n)
+    return float(np.min(centre - radius)), float(np.max(centre + radius))
+
+
 def eig_extremes_spd(W):
     """Extreme eigenvalues of a symmetric positive definite matrix.
 
-    Up to n = DENSE_EIG_LIMIT a full symmetric eigensolve gives them exactly;
-    above it, Lanczos (tolerance 1e-8) estimates the largest and
-    shift-invert Lanczos the smallest.
+    Up to n = DENSE_EIG_LIMIT a full symmetric eigensolve gives them exactly.
+    Above it, shift-invert Lanczos (tolerance 1e-8) estimates each extreme
+    from a shift just outside the Gershgorin interval [lo, hi]: lo - d for
+    gamma_min and hi + d for gamma_max, with d = 1e-3 (hi - lo). A zero-width
+    interval means W = cI, which gives (c, c) with no eigensolve.
 
-    Raises NotPositiveDefiniteError when the computed minimum is <= 0.
+    Raises NotPositiveDefiniteError when the computed minimum is <= 0; in the
+    iterative branch too, since its lower shift lies below every eigenvalue.
     """
     n = W.shape[0]
     if n <= DENSE_EIG_LIMIT:
         ev = sla.eigvalsh(_dense(W))
         out = SpectrumSummary(float(ev[0]), float(ev[-1]), "dense-exact", 0.0)
     else:
-        Ws = sp.csc_matrix(W) if sp.issparse(W) else sp.csc_matrix(np.asarray(W))
+        Ws = sp.csr_array(W)
         tol = 1e-8
-        # deterministic Lanczos start so repeated runs give identical estimates
-        v0 = np.random.default_rng(0).standard_normal(n)
-        gmax = float(spla.eigsh(Ws, k=1, which="LA", tol=tol, v0=v0,
-                                return_eigenvectors=False)[0])
-        gmin = float(spla.eigsh(Ws, k=1, sigma=0.0, which="LM", tol=tol,
-                                v0=v0, return_eigenvectors=False)[0])
-        out = SpectrumSummary(gmin, gmax, "iterative-estimate", tol)
+        lo, hi = _gershgorin(Ws)
+        if lo == hi:  # W = cI, and d = 0 would put both shifts at c: a singular factor
+            out = SpectrumSummary(lo, hi, "iterative-estimate", tol)
+        else:
+            d = 1e-3 * (hi - lo)
+            # deterministic Lanczos start so repeated runs give identical estimates
+            v0 = np.random.default_rng(0).standard_normal(n)
+            gmin, gmax = (float(spla.eigsh(Ws, k=1, sigma=sigma, which="LM", tol=tol,
+                                           v0=v0, return_eigenvectors=False)[0])
+                          for sigma in (lo - d, hi + d))
+            out = SpectrumSummary(gmin, gmax, "iterative-estimate", tol)
     if out.gamma_min <= 0:
         raise NotPositiveDefiniteError(
             f"matrix is not positive definite: minimum eigenvalue {out.gamma_min:.6e}")

@@ -352,6 +352,25 @@ def test_readers_keep_signed_zeros_and_empty_files(tmp_path):
     assert load_dense_block(tmp_path / "z.dense").tobytes() == M.tobytes()
 
 
+def test_writers_pin_exact_bytes(tmp_path):
+    from gadisolve import save_dense_block
+    x = np.array([-0.0, 0.1, 2.0, 1e-300, complex(1 / 3, -1e-300), complex(3.5, -0.0)])
+    save_vector(tmp_path / "x.vec", x)
+    assert (tmp_path / "x.vec").read_bytes() == (
+        b"6\n-0 0\n0.10000000000000001 0\n2 0\n1e-300 0\n"
+        b"0.33333333333333331 -1e-300\n3.5 -0\n")
+    A = sp.csr_array(np.array([[0.0, 0.1], [0.0, 2.0], [1e-300, 0.0]]))
+    A.data[0] = -0.0                     # a stored -0.0; real data writes imaginary 0
+    save_matrix_coo(tmp_path / "a.coo", A)
+    assert (tmp_path / "a.coo").read_bytes() == b"3 2 3\n0 1 -0 0\n1 1 2 0\n2 0 1e-300 0\n"
+    M = np.array([[complex(-0.0, 1.0), 0.1 - 2.5j], [1e-300j, 7.0]])
+    save_dense_block(tmp_path / "m.dense", M)
+    assert (tmp_path / "m.dense").read_bytes() == (
+        b"2 2\n-0 1 0.10000000000000001 -2.5\n0 1e-300 7 0\n")
+    save_dense_block(tmp_path / "e.dense", np.zeros((2, 0)))
+    assert (tmp_path / "e.dense").read_bytes() == b"2 0\n\n\n"
+
+
 def test_readers_match_a_line_by_line_parse(tmp_path):
     # reference: the per-line parse the numpy readers replaced
     r = np.random.default_rng(5)

@@ -4,7 +4,7 @@ import scipy.sparse as sp
 
 from gadisolve import (ComplexSymSystem, NotPositiveDefiniteError,
                        build_iteration_matrices, eig_extremes_spd, gen_ex31,
-                       lift_lyapunov, min_radius_alpha, optimal_alpha,
+                       gen_ex241, lift_lyapunov, min_radius_alpha, optimal_alpha,
                        sigma_bound, spectral_radius)
 from helpers import match_multisets, random_psd, random_spd, random_system
 
@@ -54,6 +54,41 @@ def test_extremes_iterative_mode_agrees_with_dense(monkeypatch):
 def test_extremes_rejects_indefinite():
     with pytest.raises(NotPositiveDefiniteError):
         eig_extremes_spd(np.diag([1.0, -0.5]))
+
+
+@pytest.mark.parametrize("W", [
+    sp.diags_array(np.r_[-5.0, np.linspace(1.0, 10.0, 300)]),
+    # eigenvalues 1 - 2 cos(k pi/302); the one nearest 0 is +0.006, the least -1
+    sp.diags_array([-np.ones(300), np.ones(301), -np.ones(300)], offsets=[-1, 0, 1]),
+], ids=["diag", "tridiag-minus-identity"])
+def test_extremes_iterative_mode_rejects_indefinite(monkeypatch, W):
+    from gadisolve import spectral
+    monkeypatch.setattr(spectral, "DENSE_EIG_LIMIT", 300)  # n = 301 is above it
+    with pytest.raises(NotPositiveDefiniteError):
+        eig_extremes_spd(sp.csr_array(W))
+
+
+def test_extremes_iterative_mode_scalar_matrix(monkeypatch):
+    # zero-width Gershgorin interval: d = 0 would put both shifts at 2.5, a singular factor
+    from gadisolve import spectral
+    monkeypatch.setattr(spectral, "DENSE_EIG_LIMIT", 299)
+    s = eig_extremes_spd(2.5 * sp.eye_array(300, format="csr"))
+    assert (s.gamma_min, s.gamma_max) == (2.5, 2.5)
+    assert s.method == "iterative-estimate"
+
+
+@pytest.mark.parametrize("m", [48, 96])
+@pytest.mark.parametrize("tau_mode", ["h", "500h"])
+def test_extremes_iterative_mode_ex241_closed_form(m, tau_mode):
+    # W = K + c I with K = I (x) V + V (x) I, V = tridiag(-1, 2, -1): n = m^2 is
+    # above DENSE_EIG_LIMIT, so these are the Lanczos estimates at full size
+    h = 1.0 / (m + 1)
+    c = (3.0 - np.sqrt(3.0)) / (h if tau_mode == "h" else 500.0 * h)
+    s = eig_extremes_spd(gen_ex241(m, tau_mode, "unit").W)
+    assert s.method == "iterative-estimate"
+    for got, k in ((s.gamma_min, 1), (s.gamma_max, m)):
+        want = c + 2.0 * (2.0 - 2.0 * np.cos(k * np.pi / (m + 1)))
+        assert abs(got - want) <= 1e-12 * want
 
 
 # -- optimal shift and the contraction bound -----------------------------------
