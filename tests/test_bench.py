@@ -510,9 +510,24 @@ def test_unknown_preset_rejected():
 
 # -- the pinned reproduction rows ---------------------------------------------------
 
-# every column but CPU of the table4 and table5 presets; the table4 GADI rows
-# match the reference digit for digit, and table5 at n = 8 gives 37 sweeps
+# every column but CPU of the table3, table4 and table5 presets; table3 is the
+# one preset that runs Lyapunov GADI at omega != 0, the table4 GADI rows match
+# the reference digit for digit, and table5 at n = 8 gives 37 sweeps
 PINNED_ROWS = {
+    "table3": """\
+gadi,16,"ex31(n=16,t=0.01)",2.619756743,0.01,5.8459e-06,19,true
+gadi,16,"ex31(n=16,t=0.01)",2.619756743,0.1,6.7647e-06,20,true
+gadi,16,"ex31(n=16,t=0.01)",2.619756743,0,5.3789e-06,19,true
+gadi,16,"ex31(n=16,t=0.01)",2.619756743,0.5,7.3836e-06,27,true
+gadi,16,"ex31(n=16,t=0.01)",2.619756743,1,9.0998e-06,43,true
+gadi,16,"ex31(n=16,t=0.01)",2.619756743,1.5,9.2320e-06,92,true
+gadi,16,"ex31(n=16,t=0.1)",3.081044239,0.01,7.0055e-06,15,true
+gadi,16,"ex31(n=16,t=0.1)",3.081044239,0.1,7.3900e-06,16,true
+gadi,16,"ex31(n=16,t=0.1)",3.081044239,0,6.4057e-06,15,true
+gadi,16,"ex31(n=16,t=0.1)",3.081044239,0.5,8.2237e-06,22,true
+gadi,16,"ex31(n=16,t=0.1)",3.081044239,1,9.1637e-06,36,true
+gadi,16,"ex31(n=16,t=0.1)",3.081044239,1.5,9.4291e-06,78,true
+""",
     "table4": """\
 hss,8,"ex31(n=8,t=0.01)",5.291740428,0,8.9841e-06,10,true
 gadi,8,"ex31(n=8,t=0.01)",5.291740428,0,8.9841e-06,10,true
