@@ -4,12 +4,14 @@ Under column-stacking vec, A* X + X A = Q with A = W + iT is the system
 (W~ + iT~) x = q of size n^2, with W~ = W (x) I + I (x) W and
 T~ = T (x) I - I (x) T. Its GADI sweeps, and HSS as GADI at omega = 0, run
 on n x n iterates: the half-steps aX + WX + XW = R and aX + i(XT - TX) = R
-are diagonal in the eigenbasis of W and of T. Newton steps
-A_k* X + X A_k = Q_k (A_k = A - G X_k) of the Riccati equation
-A* X + X A + Q - X G X = 0 run the same sweep; their second half-step
-(aI - iT - S) X + X (iT - S^H) = R, S = X_k G, is solved by Bartels-Stewart
-(one complex Schur form per Newton step, LAPACK trsyl per sweep). The sparse
-lifts are built only as reference operators.
+are diagonal in the eigenbasis of W and of T, and a Lyapunov sweep keeps its
+iterate in those bases. Newton steps A_k* X + X A_k = Q_k (A_k = A - G X_k)
+of the Riccati equation A* X + X A + Q - X G X = 0 run the same sweep on
+X itself; their second half-step (aI - iT - S) X + X (iT - S^H) = R,
+S = X_k G, is solved by Bartels-Stewart (one complex Schur form per Newton
+step, LAPACK trsyl per sweep). Products of the real W, T and eigenvector
+matrices with a complex iterate are real products on its real and imaginary
+parts. The sparse lifts are built only as reference operators.
 """
 import time
 from dataclasses import dataclass, field
@@ -176,62 +178,137 @@ def _lift_shift(lam):
     return 2.0 * float(np.sqrt(lam[0] * lam[-1]))
 
 
-def _diagonal_solver(eig, coeff):
-    """Solver of a lifted half-step that the eigenbasis (lam, U) of a symmetric
-    matrix diagonalizes: entry (i, j) of U^T X U has coefficient coeff(lam_i, lam_j)."""
-    lam, U = eig
-    d = coeff(lam[:, None], lam[None, :])
-    return lambda R: U @ ((U.T @ R @ U) / d) @ U.T
+def _q_norm(Q, ord):
+    nq = np.linalg.norm(Q, ord)
+    if nq == 0.0:
+        raise ValueError("Q = 0: relative residual is undefined")
+    return nq
+
+
+def _left(M, Z):
+    """M @ Z for a real M and a complex Z: one real product on the interleaved
+    real and imaginary parts of Z, so M is never converted to complex."""
+    return (M @ np.ascontiguousarray(Z).view(np.float64)).view(np.complex128)
+
+
+def _right(Z, M):
+    """Z @ M for a complex Z and a real M, as (M^T Z^T)^T."""
+    return _left(M.T, Z.T).T
+
+
+def _congruence(M, Z):
+    """M^T Z M for a real M and a complex Z."""
+    return _right(_left(M.T, Z), M)
 
 
 def _first_half(eig_W, a):
-    """Solver of (aI + W~) x = r: aX + WX + XW = R."""
-    return _diagonal_solver(eig_W, lambda li, lj: a + li + lj)
+    """Solver of (aI + W~) x = r: aX + WX + XW = R, diagonal in the eigenbasis
+    (lam, U) of W, where entry (i, j) of U^T X U has coefficient a + lam_i + lam_j."""
+    lam, U = eig_W
+    d = a + lam[:, None] + lam[None, :]
+    return lambda R: _congruence(U.T, _congruence(U, R) / d)
 
 
-def _second_half(T, a):
-    """Solver of (aI + iT~) x = r: aX + i(XT - TX) = R."""
-    return _diagonal_solver(_eigh(T), lambda li, lj: a + 1j * (lj - li))
+class _EigenSweep:
+    """The lifted GADI sweep (HSS at omega = 0) of A* X + X A = Q, held in the
+    eigenbases W = U diag(lam) U^T and T = V diag(mu) V^T.
+
+    With Lw_ij = lam_i + lam_j and E_ij = i(mu_j - mu_i), WX + XW is Lw * X_U
+    in U coordinates (X_U = U^T X U) and i(XT - TX) is E * Y in V coordinates
+    (Y = V^T X V), so both half-steps are divisions. A state is
+    (Y, X_U, r_U), with r_U = U^T R U for the residual R = Q - A* X - X A; it
+    changes basis through the real P = U^T V, six products of P with a complex
+    n x n matrix per sweep, and ||r_U||_F = ||R||_F.
+    """
+
+    def __init__(self, problem, eig_W, params):
+        lam, U = eig_W
+        mu, self.V = _eigh(problem.T)
+        self.P = U.T @ self.V
+        self.Lw = lam[:, None] + lam[None, :]
+        self.E = 1j * (mu[None, :] - mu[:, None])
+        a, om = params.alpha, params.relaxation
+        self.D1, self.D2 = a + self.Lw, a + self.E
+        self.F, self.b = self.E - (1 - om) * a, (2 - om) * a
+        self.Q_U = _congruence(U, problem.Q)
+
+    def state(self, Y):
+        """The state of the iterate V Y V^T, with X_U = P Y P^T and
+        (i(XT - TX))_U = P (E * Y) P^T."""
+        X_U = _congruence(self.P.T, Y)
+        return Y, X_U, self.Q_U - self.Lw * X_U - _congruence(self.P.T, self.E * Y)
+
+    def X(self, Y):
+        """The iterate V Y V^T of V coordinates Y."""
+        return _congruence(self.V.T, Y)
+
+    def first(self, state):
+        """V^T Xh V for the first half-step's (aI + W~) xh = a x - i T~ x + q,
+        which is r_U / D1 + X_U in U coordinates."""
+        _, X_U, r_U = state
+        return _congruence(self.P, r_U / self.D1 + X_U)
+
+    def second(self, state, Xh_V):
+        """The state after the second half-step
+        (aI + iT~) x' = (iT~ - (1 - w) aI) x + (2 - w) a xh."""
+        return self.state((self.F * state[0] + self.b * Xh_V) / self.D2)
+
+    def step(self, state, res):
+        return self.second(state, self.first(state)), 0
 
 
 def _second_part(T, S, X):
-    """i(XT - TX), less SX + XS^H for a Newton step: the second half-step's part."""
-    iTX = 1j * (X @ T - T @ X)
-    return iTX if S is None else iTX - (S @ X + X @ S.conj().T)
+    """K(X) = i(XT - TX) - (SX + XS^H): the second half-step's part of a Newton
+    step operator, for a dense T."""
+    return 1j * (_right(X, T) - _left(T, X)) - (S @ X + X @ S.conj().T)
 
 
-def _lifted(problem, S, X):
-    """The whole lifted operator in n x n form: WX + XW plus the second part."""
-    return problem.W @ X + X @ problem.W + _second_part(problem.T, S, X)
+def _lifted(W, X, K):
+    """The whole lifted operator in n x n form, WX + XW + K, for a dense W and
+    the second part K = K(X)."""
+    return _left(W, X) + _right(X, W) + K
 
 
-def _gadi_step(problem, S, Q, half1, half2, params):
-    """The GADI sweep of a lifted system, on n x n iterates (HSS at omega = 0)."""
+def _newton_step(T, S, Q, half1, half2, params):
+    """The GADI sweep of a Newton step equation on states (X, K(X)), so that
+    the sweep and the residual share each iterate's second part."""
     a, om = params.alpha, params.relaxation
 
-    def step(X, res):
-        SX = _second_part(problem.T, S, X)
-        Xh = half1(a * X - SX + Q)
-        return half2(SX - (1 - om) * a * X + (2 - om) * a * Xh), 0
+    def step(state, res):
+        X, K = state
+        Xh = half1(a * X - K + Q)
+        X = half2(K - (1 - om) * a * X + (2 - om) * a * Xh)
+        return (X, _second_part(T, S, X)), 0
     return step
 
 
 def _solve_lyapunov(problem, method, params, config):
     config = config or SolveConfig(tol=1e-6, max_outer=500)
-    nq = np.linalg.norm(problem.Q, "fro")
-    if nq == 0.0:
-        raise ValueError("Q = 0: relative residual is undefined")
+    nq = _q_norm(problem.Q, "fro")
     eig_W = _eigh(problem.W)
     if params is None:
         params = SplitParams(method, alpha=_lift_shift(eig_W[0]))
     if params.method not in ("gadi", "hss"):
         raise ValueError(f"Lyapunov sweeps are 'gadi' or 'hss', got {params.method!r}")
-    n = problem.n
-    Q, a = problem.Q, params.alpha
-    return _sweep(lambda: _gadi_step(problem, None, Q, _first_half(eig_W, a),
-                                     _second_half(problem.T, a), params),
-                  lambda X: float(np.linalg.norm(Q - _lifted(problem, None, X)) / nq),
-                  np.zeros((n, n), dtype=complex), config.tol, config.max_outer)
+    sweep, tol = _EigenSweep(problem, eig_W, params), config.tol
+
+    # the residual in eigen coordinates decides while it is above tol; at or
+    # below tol the residual of X decides and is reported, and X = 0 has RES 1
+    def residual(state):
+        Y, _, r_U = state
+        if not Y.any():
+            return 1.0
+        res = float(np.linalg.norm(r_U) / nq)
+        return lyapunov_residual(problem, sweep.X(Y)) if res <= tol else res
+
+    state, report = _sweep(lambda: sweep.step, residual,
+                           sweep.state(np.zeros((problem.n, problem.n), dtype=complex)),
+                           tol, config.max_outer)
+    X = sweep.X(state[0])
+    if not report.converged:  # its last RES was taken in the eigenbases
+        report.final_res = lyapunov_residual(problem, X)
+        report.residual_history[-1] = (report.iterations, report.final_res)
+    return X, report
 
 
 def solve_lyapunov_gadi(problem, params=None, config=None):
@@ -239,6 +316,10 @@ def solve_lyapunov_gadi(problem, params=None, config=None):
 
     Returns ``(X, SolveReport)``; the report's residuals are the lifted
     relative residuals, which coincide with ||Q - A*X - XA||_F / ||Q||_F.
+    The sweeps hold the iterate in the eigenbases of W and T and take the
+    residual there; once that is at or below tol, and after the last sweep,
+    the residual of the iterate's X decides and is reported. X = 0 has RES
+    exactly 1.
     With ``params=None`` the shift is sqrt(gamma_min*gamma_max) of the lifted
     real part and omega is DEFAULT_OMEGA. The sweeps start at X = 0, and of
     ``config`` only ``tol`` and ``max_outer`` apply.
@@ -253,9 +334,7 @@ def solve_lyapunov_hss(problem, params=None, config=None):
 
 def lyapunov_residual(problem, X):
     """Relative residual ||Q - A* X - X A||_F / ||Q||_F."""
-    nq = np.linalg.norm(problem.Q, "fro")
-    if nq == 0.0:
-        raise ValueError("Q = 0: relative residual is undefined")
+    nq = _q_norm(problem.Q, "fro")
     A = problem.dense_A()
     X = np.asarray(X)
     return float(np.linalg.norm(problem.Q - A.conj().T @ X - X @ A, "fro") / nq)
@@ -283,12 +362,12 @@ def newton_initial_guess(problem):
 
 def riccati_residual(problem, X):
     """Relative residual ||A* X + X A + Q - X G X||_2 / ||Q||_2 (spectral norm)."""
-    nq = np.linalg.norm(problem.Q, 2)
-    if nq == 0.0:
-        raise ValueError("Q = 0: relative residual is undefined")
-    A = problem.dense_A()
-    X = np.asarray(X)
-    R = A.conj().T @ X + X @ A + problem.Q - X @ problem.G @ X
+    nq = _q_norm(problem.Q, 2)
+    return _riccati_res(problem.dense_A(), problem.G, problem.Q, nq, np.asarray(X))
+
+
+def _riccati_res(A, G, Q, nq, X):
+    R = A.conj().T @ X + X @ A + Q - X @ G @ X
     return float(np.linalg.norm(R, 2) / nq)
 
 
@@ -325,7 +404,7 @@ def load_riccati_problem(stem):
                           load_dense_block(f"{stem}.Q.dense"))
 
 
-def _ensure_invertible_start(problem, X0, max_tries=60):
+def _ensure_invertible_start(problem, A, X0, max_tries=60):
     """Inflate X0 by c*I while the first Newton step equation is numerically singular.
 
     The step operator of A_0 = A - G X_0 is singular exactly when two
@@ -334,7 +413,6 @@ def _ensure_invertible_start(problem, X0, max_tries=60):
     inflation preserves Hermitian structure and leaves well-posed starts
     untouched.
     """
-    A = problem.dense_A()
     n = problem.n
     c = 0.0
     for _ in range(max_tries):
@@ -404,10 +482,11 @@ def newton_gadi_riccati(problem, outer_tol=1e-6, max_outer=30, inner_forcing=(0.
         raise ValueError(f"inner_forcing entries must be finite and positive, got {inner_forcing}")
     n = problem.n
     X = newton_initial_guess(problem) if x0 is None else np.asarray(x0, dtype=complex).copy()
-    X, _ = _ensure_invertible_start(problem, X)
-    A = problem.dense_A()
-    G = problem.G
-    eig_W = _eigh(problem.W)
+    A, G = problem.dense_A(), problem.G
+    X, _ = _ensure_invertible_start(problem, A, X)
+    W, T = _dense(problem.W), _dense(problem.T)
+    nq = _q_norm(problem.Q, 2)
+    eig_W = _eigh(W)
     params = SplitParams("gadi", _lift_shift(eig_W[0]) if alpha is None else float(alpha), omega)
     half1 = _first_half(eig_W, params.alpha)
 
@@ -419,7 +498,7 @@ def newton_gadi_riccati(problem, outer_tol=1e-6, max_outer=30, inner_forcing=(0.
     stagnant = 0
     prev_res = np.inf
     while True:
-        res = riccati_residual(problem, X)
+        res = _riccati_res(A, G, problem.Q, nq, X)
         history.append((k, res))
         if res < outer_tol or k >= max_outer or stagnant >= 3:
             return RiccatiResult(
@@ -435,10 +514,10 @@ def newton_gadi_riccati(problem, outer_tol=1e-6, max_outer=30, inner_forcing=(0.
         # eps_abs, and a residual that keeps growing means the lifted term
         # g_lift pushed the contraction factor above one
         try:
-            Xn, inner = _sweep(
-                lambda: _gadi_step(problem, S, Q_k, half1,
-                                   _sylvester_solver(problem.T, S, params.alpha), params),
-                lambda Y: np.linalg.norm(_lifted(problem, S, Y) - Q_k), X,
+            (Xn, _), inner = _sweep(
+                lambda: _newton_step(T, S, Q_k, half1,
+                                     _sylvester_solver(T, S, params.alpha), params),
+                lambda xk: np.linalg.norm(_lifted(W, *xk) - Q_k), (X, _second_part(T, S, X)),
                 np.nextafter(eps_abs, -np.inf), NEWTON_MAX_INNER, guard=True)
         except _Diverged as div:
             total_inner += div.args[0].iterations

@@ -138,6 +138,33 @@ def test_lyapunov_report_residual_matches_matrix_residual():
     assert abs(report.final_res - mat) <= 1e-10 * max(mat, 1e-30)
 
 
+@pytest.mark.parametrize("solver", [solve_lyapunov_hss, solve_lyapunov_gadi])
+@pytest.mark.parametrize("t", [0.01, 0.1])
+@pytest.mark.parametrize("n", [16, 32, 64])
+def test_lyapunov_report_residual_is_that_of_the_returned_X(n, t, solver):
+    # the sweeps take RES in the eigenbases; the stopping RES is that of X,
+    # and that of the start X = 0 is exactly 1
+    p = gen_ex31(n, t)
+    X, report = solver(p, config=SolveConfig(tol=1e-6, max_outer=500))
+    assert report.converged and report.residual_history[0] == (0, 1.0)
+    mat = lyapunov_residual(p, X)
+    assert abs(report.final_res - mat) <= 1e-10 * mat
+    X, report = solver(p, config=SolveConfig(tol=1e-6, max_outer=5))
+    assert not report.converged
+    assert report.residual_history[-1] == (5, report.final_res)
+    assert report.final_res == lyapunov_residual(p, X)
+
+
+@pytest.mark.parametrize("tol", [1.0, 2.0])
+@pytest.mark.parametrize("solver", [solve_lyapunov_hss, solve_lyapunov_gadi])
+def test_lyapunov_tol_of_one_or_more_makes_no_sweep(solver, tol):
+    # at n = 16 the norm of Q in the eigenbasis of W rounds to above ||Q||
+    X, report = solver(gen_ex31(16, 0.1), config=SolveConfig(tol=tol, max_outer=500))
+    assert report.converged and report.iterations == 0
+    assert report.final_res == 1.0 and report.residual_history == [(0, 1.0)]
+    assert X.shape == (16, 16) and not X.any()
+
+
 def test_lyapunov_hss_scalar_two_sweeps():
     X, report = solve_lyapunov_hss(scalar_lyapunov(), config=SolveConfig(tol=1e-10, max_outer=50))
     assert report.converged

@@ -9,8 +9,8 @@ from hypothesis import strategies as st
 from gadisolve import (LyapunovProblem, NewtonState, RiccatiProblem,
                        SplitParams, build_newton_lift, lift_lyapunov,
                        step, unvec, vec)
-from gadisolve.matrixeq import (_eigh, _first_half, _gadi_step, _lifted,
-                                _second_half, _sylvester_solver)
+from gadisolve.matrixeq import (_congruence, _eigh, _EigenSweep, _first_half, _lifted,
+                                _newton_step, _second_part, _sylvester_solver)
 from helpers import random_psd, random_spd, symmetrize
 
 TOL = 1e-12
@@ -51,6 +51,21 @@ def lifted_solve(M, r):
     return spla.spsolve(sp.csc_array(M, dtype=complex), r)
 
 
+def eigen_sweep(p, params, X):
+    """The eigen-coordinate sweep of ``p`` and the state of the iterate X."""
+    sweep = _EigenSweep(p, _eigh(p.W), params)
+    return sweep, sweep.state(_congruence(sweep.V, X))
+
+
+def assert_state_is(p, sweep, state, lift, x):
+    """The state holds the iterate x, and its r_U is U^T R U for the lifted
+    residual R = q - (w_lift + i t_lift) x."""
+    n = p.n
+    assert rel(vec(sweep.X(state[0])), x) <= TOL
+    r = lift.q - lift.w_lift @ x - 1j * (lift.t_lift @ x)
+    assert rel(state[2], _congruence(_eigh(p.W)[1], unvec(r, n, n))) <= TOL
+
+
 @PROPERTY
 @given(**INSTANCE)
 def test_lyapunov_half_steps_match_lift(n, seed, a, om):
@@ -58,11 +73,15 @@ def test_lyapunov_half_steps_match_lift(n, seed, a, om):
     p = lyapunov(rng, n)
     lift = lift_lyapunov(p)
     I = sp.eye_array(n * n)
-    R = cmatrix(rng, n)
-    want1 = unvec(lifted_solve(a * I + lift.w_lift, vec(R)), n, n)
-    assert rel(_first_half(_eigh(p.W), a)(R), want1) <= TOL
-    want2 = unvec(lifted_solve(a * I + 1j * lift.t_lift, vec(R)), n, n)
-    assert rel(_second_half(p.T, a)(R), want2) <= TOL
+    X = cmatrix(rng, n)
+    x = vec(X)
+    sweep, state = eigen_sweep(p, SplitParams("gadi", a, om), X)
+    Xh_V = sweep.first(state)
+    tx = 1j * (lift.t_lift @ x)
+    xh = lifted_solve(a * I + lift.w_lift, a * x - tx + lift.q)
+    assert rel(vec(sweep.X(Xh_V)), xh) <= TOL
+    want = lifted_solve(a * I + 1j * lift.t_lift, tx - (1 - om) * a * x + (2 - om) * a * xh)
+    assert_state_is(p, sweep, sweep.second(state, Xh_V), lift, want)
 
 
 @PROPERTY
@@ -74,11 +93,11 @@ def test_lyapunov_sweeps_and_residual_match_lift(n, seed, a, om):
     X = cmatrix(rng, n)
     for method in ("gadi", "hss"):
         params = SplitParams(method, a, om)
-        sweep = _gadi_step(p, None, p.Q, _first_half(_eigh(p.W), a), _second_half(p.T, a), params)
-        want = step(lift.as_system(), params, vec(X))
-        assert rel(vec(sweep(X, None)[0]), want) <= TOL
-    want = lift.w_lift @ vec(X) + 1j * (lift.t_lift @ vec(X))
-    assert rel(vec(_lifted(p, None, X)), want) <= TOL
+        sweep, state = eigen_sweep(p, params, X)
+        assert_state_is(p, sweep, state, lift, vec(X))
+        new, inner = sweep.step(state, None)
+        assert inner == 0
+        assert_state_is(p, sweep, new, lift, step(lift.as_system(), params, vec(X)))
 
 
 @PROPERTY
@@ -91,7 +110,10 @@ def test_newton_half_step_sweep_and_residual_match_lift(n, seed, a, om):
     m1 = a * I + lift.w_lift
     m2 = a * I + 1j * lift.t_lift - lift.g_lift
     R = cmatrix(rng, n)
-    half2 = _sylvester_solver(p.T, S, a)
+    half1 = _first_half(_eigh(p.W), a)
+    assert rel(half1(R), unvec(lifted_solve(m1, vec(R)), n, n)) <= TOL
+    T = p.T.toarray()
+    half2 = _sylvester_solver(T, S, a)
     assert rel(half2(R), unvec(lifted_solve(m2, vec(R)), n, n)) <= TOL
 
     X = cmatrix(rng, n)
@@ -99,7 +121,9 @@ def test_newton_half_step_sweep_and_residual_match_lift(n, seed, a, om):
     Sx = 1j * (lift.t_lift @ x) - lift.g_lift @ x
     xh = lifted_solve(m1, a * x - Sx + lift.q)
     want = lifted_solve(m2, Sx - (1 - om) * a * x + (2 - om) * a * xh)
-    step = _gadi_step(p, S, state.Q_k, _first_half(_eigh(p.W), a), half2,
-                      SplitParams("gadi", a, om))
-    assert rel(vec(step(X, None)[0]), want) <= TOL
-    assert rel(vec(_lifted(p, S, X)), lift.matvec(x)) <= TOL
+    step = _newton_step(T, S, state.Q_k, half1, half2, SplitParams("gadi", a, om))
+    (Xn, K), inner = step((X, _second_part(T, S, X)), None)
+    assert inner == 0
+    assert rel(vec(Xn), want) <= TOL
+    assert np.array_equal(K, _second_part(T, S, Xn))
+    assert rel(vec(_lifted(p.W.toarray(), X, _second_part(T, S, X))), lift.matvec(x)) <= TOL
