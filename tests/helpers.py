@@ -50,3 +50,56 @@ def match_multisets(a, b):
     cost = np.abs(a[:, None] - b[None, :])
     rows, cols = linear_sum_assignment(cost)
     return float(cost[rows, cols].max())
+
+
+# -- the exact per-mode oracle of the ex241/ex242 families -----------------------
+#
+# In both families W and T are c K + d I for the one grid Laplacian
+# K = I (x) V + V (x) I, so the orthonormal 2-D DST-I S (symmetric, its own
+# inverse) diagonalizes both: S W S = diag(lam), S T S = diag(mu). Every
+# method's iteration matrix is then diagonal, with one factor g_j per mode,
+# and from x = 0 the residual after k sweeps is exactly g^k (.) S b.
+
+def joint_sine_factors(system):
+    """(lam, mu, S b) of a system that the 2-D DST-I diagonalizes; asserts
+    the diagonalization on a random probe."""
+    from scipy.fft import dstn
+    n = system.n
+    m = int(round(np.sqrt(n)))
+    assert m * m == n
+
+    def S(v):
+        return dstn(np.asarray(v).reshape(m, m), type=1, norm="ortho").ravel()
+    ones = S(np.ones(n))
+    lam, mu = S(system.W @ ones), S(system.T @ ones)
+    v = np.random.default_rng(5).standard_normal(n)
+    for d, M in ((lam, system.W), (mu, system.T)):
+        assert np.linalg.norm(S(M @ S(v)) - d * v) <= 1e-12 * np.abs(d).max() * np.linalg.norm(v)
+    return lam, mu, S(system.b)
+
+
+def mode_factors(method, lam, mu, a, w=0.0):
+    """The per-mode iteration factors g_j of ``method`` at shift a, relaxation w."""
+    if method in ("hss", "gadi"):
+        t = (a - lam) * (a - 1j * mu) / ((a + lam) * (a + 1j * mu))
+        return ((2 - w) * t + w) / 2
+    if method == "pmhss":  # V = W: MHSS with a lam_j for a
+        a = a * lam
+    if method in ("mhss", "pmhss"):
+        return (a + 1j * lam) * (a - 1j * mu) / ((a + mu) * (a + lam))
+    if method == "cri":
+        return (a * a + 1) * lam * mu / ((a * lam + mu) * (a * mu + lam))
+    if method == "tscsp":
+        return -(a * lam - mu) * (lam - a * mu) / ((a * mu + lam) * (a * lam + mu))
+    raise ValueError(f"no mode factors for {method!r}")
+
+
+def predicted_history(g, sb, nb, tol, max_sweeps):
+    """RES_k = ||g^k (.) S b|| / ||b|| for k = 0, 1, ... until RES_k <= tol or
+    k = max_sweeps; the last index is the predicted IT."""
+    r = np.asarray(sb, dtype=complex)
+    history = [np.linalg.norm(r) / nb]
+    while history[-1] > tol and len(history) <= max_sweeps:
+        r = g * r
+        history.append(np.linalg.norm(r) / nb)
+    return history
