@@ -81,9 +81,11 @@ class ParamPolicy:
     cell stops once it has taken as many sweeps as the best converged cell so
     far (except on ex421, whose IT counts inner sweeps). GADI on ex241 and
     ex242 in exact inner mode reads all the omegas of a shift off one HSS run
-    at that shift (GADI relaxes HSS), so a shift costs one factorization and
-    the sweeps of its slowest cell; a fixed point is always its own solve. A
-    row records the omega its sweeps ran with, 0 for a method that does not
+    at that shift (GADI relaxes HSS), so a shift costs the sweeps of its
+    slowest cell. Those sweeps run in the systems' joint sine eigenbasis, as
+    divisions with no factorization; a system without one pays one
+    factorization per shift. A fixed point is always its own solve. A row
+    records the omega its sweeps ran with, 0 for a method that does not
     relax.
     """
     kind: str = "fixed"

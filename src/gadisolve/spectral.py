@@ -87,10 +87,15 @@ def eig_extremes_spd(W):
                                            v0=v0, return_eigenvectors=False)[0])
                           for sigma in (lo - d, hi + d))
             out = SpectrumSummary(gmin, gmax, "iterative-estimate", tol)
-    if out.gamma_min <= 0:
+    return _require_positive(out)
+
+
+def _require_positive(spectrum):
+    """``spectrum``, or NotPositiveDefiniteError when its minimum is <= 0."""
+    if spectrum.gamma_min <= 0:
         raise NotPositiveDefiniteError(
-            f"matrix is not positive definite: minimum eigenvalue {out.gamma_min:.6e}")
-    return out
+            f"matrix is not positive definite: minimum eigenvalue {spectrum.gamma_min:.6e}")
+    return spectrum
 
 
 def optimal_alpha(spectrum):

@@ -11,12 +11,21 @@ tolerance. Each sweep solves two shifted subsystems; in "exact" inner mode
 the coefficients are factorized once per solve, in "iterative" mode they are
 solved by CG (Hermitian positive definite coefficients) or COCG (complex
 symmetric coefficients) to 1e-2 times the current residual, each warm-started
-from its previous solution. One sweep loop,
-:func:`_sweep`, drives every method and the Lyapunov and Newton sweeps of
-:mod:`gadisolve.matrixeq`. Beside it, :func:`_mixed_gadi` reads the GADI
-solves of every omega at one shift off a single HSS run.
+from its previous solution.
+
+A system whose W and T the orthonormal 2-D DST-I S diagonalizes (the ex241
+and ex242 families; :attr:`ComplexSymSystem.joint_eigenbasis`) solves in
+exact mode on (diag(lam), diag(mu), S b): the same method rows run on
+:class:`_Diagonal` operators, each half-step is an elementwise division, no
+factorization is made, and the answer maps back as x = S y. S is orthogonal,
+so the residual norms are those of the original system up to rounding.
+
+One sweep loop, :func:`_sweep`, drives every method and the Lyapunov and
+Newton sweeps of :mod:`gadisolve.matrixeq`. Beside it, :func:`_mixed_gadi`
+reads the GADI solves of every omega at one shift off a single HSS run.
 """
 import functools
+import math
 import time
 from dataclasses import dataclass
 
@@ -24,7 +33,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .linalg import DirectSolver, InnerSolverError, _dense, _eye_like, cg_hpd, cocg_sym
-from .spectral import eig_extremes_spd, optimal_alpha
+from .spectral import SpectrumSummary, _require_positive, eig_extremes_spd, optimal_alpha
 
 __all__ = [
     "METHODS", "DEFAULT_OMEGA", "ComplexSymSystem", "SplitParams", "SolveConfig",
@@ -62,6 +71,69 @@ def _check_data(W, T, **hermitian):
             raise ValueError(f"{name} is not Hermitian")
 
 
+def _sine_transform(S1, v):
+    """S v for the 2-D DST-I S = S1 (x) S1: two dense m x m products."""
+    m = S1.shape[0]
+    return (S1 @ v.reshape(m, m) @ S1).ravel()
+
+
+def _joint_eigenbasis(W, T):
+    """``(lam, mu, S1)`` when S = S1 (x) S1 diagonalizes both W and T, else None.
+
+    S1[j, k] = sqrt(2/(m+1)) sin(pi (j+1)(k+1) / (m+1)) is the orthonormal
+    DST-I of size m, and n = m^2. If S W S is diagonal, its diagonal is
+    lam = S W S 1, and likewise mu for T. Each is kept only if one fixed-seed
+    probe v passes ``||S W S v - lam * v|| <= 1e-12 max|lam| ||v||``; a W or
+    T that S does not diagonalize fails it by orders of magnitude.
+    """
+    n = W.shape[0]
+    m = math.isqrt(n)
+    if m * m != n:
+        return None
+    k = np.arange(1, m + 1)
+    S1 = np.sqrt(2.0 / (m + 1)) * np.sin(np.pi * np.outer(k, k) / (m + 1))
+    S = functools.partial(_sine_transform, S1)
+    ones = S(np.ones(n))
+    v = np.random.default_rng(0).standard_normal(n)
+    Sv = S(v)
+    diagonals = []
+    for M in (W, T):
+        d = S(M @ ones)
+        if np.linalg.norm(S(M @ Sv) - d * v) > 1e-12 * np.abs(d).max() * np.linalg.norm(v):
+            return None
+        diagonals.append(d)
+    return (*diagonals, S1)
+
+
+class _Diagonal:
+    """A diagonal operator held as its diagonal ``d``.
+
+    ``@`` multiplies elementwise and :meth:`solve` divides, so it stands in
+    for W, T and I in the method table and for its own factorization.
+    """
+    __array_ufunc__ = None  # a numpy scalar times a _Diagonal defers to __rmul__
+
+    def __init__(self, d):
+        self.d = d
+
+    def __matmul__(self, x):
+        return self.d * x
+
+    def __mul__(self, c):
+        return _Diagonal(c * self.d)
+
+    __rmul__ = __mul__
+
+    def __add__(self, other):
+        return _Diagonal(self.d + other.d)
+
+    def astype(self, dtype, copy=True):
+        return _Diagonal(self.d.astype(dtype, copy=copy))
+
+    def solve(self, rhs):
+        return rhs / self.d
+
+
 @dataclass(frozen=True)
 class ComplexSymSystem:
     """The triple (W, T, b) defining (W + iT) x = b.
@@ -71,9 +143,11 @@ class ComplexSymSystem:
     enforced at construction because the Kronecker-lifted systems used for
     matrix equations have indefinite T.
 
-    The system is frozen, so the one thing it keeps cannot go stale: the
-    bound shift of W (:attr:`bound_shift`, one eigensolve per system). It
-    keeps no factors; a solve's factorizations live as long as the solve.
+    The system is frozen, so what it caches cannot go stale: its joint sine
+    eigenbasis (:attr:`joint_eigenbasis`, a few matvecs and m x m products)
+    and the bound shift of W (:attr:`bound_shift`, read off that eigenbasis
+    or one eigensolve). It keeps no factors; a solve's factorizations live as
+    long as the solve.
     """
     W: object
     T: object
@@ -92,9 +166,26 @@ class ComplexSymSystem:
         return self.W.shape[0]
 
     @functools.cached_property
+    def joint_eigenbasis(self):
+        """``(lam, mu, S1)`` with S W S = diag(lam) and S T S = diag(mu) for the
+        2-D DST-I S = S1 (x) S1, detected on a probe; None when S does not
+        diagonalize both (see :func:`_joint_eigenbasis`)."""
+        return _joint_eigenbasis(self.W, self.T)
+
+    @functools.cached_property
     def bound_shift(self):
-        """sqrt(gamma_min * gamma_max) of W, the minimizer of the contraction bound."""
-        return optimal_alpha(eig_extremes_spd(self.W))
+        """sqrt(gamma_min * gamma_max) of W, the minimizer of the contraction bound.
+
+        The extremes of lam when the system has a joint eigenbasis, at any n;
+        otherwise those of an eigensolve. A W that is not positive definite
+        raises NotPositiveDefiniteError.
+        """
+        basis = self.joint_eigenbasis
+        if basis is None:
+            return optimal_alpha(eig_extremes_spd(self.W))
+        lam = basis[0]
+        return optimal_alpha(_require_positive(
+            SpectrumSummary(float(lam.min()), float(lam.max()), "joint-eigenbasis")))
 
     def matvec(self, x):
         """A x = W x + i T x."""
@@ -237,11 +328,12 @@ def _inner_tol(res):
     return max(1e-2 * res, 1e-14)
 
 
-def _make_step(system, params, config):
-    """The sweep of ``params.method`` on ``system`` as ``step(x, res) -> (x_next, inner)``.
+def _make_step(W, T, b, params, mode):
+    """The sweep of ``params.method`` on (W, T, b) as ``step(x, res) -> (x_next, inner)``.
 
-    In exact inner mode the two half-step coefficients are factorized here,
-    once for every sweep of the step. In iterative mode CG/COCG solve the
+    In exact inner ``mode`` the two half-step coefficients are factorized
+    here, once for every sweep of the step; a :class:`_Diagonal` coefficient
+    is its own factorization. In iterative mode CG/COCG solve the
     half-steps to :func:`_inner_tol` of the current residual ``res``, in at
     most 4 n + 100 Krylov steps each. From the second sweep on, each half-step
     is warm-started from its own previous solution x_prev: it solves the
@@ -251,10 +343,10 @@ def _make_step(system, params, config):
     again. An InnerSolverError carries the half-step iterate x_prev + d and is
     tagged with the half-step it came from. ``inner`` counts Krylov steps.
     """
-    W, n = system.W, system.n
-    mode = config.resolved_inner(n)
+    n = b.shape[0]
+    I = _Diagonal(np.ones(n)) if isinstance(W, _Diagonal) else _eye_like(W, n)
     M1, k1, M2, k2, rhs1, rhs2 = _METHODS[params.method][1](
-        W, system.T, system.b, _eye_like(W, n), params.alpha, params.relaxation)
+        W, T, b, I, params.alpha, params.relaxation)
 
     def half_step(M, kind, which):
         krylov = cg_hpd if kind == "hpd" else cocg_sym
@@ -282,7 +374,7 @@ def _make_step(system, params, config):
         return solve
 
     if mode == "exact":
-        direct1, direct2 = DirectSolver(M1), DirectSolver(M2)
+        direct1, direct2 = (M if isinstance(M, _Diagonal) else DirectSolver(M) for M in (M1, M2))
         half1 = lambda rhs, tol: (direct1.solve(rhs), 0)
         half2 = lambda rhs, tol: (direct2.solve(rhs), 0)
     else:
@@ -339,6 +431,23 @@ def _sweep(make_step, residual, x, tol, max_sweeps, guard=False):
     return x, report()
 
 
+def _coordinates(system, mode):
+    """``(W, T, b, matvec, to_x)``: what a solve in inner ``mode`` sweeps on.
+
+    In exact mode a system with a joint eigenbasis sweeps on
+    (diag(lam), diag(mu), S b), with ``matvec(y) = (lam + i mu) * y`` and
+    ``to_x(y) = S y``; otherwise on its own W, T and b, with
+    ``system.matvec`` and the identity.
+    """
+    basis = system.joint_eigenbasis if mode == "exact" else None
+    if basis is None:
+        return system.W, system.T, system.b, system.matvec, lambda x: x
+    lam, mu, S1 = basis
+    S = functools.partial(_sine_transform, S1)
+    diag = lam + 1j * mu
+    return _Diagonal(lam), _Diagonal(mu), S(system.b), lambda y: diag * y, S
+
+
 def _mixed_gadi(system, alpha, tol):
     """The GADI solves of every omega at shift ``alpha``, read off one HSS run.
 
@@ -355,12 +464,14 @@ def _mixed_gadi(system, alpha, tol):
     The HSS run is shared by every solve: it factorizes at its first sweep,
     is extended one sweep at a time as far as a solve asks, and keeps only the
     residual vectors reached, in rows grown geometrically. A factorization
-    failure raises from each solve that needs a sweep.
+    failure raises from each solve that needs a sweep. A system with a joint
+    eigenbasis runs in it, with no factorization (see :func:`_coordinates`).
     """
-    b, n = system.b, system.n
-    nb = np.linalg.norm(b)
+    n = system.n
+    nb = np.linalg.norm(system.b)
     if nb == 0.0:
         raise ValueError("b = 0: relative residual is undefined")
+    W, T, b, matvec, _ = _coordinates(system, "exact")
     R = np.empty((8, n), complex)
     R[0] = b
     y = np.zeros(n, complex)
@@ -371,12 +482,11 @@ def _mixed_gadi(system, alpha, tol):
         """Run the HSS sweeps up to y_k, keeping R_k = b - A y_k."""
         nonlocal R, y, reached, hss
         while reached <= k:
-            hss = hss or _make_step(system, SplitParams("gadi", alpha, 0.0),
-                                    SolveConfig(inner="exact"))
+            hss = hss or _make_step(W, T, b, SplitParams("gadi", alpha, 0.0), "exact")
             y = hss(y, 0.0)[0]
             if reached == len(R):
                 R = np.concatenate([R, np.empty_like(R)])
-            R[reached] = b - system.matvec(y)
+            R[reached] = b - matvec(y)
             reached += 1
 
     def solve(omega, max_sweeps):
@@ -409,10 +519,11 @@ def step(system, params, x, config=None):
     config = config or SolveConfig()
     x = np.asarray(x, dtype=complex)
     res = 0.0
-    if config.resolved_inner(system.n) == "iterative":
+    mode = config.resolved_inner(system.n)
+    if mode == "iterative":
         nb = np.linalg.norm(system.b)
         res = np.linalg.norm(system.b - system.matvec(x)) / nb if nb > 0 else 1.0
-    return _make_step(system, params, config)(x, res)[0]
+    return _make_step(system.W, system.T, system.b, params, mode)(x, res)[0]
 
 
 def run_stationary(system, params, config=None):
@@ -421,23 +532,27 @@ def run_stationary(system, params, config=None):
     Starts from x = 0 and returns ``(x, SolveReport)``.
     Reaching max_outer is reported via ``converged=False``, not an exception;
     an inner-solver failure raises InnerSolverError with the partial report
-    attached as ``err.report``.
+    attached as ``err.report``. In exact inner mode a system with a joint
+    eigenbasis sweeps in it (see :func:`_coordinates`).
     """
     config = config or SolveConfig()
-    b = system.b
-    nb = np.linalg.norm(b)
+    nb = np.linalg.norm(system.b)
     if nb == 0.0:
         raise ValueError("b = 0: relative residual is undefined")
-    return _sweep(lambda: _make_step(system, params, config),
-                  lambda x: float(np.linalg.norm(b - system.matvec(x)) / nb),
-                  np.zeros(system.n, complex), config.tol, config.max_outer)
+    mode = config.resolved_inner(system.n)
+    W, T, b, matvec, to_x = _coordinates(system, mode)
+    y, report = _sweep(lambda: _make_step(W, T, b, params, mode),
+                       lambda y: float(np.linalg.norm(b - matvec(y)) / nb),
+                       np.zeros(system.n, complex), config.tol, config.max_outer)
+    return to_x(y), report
 
 
 def default_alpha(system, method):
     """Default shift of a method in METHODS, from its row of the method table.
 
     GADI, HSS and MHSS use the bound-minimizing sqrt(gamma_min*gamma_max) of
-    W, which each system computes once (:attr:`ComplexSymSystem.bound_shift`);
+    W, which each system computes once (:attr:`ComplexSymSystem.bound_shift`,
+    with no eigensolve when the system has a joint eigenbasis);
     PMHSS, CRI and TSCSP use the scale-free choice alpha = 1. Any other
     name raises ValueError.
     """

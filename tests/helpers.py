@@ -36,6 +36,13 @@ def random_system(rng, n, w_range=(0.5, 5.0), t_range=(0.3, 3.0), t_zero=False):
     return ComplexSymSystem(W, T, b)
 
 
+def without_joint_eigenbasis(monkeypatch):
+    """Turn off the joint eigenbasis detection, so that every system built
+    afterwards solves on the sparse path: factorizations and eigensolves."""
+    from gadisolve import splitting
+    monkeypatch.setattr(splitting, "_joint_eigenbasis", lambda W, T: None)
+
+
 def dense_solution(system):
     return np.linalg.solve(system.dense_matrix(), system.b)
 

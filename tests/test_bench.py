@@ -10,6 +10,7 @@ from gadisolve.bench import (SWEEP_MAX_OUTER, SWEEP_OMEGAS, BenchmarkRow, ParamP
                              write_csv)
 from gadisolve.problems import ProblemSpec
 from gadisolve.splitting import DEFAULT_OMEGA, SolveReport
+from helpers import without_joint_eigenbasis
 
 
 # -- run_grid -------------------------------------------------------------------
@@ -199,6 +200,7 @@ def test_capped_sweep_policy_finds_the_full_grid_winner(monkeypatch, spec):
 
 def test_a_factorization_failure_fails_every_omega_of_its_shift(monkeypatch):
     from gadisolve import splitting
+    without_joint_eigenbasis(monkeypatch)
 
     def singular(M):
         raise RuntimeError("Factor is exactly singular")
@@ -222,6 +224,7 @@ def test_uncapped_ex421_sweep_policy_finds_the_full_grid_winner():
 
 def test_sweep_policy_factorizes_each_shift_once(monkeypatch):
     from gadisolve import linalg, splitting
+    without_joint_eigenbasis(monkeypatch)
     made = []
 
     class Counted(linalg.DirectSolver):
@@ -237,6 +240,7 @@ def test_sweep_policy_factorizes_each_shift_once(monkeypatch):
 
 def test_sweep_params_factorizes_each_shift_once(monkeypatch):
     from gadisolve import linalg, splitting
+    without_joint_eigenbasis(monkeypatch)
     made = []
 
     class Counted(linalg.DirectSolver):
@@ -253,6 +257,39 @@ def test_sweep_params_factorizes_each_shift_once(monkeypatch):
     assert [c.omega for c in cells] == [w for w in SWEEP_OMEGAS for _ in range(21)]
     assert [c.alpha for c in cells[:21]] == sorted(c.alpha for c in cells[:21])
     assert [c.alpha for c in cells[21:42]] == [c.alpha for c in cells[:21]]
+
+
+def test_detected_systems_make_no_factorization_and_no_eigensolve(monkeypatch):
+    # ex241 and ex242 have a joint sine eigenbasis: their exact sweeps divide,
+    # and their bound shift is read off the eigenvalues of W
+    from gadisolve import splitting
+    made, shifts = [], []
+    monkeypatch.setattr(splitting, "DirectSolver", lambda M: made.append(M.shape))
+    monkeypatch.setattr(splitting, "eig_extremes_spd", lambda W: shifts.append(W.shape))
+    specs = (ProblemSpec("ex241", m=4, stencil="unit"), ProblemSpec("ex242", m=4, stencil="unit"))
+    rows = run_grid(RunConfig(specs, ("gadi",), ParamPolicy("sweep"), inner="exact"))
+    rows += run_grid(RunConfig(specs, ("mhss", "pmhss", "pmhss-vi", "cri", "tscsp"), inner="exact"))
+    assert len(rows) == 12 and all(r.converged for r in rows)
+    assert made == [] and shifts == []
+
+
+def _printed_rows(rows):
+    return [(r.algorithm, r.problem, f"{r.alpha:.10g}", r.omega, r.it, f"{r.res:.4e}")
+            for r in rows]
+
+
+def test_sparse_path_gives_the_rows_of_the_joint_eigenbasis(monkeypatch):
+    specs = tuple(spec for m in (8, 16) for spec in (
+        ProblemSpec("ex241", m=m, tau_mode="h", stencil="unit"),
+        ProblemSpec("ex241", m=m, tau_mode="500h", stencil="unit"),
+        ProblemSpec("ex242", m=m, stencil="unit")))
+    cfgs = (RunConfig(specs, ("gadi",), ParamPolicy("sweep"), inner="exact"),
+            RunConfig(specs, ("mhss", "pmhss", "pmhss-vi", "cri", "tscsp"), inner="exact"))
+    detected = [row for cfg in cfgs for row in run_grid(cfg)]
+    without_joint_eigenbasis(monkeypatch)
+    sparse = [row for cfg in cfgs for row in run_grid(cfg)]
+    assert len(detected) == 6 * 6 and all(r.converged for r in detected)
+    assert _printed_rows(sparse) == _printed_rows(detected)
 
 
 def test_table1_preset_gadi_strictly_smallest_per_size():

@@ -2,6 +2,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -9,7 +10,7 @@ from gadisolve import (METHODS, ComplexSymSystem, SolveConfig, SplitParams,
                        build_iteration_matrices, default_alpha, gen_ex31,
                        gen_ex241, gen_ex242, run_stationary, solve_lyapunov_gadi,
                        solve_lyapunov_hss, step)
-from helpers import dense_solution, random_system
+from helpers import dense_solution, random_system, without_joint_eigenbasis
 
 
 def scalar_system():
@@ -438,6 +439,7 @@ def test_default_alpha_rules():
 
 def test_default_alpha_eigensolves_each_system_once(monkeypatch):
     from gadisolve import splitting
+    without_joint_eigenbasis(monkeypatch)
     calls = []
     original = splitting.eig_extremes_spd
 
@@ -456,6 +458,7 @@ def test_exact_solves_keep_no_factors(monkeypatch):
     import weakref
 
     from gadisolve import linalg, splitting
+    without_joint_eigenbasis(monkeypatch)
     made, alive = [], weakref.WeakSet()
 
     class Tracked(linalg.DirectSolver):
@@ -477,6 +480,87 @@ def test_exact_solves_keep_no_factors(monkeypatch):
         assert report.residual_history == fresh.residual_history
     gc.collect()
     assert len(made) == 8 and len(alive) == 0  # no factor outlives its solve
+
+
+# -- the joint sine eigenbasis of W and T --------------------------------------
+
+@pytest.mark.parametrize("m", [1, 5, 8])
+@pytest.mark.parametrize("stencil", ["unit", "h2"])
+def test_joint_eigenbasis_is_detected_on_both_families(m, stencil):
+    for system in (gen_ex241(m, "h", stencil), gen_ex241(m, "500h", stencil),
+                   gen_ex242(m, stencil=stencil)):
+        lam, mu, S1 = system.joint_eigenbasis
+        assert np.allclose(S1 @ S1, np.eye(m), rtol=0, atol=1e-14)
+        for d, M in ((lam, system.W), (mu, system.T)):
+            ev = np.linalg.eigvalsh(M.toarray())
+            assert np.allclose(np.sort(d), ev, rtol=1e-12, atol=0)
+
+
+def test_detected_solve_maps_its_answer_back():
+    system = gen_ex241(8, "500h", stencil="unit")
+    for method in METHODS:
+        x, report = run_stationary(system, SplitParams(method, default_alpha(system, method)),
+                                   SolveConfig(tol=1e-8, inner="exact"))
+        res = np.linalg.norm(system.b - system.matvec(x)) / np.linalg.norm(system.b)
+        assert report.converged and abs(res - report.final_res) <= 1e-6 * report.final_res
+        assert np.linalg.norm(x - dense_solution(system)) <= 1e-6 * np.linalg.norm(x)
+
+
+def _sparse_solves(monkeypatch, system):
+    """The factorizations an exact GADI solve of ``system`` makes, and its report."""
+    from gadisolve import linalg, splitting
+    made = []
+
+    class Counted(linalg.DirectSolver):
+        def __init__(self, M):
+            made.append(M.shape)
+            super().__init__(M)
+    monkeypatch.setattr(splitting, "DirectSolver", Counted)
+    report = run_stationary(system, SplitParams("gadi", default_alpha(system, "gadi")),
+                            SolveConfig(tol=1e-6, inner="exact"))[1]
+    return made, report
+
+
+def test_joint_eigenbasis_rejects_a_perturbed_w(monkeypatch):
+    # one symmetric off-diagonal pair off by 1e-6: the probe ratio is 8e-9,
+    # against the 1e-12 it must not exceed and 1.5e-15 for the family itself
+    base = gen_ex241(8, "h", stencil="unit")
+    W = base.W.tolil()
+    W[3, 4] += 1e-6
+    W[4, 3] += 1e-6
+    system = ComplexSymSystem(sp.csr_array(W), base.T, base.b)
+    assert base.joint_eigenbasis is not None and system.joint_eigenbasis is None
+    made, report = _sparse_solves(monkeypatch, system)
+    assert len(made) == 2 and report.converged
+
+
+def test_joint_eigenbasis_rejects_a_t_it_does_not_diagonalize(monkeypatch):
+    base = gen_ex242(8, stencil="unit")
+    T = sp.diags_array(np.random.default_rng(3).uniform(0.5, 1.5, 64), format="csr")
+    system = ComplexSymSystem(base.W, T, base.b)
+    assert system.joint_eigenbasis is None
+    made, report = _sparse_solves(monkeypatch, system)
+    assert len(made) == 2 and report.converged
+
+
+def test_joint_eigenbasis_needs_a_square_dimension(monkeypatch):
+    n = 10  # the 1-D Laplacian, which the 1-D DST-I would diagonalize
+    W = sp.diags_array([-np.ones(n - 1), 2.5 * np.ones(n), -np.ones(n - 1)], offsets=[-1, 0, 1],
+                       format="csr")
+    system = ComplexSymSystem(W, W, np.ones(n, dtype=complex))
+    assert system.joint_eigenbasis is None
+    made, report = _sparse_solves(monkeypatch, system)
+    assert len(made) == 2 and report.converged
+
+
+def test_detected_indefinite_w_raises_not_positive_definite():
+    from gadisolve import NotPositiveDefiniteError
+    system = gen_ex242(8, sigma1=-5.0, stencil="unit")
+    assert system.joint_eigenbasis is not None
+    with pytest.raises(NotPositiveDefiniteError, match="not positive definite"):
+        system.bound_shift
+    with pytest.raises(NotPositiveDefiniteError):
+        default_alpha(system, "gadi")
 
 
 # -- every omega of a shift from one HSS run -------------------------------------
