@@ -127,8 +127,8 @@ class _Diagonal:
     def __add__(self, other):
         return _Diagonal(self.d + other.d)
 
-    def astype(self, dtype, copy=True):
-        return _Diagonal(self.d.astype(dtype, copy=copy))
+    def astype(self, dtype):
+        return _Diagonal(self.d.astype(dtype))
 
     def solve(self, rhs):
         return rhs / self.d
