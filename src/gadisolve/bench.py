@@ -33,8 +33,8 @@ from .linalg import NotPositiveDefiniteError
 from .matrixeq import (_eigh, _lift_shift, newton_gadi_riccati,
                        solve_lyapunov_gadi, solve_lyapunov_hss)
 from .problems import ProblemSpec
-from .splitting import (DEFAULT_OMEGA, SolveConfig, SolveReport, SplitParams, _mixed_gadi,
-                        default_alpha, run_stationary)
+from .splitting import (DEFAULT_OMEGA, SolveConfig, SolveReport, SplitParams, default_alpha,
+                        run_stationary)
 
 __all__ = [
     "BenchmarkRow", "ParamPolicy", "RunConfig",
@@ -79,13 +79,10 @@ class ParamPolicy:
     shift-by-shift loop as :func:`sweep_params`, but finds the full grid's
     winner with less work: the shifts run nearest the default first, and a
     cell stops once it has taken as many sweeps as the best converged cell so
-    far (except on ex421, whose IT counts inner sweeps). GADI on ex241 and
-    ex242 in exact inner mode reads all the omegas of a shift off one HSS run
-    at that shift (GADI relaxes HSS), so a shift costs the sweeps of its
-    slowest cell. Those sweeps run in the systems' joint sine eigenbasis, as
-    divisions with no factorization; a system without one pays one
-    factorization per shift. A fixed point is always its own solve. A row
-    records the omega its sweeps ran with, 0 for a method that does not
+    far (except on ex421, whose IT counts inner sweeps). Every cell is one
+    solve; on ex241 and ex242 in exact inner mode that is the closed-form
+    solve in the systems' joint sine eigenbasis, with no factorization. A
+    row records the omega its sweeps ran with, 0 for a method that does not
     relax.
     """
     kind: str = "fixed"
@@ -146,16 +143,14 @@ def _auto_grid(alpha_star, points=21):
     return tuple(np.geomspace(alpha_star / 5.0, 5.0 * alpha_star, points))
 
 
-def _cells(spec, problem, method, alpha, cfg, mix=False):
+def _cells(spec, problem, method, alpha, cfg):
     """The cells of ``method`` at shift ``alpha``, as ``cell(omega, max_outer) -> (row, report)``.
 
     Newton-GADI runs on ex421, whose ``max_outer`` counts Newton steps and
-    whose IT column the inner sweeps; a Lyapunov solve on ex31. With ``mix``,
-    GADI on ex241 and ex242 in exact inner mode reads every omega off one HSS
-    run at the shift (splitting._mixed_gadi), giving the rows separate solves
-    would give; otherwise a cell is one run_stationary solve. A row records
-    the omega the sweeps ran with, SplitParams.relaxation. A solver failure
-    becomes a non-converged row with report None.
+    whose IT column the inner sweeps; a Lyapunov solve on ex31; otherwise a
+    cell is one run_stationary solve. A row records the omega the sweeps ran
+    with, SplitParams.relaxation. A solver failure becomes a non-converged
+    row with report None.
     """
     name = METHOD_ALIASES.get(method, method)
     config = lambda max_outer: replace(cfg.solve_config, max_outer=max_outer)
@@ -169,9 +164,6 @@ def _cells(spec, problem, method, alpha, cfg, mix=False):
     elif spec.family == "ex31":
         lyapunov = solve_lyapunov_gadi if name == "gadi" else solve_lyapunov_hss
         solve = lambda params, max_outer: lyapunov(problem, params, config(max_outer))[1]
-    elif mix and name == "gadi" and cfg.solve_config.resolved_inner(problem.n) == "exact":
-        mixed = _mixed_gadi(problem, float(alpha), cfg.tol)
-        solve = lambda params, max_outer: mixed(params.omega, max_outer)
     else:
         solve = lambda params, max_outer: run_stationary(problem, params, config(max_outer))[1]
 
@@ -196,14 +188,14 @@ def _cells(spec, problem, method, alpha, cfg, mix=False):
 def _grid(spec, problem, method, shifts, omegas, cfg, max_outer, capped):
     """Every (shift, omega) cell, shift by shift; returns [(row, report)] shift-major.
 
-    The omegas of a shift share one :func:`_cells`, so GADI reads them off
-    one HSS run where it can. With ``capped`` no cell may take more sweeps
-    than the best converged cell so far: one that needs more cannot win, and
-    the cap is inclusive, so a tie still competes on RES and then on alpha.
+    The omegas of a shift share one :func:`_cells`. With ``capped`` no cell
+    may take more sweeps than the best converged cell so far: one that needs
+    more cannot win, and the cap is inclusive, so a tie still competes on RES
+    and then on alpha.
     """
     solved = []
     for a in shifts:
-        cell = _cells(spec, problem, method, a, cfg, mix=True)
+        cell = _cells(spec, problem, method, a, cfg)
         for w in omegas:
             solved.append(cell(w, max_outer))
             row = solved[-1][0]
@@ -269,10 +261,8 @@ def sweep_params(spec, method, alpha_grid, omega_grid, tol=1e-5, inner="exact",
     default shift. A method that does not relax runs at omega 0 alone,
     whatever ``omega_grid`` holds. Every cell may run to ``max_outer``
     sweeps (Newton steps on ex421). The grid runs in the sweep policy's
-    shift-by-shift loop, uncapped, so GADI on ex241 and ex242 in exact inner
-    mode reads every omega of a shift off one HSS run. Returns the
-    BenchmarkRow of each cell in grid order (omega-major); pick the winner
-    with :func:`best_cell`.
+    shift-by-shift loop, uncapped. Returns the BenchmarkRow of each cell in
+    grid order (omega-major); pick the winner with :func:`best_cell`.
     """
     if (alpha_grid is not None and len(alpha_grid) == 0) or len(omega_grid) == 0:
         raise ValueError("sweep grids must be nonempty")

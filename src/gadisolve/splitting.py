@@ -15,14 +15,13 @@ from its previous solution.
 
 A system whose W and T the orthonormal 2-D DST-I S diagonalizes (the ex241
 and ex242 families; :attr:`ComplexSymSystem.joint_eigenbasis`) solves in
-exact mode on (diag(lam), diag(mu), S b): the same method rows run on
-:class:`_Diagonal` operators, each half-step is an elementwise division, no
-factorization is made, and the answer maps back as x = S y. S is orthogonal,
-so the residual norms are those of the original system up to rounding.
+exact mode in closed form (:func:`_modal_solve`): there every method's
+sweep is one factor g_j per mode, so from x = 0 the residual after k sweeps
+is g^k * S b. The sweep loop runs on its squared modulus, with no
+factorization and no matvec, and x is formed once at the end.
 
-One sweep loop, :func:`_sweep`, drives every method and the Lyapunov and
-Newton sweeps of :mod:`gadisolve.matrixeq`. Beside it, :func:`_mixed_gadi`
-reads the GADI solves of every omega at one shift off a single HSS run.
+One sweep loop, :func:`_sweep`, drives every method, the modal solves and
+the Lyapunov and Newton sweeps of :mod:`gadisolve.matrixeq`.
 """
 import functools
 import math
@@ -145,9 +144,9 @@ class ComplexSymSystem:
 
     The system is frozen, so what it caches cannot go stale: its joint sine
     eigenbasis (:attr:`joint_eigenbasis`, a few matvecs and m x m products)
-    and the bound shift of W (:attr:`bound_shift`, read off that eigenbasis
-    or one eigensolve). It keeps no factors; a solve's factorizations live as
-    long as the solve.
+    with S b in it, and the bound shift of W (:attr:`bound_shift`, read off
+    that eigenbasis or one eigensolve). It keeps no factors; a solve's
+    factorizations live as long as the solve.
     """
     W: object
     T: object
@@ -171,6 +170,11 @@ class ComplexSymSystem:
         2-D DST-I S = S1 (x) S1, detected on a probe; None when S does not
         diagonalize both (see :func:`_joint_eigenbasis`)."""
         return _joint_eigenbasis(self.W, self.T)
+
+    @functools.cached_property
+    def _modal_b(self):
+        """S b in the joint eigenbasis, where every exact solve of the system starts."""
+        return _sine_transform(self.joint_eigenbasis[2], self.b)
 
     @functools.cached_property
     def bound_shift(self):
@@ -431,83 +435,31 @@ def _sweep(make_step, residual, x, tol, max_sweeps, guard=False):
     return x, report()
 
 
-def _coordinates(system, mode):
-    """``(W, T, b, matvec, to_x)``: what a solve in inner ``mode`` sweeps on.
+def _modal_solve(system, params, tol, max_sweeps):
+    """:func:`run_stationary` in exact mode on a system with a joint eigenbasis.
 
-    In exact mode a system with a joint eigenbasis sweeps on
-    (diag(lam), diag(mu), S b), with ``matvec(y) = (lam + i mu) * y`` and
-    ``to_x(y) = S y``; otherwise on its own W, T and b, with
-    ``system.matvec`` and the identity.
+    There every method's sweep is one factor g_j per mode: g is the method's
+    own row, swept once on (diag(lam), diag(mu)) with b = 0 from the ones
+    vector. From x = 0 the residual after k sweeps is g^k * S b exactly, so
+    the loop sweeps its squared modulus w -> |g|^2 w alone, with
+    RES = sqrt(sum w) / ||b||. The answer is formed once from the K sweeps
+    taken: x = S((1 - g^K) * S b / (lam + i mu)).
     """
-    basis = system.joint_eigenbasis if mode == "exact" else None
-    if basis is None:
-        return system.W, system.T, system.b, system.matvec, lambda x: x
-    lam, mu, S1 = basis
-    S = functools.partial(_sine_transform, S1)
-    diag = lam + 1j * mu
-    return _Diagonal(lam), _Diagonal(mu), S(system.b), lambda y: diag * y, S
-
-
-def _mixed_gadi(system, alpha, tol):
-    """The GADI solves of every omega at shift ``alpha``, read off one HSS run.
-
-    Returns ``solve(omega, max_sweeps) -> SolveReport``, the report of
-    :func:`run_stationary` with ``SplitParams("gadi", alpha, omega)``, exact
-    inner mode, ``tol`` and ``max_sweeps``, up to rounding. The method table's
-    gadi row gives GADI_w(x) = th HSS(x) + (1 - th) x with th = 1 - w/2, and
-    both maps are affine, so from x = 0 the k-th GADI iterate is the binomial
-    mix ``sum_j C(k, j) th^j (1 - th)^(k-j) y_j`` of the HSS iterates y_j. The
-    weights are positive and sum to 1, so the residual is the same mix of the
-    HSS residual vectors R_j, and a solve makes no matvec. At omega = 0 the
-    RES is that of R_k itself, bit for bit that of run_stationary.
-
-    The HSS run is shared by every solve: it factorizes at its first sweep,
-    is extended one sweep at a time as far as a solve asks, and keeps only the
-    residual vectors reached, in rows grown geometrically. A factorization
-    failure raises from each solve that needs a sweep. A system with a joint
-    eigenbasis runs in it, with no factorization (see :func:`_coordinates`).
-    """
+    lam, mu, S1 = system.joint_eigenbasis
+    Sb = system._modal_b
     n = system.n
-    nb = np.linalg.norm(system.b)
-    if nb == 0.0:
-        raise ValueError("b = 0: relative residual is undefined")
-    W, T, b, matvec, _ = _coordinates(system, "exact")
-    R = np.empty((8, n), complex)
-    R[0] = b
-    y = np.zeros(n, complex)
-    reached = 1
-    hss = None
+    nb = float(np.linalg.norm(system.b))
+    g = 0.0  # no sweep taken: g^0 = 1 and x = 0
 
-    def extend(k):
-        """Run the HSS sweeps up to y_k, keeping R_k = b - A y_k."""
-        nonlocal R, y, reached, hss
-        while reached <= k:
-            hss = hss or _make_step(W, T, b, SplitParams("gadi", alpha, 0.0), "exact")
-            y = hss(y, 0.0)[0]
-            if reached == len(R):
-                R = np.concatenate([R, np.empty_like(R)])
-            R[reached] = b - matvec(y)
-            reached += 1
-
-    def solve(omega, max_sweeps):
-        th = 1.0 - omega / 2.0
-        c = np.zeros(8)  # c[j] weighs y_j in the current iterate; zero beyond it
-        c[0] = 1.0
-
-        def mix(k, res):
-            nonlocal c
-            extend(k + 1)
-            if k + 2 > len(c):
-                c = np.concatenate([c, np.zeros_like(c)])
-            c[1:k + 2] = th * c[:k + 1] + (1.0 - th) * c[1:k + 2]
-            c[0] *= 1.0 - th
-            return k + 1, 0
-
-        def residual(k):
-            r = R[k] if omega == 0.0 else (c[:k + 1] @ R[:k + 1].view(float)).view(complex)
-            return float(np.linalg.norm(r) / nb)
-        return _sweep(lambda: mix, residual, 0, tol, max_sweeps)[1]
-    return solve
+    def make_step():
+        nonlocal g
+        g = _make_step(_Diagonal(lam), _Diagonal(mu), np.zeros(n), params, "exact")(
+            np.ones(n, complex), 0.0)[0]
+        g2 = np.abs(g) ** 2
+        return lambda w, res: (g2 * w, 0)
+    _, report = _sweep(make_step, lambda w: math.sqrt(w.sum()) / nb, np.abs(Sb) ** 2,
+                       tol, max_sweeps)
+    return _sine_transform(S1, (1 - g ** report.iterations) * Sb / (lam + 1j * mu)), report
 
 
 def step(system, params, x, config=None):
@@ -533,18 +485,18 @@ def run_stationary(system, params, config=None):
     Reaching max_outer is reported via ``converged=False``, not an exception;
     an inner-solver failure raises InnerSolverError with the partial report
     attached as ``err.report``. In exact inner mode a system with a joint
-    eigenbasis sweeps in it (see :func:`_coordinates`).
+    eigenbasis sweeps its modal residual alone (see :func:`_modal_solve`).
     """
     config = config or SolveConfig()
     nb = np.linalg.norm(system.b)
     if nb == 0.0:
         raise ValueError("b = 0: relative residual is undefined")
     mode = config.resolved_inner(system.n)
-    W, T, b, matvec, to_x = _coordinates(system, mode)
-    y, report = _sweep(lambda: _make_step(W, T, b, params, mode),
-                       lambda y: float(np.linalg.norm(b - matvec(y)) / nb),
-                       np.zeros(system.n, complex), config.tol, config.max_outer)
-    return to_x(y), report
+    if mode == "exact" and system.joint_eigenbasis is not None:
+        return _modal_solve(system, params, config.tol, config.max_outer)
+    return _sweep(lambda: _make_step(system.W, system.T, system.b, params, mode),
+                  lambda x: float(np.linalg.norm(system.b - system.matvec(x)) / nb),
+                  np.zeros(system.n, complex), config.tol, config.max_outer)
 
 
 def default_alpha(system, method):

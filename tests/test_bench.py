@@ -98,15 +98,14 @@ def test_max_outer_bounds_the_newton_steps():
 
 def test_fixed_policy_cells_are_direct_solves(monkeypatch):
     # fig1 and fig2 write the GADI series of a fixed cell: it must be
-    # run_stationary's, not a history read off an HSS run
+    # run_stationary's
     from gadisolve import SolveConfig, SplitParams, default_alpha, run_stationary
     spec = ProblemSpec("ex241", m=4, stencil="unit")
-    runs = _count_hss_runs(monkeypatch)
     reports = []
     points = ((None, None), (None, 0.0), (1.0, 0.5))
     run_grid(RunConfig((spec,), ("gadi",), ParamPolicy("fixed", points=points), inner="exact"),
              on_report=lambda row, report: reports.append((row, report)))
-    assert runs == [] and len(reports) == len(points)
+    assert len(reports) == len(points)
     system = spec.build()
     for (row, report), (alpha, omega) in zip(reports, points):
         params = SplitParams("gadi", default_alpha(system, "gadi") if alpha is None else alpha,
@@ -117,47 +116,28 @@ def test_fixed_policy_cells_are_direct_solves(monkeypatch):
 
 
 def _count_solves(monkeypatch):
+    """The (params, max_outer, report) of every run_stationary solve bench makes."""
     from gadisolve import bench
     calls = []
     original = bench.run_stationary
 
-    def counted(*args, **kwargs):
-        calls.append(args[1])
-        return original(*args, **kwargs)
+    def counted(system, params, config):
+        x, report = original(system, params, config)
+        calls.append((params, config.max_outer, report))
+        return x, report
     monkeypatch.setattr(bench, "run_stationary", counted)
     return calls
-
-
-def _count_hss_runs(monkeypatch):
-    """One list per HSS run a GADI sweep makes (one per shift), holding the
-    report of each cell read off that run."""
-    from gadisolve import bench
-    runs = []
-    original = bench._mixed_gadi
-
-    def counted(system, alpha, tol):
-        solve, cells = original(system, alpha, tol), []
-        runs.append(cells)
-
-        def cell(omega, max_sweeps):
-            cells.append(solve(omega, max_sweeps))
-            return cells[-1]
-        return cell
-    monkeypatch.setattr(bench, "_mixed_gadi", counted)
-    return runs
 
 
 def test_sweep_policy_reuses_the_winning_cell(monkeypatch):
     spec = ProblemSpec("ex241", m=4, stencil="unit")
     cells = sweep_params(spec, "gadi", None, SWEEP_OMEGAS, tol=1e-5)
     best = best_cell(cells)
-    runs = _count_hss_runs(monkeypatch)
     calls = _count_solves(monkeypatch)
     reports = []
     cfg = RunConfig((spec,), ("gadi",), ParamPolicy("sweep"), tol=1e-5)
     (row,) = run_grid(cfg, on_report=lambda r, rep: reports.append(rep))
-    assert len(runs) == 21 and sum(map(len, runs)) == len(cells) == 21 * 3
-    assert calls == []  # no second solve of the winner
+    assert len(calls) == len(cells) == 21 * 3  # one solve per cell, no second solve of the winner
     assert (row.alpha, row.omega, row.it, row.res) == (best.alpha, best.omega, best.it, best.res)
     assert len(reports) == 1 and reports[0].iterations == row.it
 
@@ -165,12 +145,10 @@ def test_sweep_policy_reuses_the_winning_cell(monkeypatch):
 def test_sweep_policy_without_a_converged_cell_solves_once_more(monkeypatch):
     spec = ProblemSpec("ex241", m=4, stencil="unit")
     best = best_cell(sweep_params(spec, "gadi", None, SWEEP_OMEGAS, tol=1e-300, max_outer=3))
-    runs = _count_hss_runs(monkeypatch)
     calls = _count_solves(monkeypatch)
     cfg = RunConfig((spec,), ("gadi",), ParamPolicy("sweep"), tol=1e-300, max_outer=3)
     (row,) = run_grid(cfg)
-    assert len(runs) == 21 and sum(map(len, runs)) == 21 * 3
-    assert len(calls) == 1  # the best cell again, with the full max_outer
+    assert len(calls) == 21 * 3 + 1  # the best cell again, with the full max_outer
     assert not row.converged and row.it == 3
     assert (row.alpha, row.omega) == (best.alpha, best.omega)
 
@@ -183,17 +161,15 @@ def test_sweep_policy_without_a_converged_cell_solves_once_more(monkeypatch):
 def test_capped_sweep_policy_finds_the_full_grid_winner(monkeypatch, spec):
     full = sweep_params(spec, "gadi", None, SWEEP_OMEGAS)
     best = best_cell(full)
-    runs = _count_hss_runs(monkeypatch)
     calls = _count_solves(monkeypatch)
     (row,) = run_grid(RunConfig((spec,), ("gadi",), ParamPolicy("sweep")))
     assert (row.alpha, row.omega, row.it, row.res) == (best.alpha, best.omega, best.it, best.res)
     # every cell still runs, but none beyond the best converged count so far
-    reports = [report for cells in runs for report in cells]
-    assert len(runs) == 21 and len(reports) == len(full) and calls == []
-    assert sum(r.iterations for r in reports) < sum(c.it for c in full)
+    assert len(calls) == len(full)
+    assert sum(report.iterations for _, _, report in calls) < sum(c.it for c in full)
     cap = SWEEP_MAX_OUTER
-    for report in reports:
-        assert report.iterations <= cap
+    for _, max_outer, report in calls:
+        assert max_outer <= cap and report.iterations <= max_outer
         if report.converged:
             cap = min(cap, report.iterations)
 
@@ -235,7 +211,7 @@ def test_sweep_policy_factorizes_each_shift_once(monkeypatch):
     spec = ProblemSpec("ex241", m=4, stencil="unit")
     (row,) = run_grid(RunConfig((spec,), ("gadi",), ParamPolicy("sweep"), inner="exact"))
     assert row.converged
-    assert len(made) == 2 * 21  # one pair per shift, not per (shift, omega)
+    assert len(made) == 2 * 21 * 3  # one pair per (shift, omega) cell, not per sweep
 
 
 def test_sweep_params_factorizes_each_shift_once(monkeypatch):
@@ -248,11 +224,9 @@ def test_sweep_params_factorizes_each_shift_once(monkeypatch):
             made.append(M.shape)
             super().__init__(M)
     monkeypatch.setattr(splitting, "DirectSolver", Counted)
-    runs = _count_hss_runs(monkeypatch)
     cells = sweep_params(ProblemSpec("ex241", m=4, stencil="unit"), "gadi", None, SWEEP_OMEGAS)
     assert len(cells) == 21 * 3
-    assert [len(run) for run in runs] == [3] * 21  # every omega of a shift from one HSS run
-    assert len(made) == 2 * 21  # one pair per shift, not per (shift, omega)
+    assert len(made) == 2 * 21 * 3  # one pair per (shift, omega) cell, not per sweep
     # the cells come back omega-major, each omega's shifts in ascending order
     assert [c.omega for c in cells] == [w for w in SWEEP_OMEGAS for _ in range(21)]
     assert [c.alpha for c in cells[:21]] == sorted(c.alpha for c in cells[:21])

@@ -563,53 +563,51 @@ def test_detected_indefinite_w_raises_not_positive_definite():
         default_alpha(system, "gadi")
 
 
-# -- every omega of a shift from one HSS run -------------------------------------
+# -- the modal solve of a detected system ---------------------------------------
 
-MIX_FAMILIES = {
+MODAL_FAMILIES = {
     "ex241-h": lambda m: gen_ex241(m, "h", stencil="unit"),
     "ex241-500h": lambda m: gen_ex241(m, "500h", stencil="unit"),
     "ex242": lambda m: gen_ex242(m, stencil="unit"),
 }
-MIX_CONFIG = SolveConfig(tol=1e-5, max_outer=200, inner="exact")
-
-
-def _mix_shift(system, index):
-    from gadisolve.bench import _auto_grid
-    return float(_auto_grid(default_alpha(system, "gadi"))[index])
+MODAL_CONFIG = SolveConfig(tol=1e-5, max_outer=200, inner="exact")
 
 
 @settings(derandomize=True, deadline=None, database=None, max_examples=60)
-@given(family=st.sampled_from(sorted(MIX_FAMILIES)), m=st.integers(1, 6),
-       index=st.integers(0, 20),
-       omegas=st.lists(st.sampled_from([0.5, 1.0, 1.5])
-                       | st.floats(0.0, 2.0, exclude_max=True), min_size=1, max_size=3))
-def test_mixed_gadi_solves_match_direct_solves(family, m, index, omegas):
-    # the omegas of one example share the HSS run, which each solve extends
-    # as far as it needs
-    from gadisolve import splitting
-    system = MIX_FAMILIES[family](m)
-    alpha = _mix_shift(system, index)
-    solve = splitting._mixed_gadi(system, alpha, MIX_CONFIG.tol)
-    for omega in omegas:
-        mixed = solve(omega, MIX_CONFIG.max_outer)
-        direct = run_stationary(system, SplitParams("gadi", alpha, omega), MIX_CONFIG)[1]
-        assert (mixed.iterations, mixed.converged) == (direct.iterations, direct.converged)
-        assert abs(mixed.final_res - direct.final_res) <= 1e-9 * direct.final_res
+@given(method=st.sampled_from(METHODS), family=st.sampled_from(sorted(MODAL_FAMILIES)),
+       m=st.integers(1, 6), index=st.integers(0, 20),
+       omega=st.sampled_from([0.0, 0.5, 1.0, 1.5]) | st.floats(0.0, 2.0, exclude_max=True))
+def test_modal_solve_matches_the_sparse_path(method, family, m, index, omega):
+    # a detected system sweeps its modal residual alone; the sparse path
+    # factorizes and sweeps x, at the same shift. Its RES = ||b - A x|| / ||b||
+    # carries an absolute rounding error of a few eps (up to 3e-16 beyond the
+    # relative bound over m <= 6), hence the floor of 1e-14
+    from gadisolve.bench import _auto_grid
+    system = MODAL_FAMILIES[family](m)
+    assert system.joint_eigenbasis is not None
+    params = SplitParams(method, float(_auto_grid(default_alpha(system, method))[index]), omega)
+    x, modal = run_stationary(system, params, MODAL_CONFIG)
+    with pytest.MonkeyPatch.context() as patch:
+        without_joint_eigenbasis(patch)
+        x_sparse, sparse = run_stationary(MODAL_FAMILIES[family](m), params, MODAL_CONFIG)
+    assert (modal.iterations, modal.converged) == (sparse.iterations, sparse.converged)
+    assert abs(modal.final_res - sparse.final_res) <= 1e-9 * sparse.final_res + 1e-14
+    assert np.linalg.norm(x - x_sparse) <= 1e-9 * np.linalg.norm(x_sparse)
 
 
-@pytest.mark.parametrize("family", sorted(MIX_FAMILIES))
-def test_mixed_gadi_at_omega_0_is_the_hss_solve_bit_for_bit(family):
-    from gadisolve import splitting
-    system = MIX_FAMILIES[family](6)
-    alpha = _mix_shift(system, 3)
-    solve = splitting._mixed_gadi(system, alpha, MIX_CONFIG.tol)
-    solve(1.5, 40)  # a solve that runs the HSS sweeps first changes nothing
-    for max_sweeps in (2, MIX_CONFIG.max_outer):
-        mixed = solve(0.0, max_sweeps)
-        direct = run_stationary(system, SplitParams("hss", alpha), SolveConfig(
-            tol=MIX_CONFIG.tol, max_outer=max_sweeps, inner="exact"))[1]
-        assert mixed.residual_history == direct.residual_history
-        assert mixed.converged == direct.converged
+@pytest.mark.parametrize("system", [gen_ex241(32, "h", stencil="unit"),
+                                    gen_ex241(32, "500h", stencil="unit"),
+                                    gen_ex242(32, stencil="unit")],
+                         ids=["ex241-h", "ex241-500h", "ex242"])
+def test_modal_solve_returns_the_x_of_its_reported_res(system):
+    # the answer is formed once from the sweep count: it must be the iterate
+    # whose residual the report gives, not one sweep short of it
+    nb = np.linalg.norm(system.b)
+    for method in METHODS:
+        x, report = run_stationary(system, SplitParams(method, default_alpha(system, method)),
+                                   SolveConfig(tol=1e-5, inner="exact"))
+        true_res = np.linalg.norm(system.b - system.matvec(x)) / nb
+        assert report.converged and abs(true_res - report.final_res) <= 1e-13, method
 
 
 def test_invalid_params_rejected():
