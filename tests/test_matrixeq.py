@@ -320,6 +320,30 @@ def test_reference_riccati_row_n8():
     assert result.inner_iteration_total <= 50
 
 
+# the inner sweeps of each Newton step of the table5 instances, after their
+# restart from X = 0; the table5 pin checks only their totals with the sweeps
+# of the diverged first start
+TABLE5_STEP_SWEEPS = {
+    8: [7, 3, 2, 1, 2, 3, 4],
+    16: [12, 10, 9, 7, 4, 2, 2, 2, 3, 6, 7, 7],
+    24: [18, 16, 16, 14, 12, 10, 7, 4, 4, 4, 5, 10, 10],
+    32: [23, 22, 21, 20, 18, 16, 13, 7, 4, 5, 6, 14, 14],
+}
+
+
+@pytest.mark.parametrize("n", sorted(TABLE5_STEP_SWEEPS))
+def test_table5_step_sweeps_are_pinned(n):
+    from gadisolve.bench import build_preset
+    (cfg,) = build_preset("table5")
+    (alpha, omega), = cfg.policy.points
+    assert alpha is None  # the solver's default shift, as in the preset
+    result = newton_gadi_riccati(gen_ex421(n), outer_tol=cfg.tol, max_outer=cfg.max_outer,
+                                 omega=omega)
+    assert result.converged
+    assert result.restarted
+    assert [s.inner_iterations for s in result.states] == TABLE5_STEP_SWEEPS[n]
+
+
 def test_newton_agrees_with_direct_newton_oracle():
     rng = np.random.default_rng(60)
     p = small_riccati(rng, 4)
