@@ -143,8 +143,8 @@ def _auto_grid(alpha_star, points=21):
     return tuple(np.geomspace(alpha_star / 5.0, 5.0 * alpha_star, points))
 
 
-def _cells(spec, problem, method, alpha, cfg):
-    """The cells of ``method`` at shift ``alpha``, as ``cell(omega, max_outer) -> (row, report)``.
+def _cell(spec, problem, method, alpha, omega, cfg, max_outer):
+    """The cell of ``method`` at ``(alpha, omega)``, as ``(row, report)``.
 
     Newton-GADI runs on ex421, whose ``max_outer`` counts Newton steps and
     whose IT column the inner sweeps; a Lyapunov solve on ex31; otherwise a
@@ -153,51 +153,44 @@ def _cells(spec, problem, method, alpha, cfg):
     row with report None.
     """
     name = METHOD_ALIASES.get(method, method)
-    config = lambda max_outer: replace(cfg.solve_config, max_outer=max_outer)
-    if spec.family == "ex421":
-        def solve(params, max_outer):
+    params = SplitParams(name, float(alpha), float(omega))
+    t0 = time.perf_counter()
+    try:
+        if spec.family == "ex421":
             result = newton_gadi_riccati(problem, outer_tol=cfg.tol, max_outer=max_outer,
                                          alpha=params.alpha, omega=params.omega)
-            return SolveReport(result.converged, result.outer_iterations,
-                               result.final_res, result.res_history,
-                               result.wall_time, result.inner_iteration_total)
-    elif spec.family == "ex31":
-        lyapunov = solve_lyapunov_gadi if name == "gadi" else solve_lyapunov_hss
-        solve = lambda params, max_outer: lyapunov(problem, params, config(max_outer))[1]
-    else:
-        solve = lambda params, max_outer: run_stationary(problem, params, config(max_outer))[1]
-
-    def cell(omega, max_outer):
-        params = SplitParams(name, float(alpha), float(omega))
-        t0 = time.perf_counter()
-        try:
-            report = solve(params, max_outer)
-            it = report.inner_iteration_total if spec.family == "ex421" else report.iterations
-            res, converged = report.final_res, report.converged
-        except (RuntimeError, NotPositiveDefiniteError) as err:
-            report, converged = None, False
-            res = getattr(err, "residual", math.nan)
-            res = res if np.isfinite(res) else math.nan
-            it = int(getattr(err, "iterations", 0))
-        return (BenchmarkRow(method, spec.dimension, spec.label(), params.alpha,
-                             params.relaxation, res, it, time.perf_counter() - t0, converged),
-                report)
-    return cell
+            report = SolveReport(result.converged, result.outer_iterations,
+                                 result.final_res, result.res_history,
+                                 result.wall_time, result.inner_iteration_total)
+            it = report.inner_iteration_total
+        else:
+            solve = run_stationary
+            if spec.family == "ex31":
+                solve = solve_lyapunov_gadi if name == "gadi" else solve_lyapunov_hss
+            report = solve(problem, params, replace(cfg.solve_config, max_outer=max_outer))[1]
+            it = report.iterations
+        res, converged = report.final_res, report.converged
+    except (RuntimeError, NotPositiveDefiniteError) as err:
+        report, converged = None, False
+        res = getattr(err, "residual", math.nan)
+        res = res if np.isfinite(res) else math.nan
+        it = int(getattr(err, "iterations", 0))
+    return (BenchmarkRow(method, spec.dimension, spec.label(), params.alpha,
+                         params.relaxation, res, it, time.perf_counter() - t0, converged),
+            report)
 
 
 def _grid(spec, problem, method, shifts, omegas, cfg, max_outer, capped):
     """Every (shift, omega) cell, shift by shift; returns [(row, report)] shift-major.
 
-    The omegas of a shift share one :func:`_cells`. With ``capped`` no cell
-    may take more sweeps than the best converged cell so far: one that needs
-    more cannot win, and the cap is inclusive, so a tie still competes on RES
-    and then on alpha.
+    With ``capped`` no cell may take more sweeps than the best converged cell
+    so far: one that needs more cannot win, and the cap is inclusive, so a tie
+    still competes on RES and then on alpha.
     """
     solved = []
     for a in shifts:
-        cell = _cells(spec, problem, method, a, cfg)
         for w in omegas:
-            solved.append(cell(w, max_outer))
+            solved.append(_cell(spec, problem, method, a, w, cfg, max_outer))
             row = solved[-1][0]
             if capped and row.converged:
                 max_outer = min(max_outer, row.it)
@@ -231,7 +224,7 @@ def _method_rows(cfg, spec, problem, method):
         if ran:
             win = best_cell(ran)
             points = [(win.alpha, win.omega)]
-    return [_cells(spec, problem, method, alpha, cfg)(omega, cfg.max_outer)
+    return [_cell(spec, problem, method, alpha, omega, cfg, cfg.max_outer)
             for alpha, omega in points]
 
 

@@ -3,15 +3,13 @@
 Under column-stacking vec, A* X + X A = Q with A = W + iT is the system
 (W~ + iT~) x = q of size n^2, with W~ = W (x) I + I (x) W and
 T~ = T (x) I - I (x) T. Its GADI sweeps, and HSS as GADI at omega = 0, run
-on n x n iterates: the half-steps aX + WX + XW = R and aX + i(XT - TX) = R
-are diagonal in the eigenbasis of W and of T, and a Lyapunov sweep keeps its
-iterate in those bases. Newton steps A_k* X + X A_k = Q_k (A_k = A - G X_k)
-of the Riccati equation A* X + X A + Q - X G X = 0 run the same sweep on
-X itself; their second half-step (aI - iT - S) X + X (iT - S^H) = R,
-S = X_k G, is solved by Bartels-Stewart (one complex Schur form per Newton
-step, LAPACK trsyl per sweep). Products of the real W, T and eigenvector
-matrices with a complex iterate are real products on its real and imaginary
-parts. The sparse lifts are built only as reference operators.
+on n x n iterates held in two bases: the half-steps aX + WX + XW = R and
+aX + i(XT - TX) = R are diagonal in the eigenbasis of W and of T. Newton
+steps A_k* X + X A_k = Q_k (A_k = A - G X_k) of the Riccati equation
+A* X + X A + Q - X G X = 0 run the same sweep, with the second half-step
+(aI - iT - S) X + X (iT - S^H) = R, S = X_k G, held in its Schur basis:
+Bartels-Stewart, one complex Schur form per Newton step and a LAPACK trsyl
+per sweep. The sparse lifts are built only as reference operators.
 """
 import time
 from dataclasses import dataclass, field
@@ -191,95 +189,97 @@ def _left(M, Z):
     return (M @ np.ascontiguousarray(Z).view(np.float64)).view(np.complex128)
 
 
-def _right(Z, M):
-    """Z @ M for a complex Z and a real M, as (M^T Z^T)^T."""
-    return _left(M.T, Z.T).T
-
-
 def _congruence(M, Z):
-    """M^T Z M for a real M and a complex Z."""
-    return _right(_left(M.T, Z), M)
-
-
-def _first_half(eig_W, a):
-    """Solver of (aI + W~) x = r: aX + WX + XW = R, diagonal in the eigenbasis
-    (lam, U) of W, where entry (i, j) of U^T X U has coefficient a + lam_i + lam_j."""
-    lam, U = eig_W
-    d = a + lam[:, None] + lam[None, :]
-    return lambda R: _congruence(U.T, _congruence(U, R) / d)
+    """M^H Z M for a complex Z; for a real M, two real products as
+    (M^T (M^T Z)^T)^T."""
+    if np.isrealobj(M):
+        return _left(M.T, _left(M.T, Z).T).T
+    return M.conj().T @ Z @ M
 
 
 class _EigenSweep:
-    """The lifted GADI sweep (HSS at omega = 0) of A* X + X A = Q, held in the
-    eigenbases W = U diag(lam) U^T and T = V diag(mu) V^T.
+    """The lifted GADI sweep (HSS at omega = 0) of WX + XW + K(X) = Q, held in
+    the eigenbasis W = U diag(lam) U^T and a basis Z of the second part K.
 
-    With Lw_ij = lam_i + lam_j and E_ij = i(mu_j - mu_i), WX + XW is Lw * X_U
-    in U coordinates (X_U = U^T X U) and i(XT - TX) is E * Y in V coordinates
-    (Y = V^T X V), so both half-steps are divisions. A state is
-    (Y, X_U, r_U), with r_U = U^T R U for the residual R = Q - A* X - X A; it
-    changes basis through the real P = U^T V, six products of P with a complex
-    n x n matrix per sweep, and ||r_U||_F = ||R||_F.
+    With Lw_ij = lam_i + lam_j, WX + XW is Lw * X_U in U coordinates
+    (X_U = U^T X U), so the first half-step is a division. The second is data,
+    ``second = (Z, K, F, solve)``: K(Y) and F(Y) = K(Y) - (1 - w)aY in Z
+    coordinates Y = Z^H X Z, and the solver of aY + K(Y) = R. A state is
+    (Y, X_U, r_U), with r_U = U^T R U for the residual R = Q - WX - XW - K(X);
+    it changes basis through P = U^T Z, six products of P with an n x n matrix
+    per sweep, and ||r_U||_F = ||R||_F.
     """
 
-    def __init__(self, problem, eig_W, params):
+    def __init__(self, eig_W, Q, params, second):
         lam, U = eig_W
-        mu, self.V = _eigh(problem.T)
-        self.P = U.T @ self.V
+        self.Z, self.K, self.F, self.solve = second
+        self.P = U.T @ self.Z
+        self.PH = self.P.conj().T
         self.Lw = lam[:, None] + lam[None, :]
-        self.E = 1j * (mu[None, :] - mu[:, None])
         a, om = params.alpha, params.relaxation
-        self.D1, self.D2 = a + self.Lw, a + self.E
-        self.F, self.b = self.E - (1 - om) * a, (2 - om) * a
-        self.Q_U = _congruence(U, problem.Q)
+        self.D1, self.b = a + self.Lw, (2 - om) * a
+        self.Q_U = _congruence(U, Q)
 
     def state(self, Y):
-        """The state of the iterate V Y V^T, with X_U = P Y P^T and
-        (i(XT - TX))_U = P (E * Y) P^T."""
-        X_U = _congruence(self.P.T, Y)
-        return Y, X_U, self.Q_U - self.Lw * X_U - _congruence(self.P.T, self.E * Y)
+        """The state of the iterate Z Y Z^H, with X_U = P Y P^H and
+        K(X)_U = P K(Y) P^H."""
+        X_U = _congruence(self.PH, Y)
+        return Y, X_U, self.Q_U - self.Lw * X_U - _congruence(self.PH, self.K(Y))
+
+    def coordinates(self, X):
+        """The Z coordinates Z^H X Z of an iterate X."""
+        return _congruence(self.Z, X)
 
     def X(self, Y):
-        """The iterate V Y V^T of V coordinates Y."""
-        return _congruence(self.V.T, Y)
+        """The iterate Z Y Z^H of Z coordinates Y."""
+        return _congruence(self.Z.conj().T, Y)
 
     def first(self, state):
-        """V^T Xh V for the first half-step's (aI + W~) xh = a x - i T~ x + q,
+        """Z^H Xh Z for the first half-step's (aI + W~) xh = a x - K~ x + q,
         which is r_U / D1 + X_U in U coordinates."""
         _, X_U, r_U = state
         return _congruence(self.P, r_U / self.D1 + X_U)
 
-    def second(self, state, Xh_V):
+    def second(self, state, Xh_Z):
         """The state after the second half-step
-        (aI + iT~) x' = (iT~ - (1 - w) aI) x + (2 - w) a xh."""
-        return self.state((self.F * state[0] + self.b * Xh_V) / self.D2)
+        (aI + K~) x' = (K~ - (1 - w) aI) x + (2 - w) a xh."""
+        return self.state(self.solve(self.F(state[0]) + self.b * Xh_Z))
 
     def step(self, state, res):
         return self.second(state, self.first(state)), 0
 
 
-def _second_part(T, S, X):
-    """K(X) = i(XT - TX) - (SX + XS^H): the second half-step's part of a Newton
-    step operator, for a dense T."""
-    return 1j * (_right(X, T) - _left(T, X)) - (S @ X + X @ S.conj().T)
-
-
-def _lifted(W, X, K):
-    """The whole lifted operator in n x n form, WX + XW + K, for a dense W and
-    the second part K = K(X)."""
-    return _left(W, X) + _right(X, W) + K
-
-
-def _newton_step(T, S, Q, half1, half2, params):
-    """The GADI sweep of a Newton step equation on states (X, K(X)), so that
-    the sweep and the residual share each iterate's second part."""
+def _lyapunov_part(T, params):
+    """The second half-step of a Lyapunov sweep, K(X) = i(XT - TX), in the
+    eigenbasis T = V diag(mu) V^T: K(Y) = E * Y with E_ij = i(mu_j - mu_i),
+    and the solve is a division by a + E."""
+    mu, V = _eigh(T)
+    E = 1j * (mu[None, :] - mu[:, None])
     a, om = params.alpha, params.relaxation
+    F, D2 = E - (1 - om) * a, a + E
+    return V, lambda Y: E * Y, lambda Y: F * Y, lambda R: R / D2
 
-    def step(state, res):
-        X, K = state
-        Xh = half1(a * X - K + Q)
-        X = half2(K - (1 - om) * a * X + (2 - om) * a * Xh)
-        return (X, _second_part(T, S, X)), 0
-    return step
+
+def _newton_part(T, S, params):
+    """The second half-step of a Newton step, K(X) = i(XT - TX) - (SX + XS^H)
+    with S = X_k G, held in its Schur basis (Bartels-Stewart).
+
+    aX + K(X) = C X + X (C - aI)^H with C = aI - iT - S, so in the basis of
+    the complex Schur form C = Z U Z^H, K(Y) = N Y + Y N^H with N = U - aI,
+    and the solve of U Y + Y N^H = R is one LAPACK trsyl.
+    """
+    a, om = params.alpha, params.relaxation
+    I = np.eye(S.shape[0])
+    U, Z = sla.schur(a * I - 1j * T - S, output="complex")
+    N = U - a * I
+    K = lambda Y: N @ Y + Y @ N.conj().T
+
+    def solve(R):
+        Y, scale, info = ztrsyl(U, N, R, tranb="C")
+        if info != 0:
+            raise RuntimeError(f"Newton step equation is numerically singular (trsyl info {info})")
+        return Y / scale
+    return Z, K, lambda Y: K(Y) - (1 - om) * a * Y, solve
 
 
 def _solve_lyapunov(problem, method, params, config):
@@ -290,7 +290,8 @@ def _solve_lyapunov(problem, method, params, config):
         params = SplitParams(method, alpha=_lift_shift(eig_W[0]))
     if params.method not in ("gadi", "hss"):
         raise ValueError(f"Lyapunov sweeps are 'gadi' or 'hss', got {params.method!r}")
-    sweep, tol = _EigenSweep(problem, eig_W, params), config.tol
+    sweep = _EigenSweep(eig_W, problem.Q, params, _lyapunov_part(problem.T, params))
+    tol = config.tol
 
     # the residual in eigen coordinates decides while it is above tol; at or
     # below tol the residual of X decides and is reported, and X = 0 has RES 1
@@ -428,24 +429,6 @@ def _ensure_invertible_start(problem, A, X0, max_tries=60):
     return X0, c
 
 
-def _sylvester_solver(T, S, a):
-    """Solver of (aI + iT~ - g_lift) x = r: (aI - iT - S) X + X (iT - S^H) = R.
-
-    The right coefficient is the left one's adjoint less aI, so with the Schur
-    form Z U Z^H of the left one, Y = Z^H X Z solves U Y + Y (U - aI)^H = Z^H R Z.
-    """
-    I = np.eye(S.shape[0])
-    U, Z = sla.schur(a * I - 1j * _dense(T) - S, output="complex")
-    B = U - a * I
-
-    def solve(R):
-        Y, scale, info = ztrsyl(U, B, Z.conj().T @ R @ Z, tranb="C")
-        if info != 0:
-            raise RuntimeError(f"Newton step equation is numerically singular (trsyl info {info})")
-        return Z @ (Y / scale) @ Z.conj().T
-    return solve
-
-
 def newton_gadi_riccati(problem, outer_tol=1e-6, max_outer=30, inner_forcing=(0.1, 0.1),
                         alpha=None, omega=DEFAULT_OMEGA, x0=None):
     """Newton outer iteration with GADI inner sweeps for the Riccati equation.
@@ -455,6 +438,11 @@ def newton_gadi_riccati(problem, outer_tol=1e-6, max_outer=30, inner_forcing=(0.
     form and warm-started at X_k, until the absolute lifted residual drops
     below min(eta_max, eta_fac * Res_k) ||Q_k||_F, with the finite, positive
     ``inner_forcing=(eta_max, eta_fac)``, or for ``NEWTON_MAX_INNER`` sweeps.
+    The sweeps hold the iterate in the eigenbasis of W and, for the second
+    half-step (aI - iT - S) X + X (iT - S^H) = R with S = X_k G, in the
+    Schur basis of aI - iT - S, where that half-step is one trsyl
+    (Bartels-Stewart). The start's residual is that of X_k itself, and a step
+    that takes no sweep returns X_k. ``x0``, if given, is a finite n x n start.
     A forcing term of the order of the residual keeps Newton's local
     quadratic convergence (Dembo, Eisenstat & Steihaug 1982). The outer loop
     stops when Res(X) = ||A* X + X A + Q - X G X||_2 / ||Q||_2 < outer_tol,
@@ -481,14 +469,17 @@ def newton_gadi_riccati(problem, outer_tol=1e-6, max_outer=30, inner_forcing=(0.
     if not all(np.isfinite(f) and f > 0 for f in (eta_max, eta_fac)):
         raise ValueError(f"inner_forcing entries must be finite and positive, got {inner_forcing}")
     n = problem.n
+    if x0 is not None and np.shape(x0) != (n, n):
+        raise ValueError(f"x0 must be {n} x {n}, got shape {np.shape(x0)}")
+    if x0 is not None and not np.isfinite(x0).all():
+        raise ValueError("x0 must be finite")
     X = newton_initial_guess(problem) if x0 is None else np.asarray(x0, dtype=complex).copy()
     A, G = problem.dense_A(), problem.G
     X, _ = _ensure_invertible_start(problem, A, X)
-    W, T = _dense(problem.W), _dense(problem.T)
+    T = _dense(problem.T)
     nq = _q_norm(problem.Q, 2)
-    eig_W = _eigh(W)
+    eig_W = _eigh(problem.W)
     params = SplitParams("gadi", _lift_shift(eig_W[0]) if alpha is None else float(alpha), omega)
-    half1 = _first_half(eig_W, params.alpha)
 
     total_inner = 0
     restarted = False
@@ -508,16 +499,18 @@ def newton_gadi_riccati(problem, outer_tol=1e-6, max_outer=30, inner_forcing=(0.
                 restarted=restarted, final_res=res)
         Q_k = -X @ G @ X - problem.Q
         state = NewtonState(k=k, X=X, A_k=A - G @ X, Q_k=Q_k)
-        S = X @ G
         eps_abs = min(eta_max, eta_fac * res) * np.linalg.norm(Q_k)
+        sweep = _EigenSweep(eig_W, Q_k, params, _newton_part(T, X @ G, params))
+        start = sweep.state(sweep.coordinates(X))
         # the inner sweeps stop on the absolute residual, once it is below
-        # eps_abs, and a residual that keeps growing means the lifted term
-        # g_lift pushed the contraction factor above one
+        # eps_abs; that of the start is taken of X_k itself, as in eigen
+        # coordinates its rounding can exceed eps_abs at a solution. A residual
+        # that keeps growing means g_lift pushed the contraction factor above one
+        direct = np.linalg.norm(Q_k - state.A_k.conj().T @ X - X @ state.A_k)
         try:
-            (Xn, _), inner = _sweep(
-                lambda: _newton_step(T, S, Q_k, half1,
-                                     _sylvester_solver(T, S, params.alpha), params),
-                lambda xk: np.linalg.norm(_lifted(W, *xk) - Q_k), (X, _second_part(T, S, X)),
+            end, inner = _sweep(
+                lambda: sweep.step,
+                lambda s: direct if s is start else np.linalg.norm(s[2]), start,
                 np.nextafter(eps_abs, -np.inf), NEWTON_MAX_INNER, guard=True)
         except _Diverged as div:
             total_inner += div.args[0].iterations
@@ -536,6 +529,7 @@ def newton_gadi_riccati(problem, outer_tol=1e-6, max_outer=30, inner_forcing=(0.
         total_inner += l
         state.inner_iterations = l
         state.inner_residual = float(inner.final_res)
+        Xn = sweep.X(end[0]) if l else X  # no sweep: X_k, not its round trip Z Y Z^H
         X = 0.5 * (Xn + Xn.conj().T)  # inner tolerance allows a Hermitian drift
         k += 1
         state.res = res

@@ -378,6 +378,20 @@ def test_newton_stationary_at_exact_solution():
     assert np.linalg.norm(result.X - Xs, "fro") <= 1e-10 * np.linalg.norm(Xs, "fro")
 
 
+def test_newton_keeps_an_exact_solution_bit_for_bit():
+    # at a solution the start residual of each step is below its inner
+    # tolerance: no step sweeps, and each returns X_k itself
+    p = gen_ex421(4)
+    A = p.dense_A()
+    Xs = solve_continuous_are(A, np.eye(4, dtype=complex), p.Q, np.linalg.inv(p.G))
+    Xs = _refine_care(p, Xs)
+    result = newton_gadi_riccati(p, outer_tol=1e-14, max_outer=6, x0=Xs)
+    assert result.states
+    assert [s.inner_iterations for s in result.states] == [0] * len(result.states)
+    assert np.array_equal(result.X, Xs)
+    assert all(np.array_equal(s.X, Xs) for s in result.states)
+
+
 def test_newton_early_exit_at_exact_solution():
     p = gen_ex421(4)
     A = p.dense_A()
@@ -392,8 +406,9 @@ def test_newton_early_exit_at_exact_solution():
     {"outer_tol": np.inf}, {"outer_tol": 0.0}, {"max_outer": -2},
     {"inner_forcing": (-1.0, 0.1)}, {"inner_forcing": (np.nan, 0.1)},
     {"inner_forcing": (0.1, 0.0)}, {"inner_forcing": (0.1, np.inf)},
+    {"x0": np.zeros((3, 3))}, {"x0": np.full((8, 8), np.nan)},
 ], ids=["outer_tol=inf", "outer_tol=0", "max_outer=-2", "eta_max=-1", "eta_max=nan",
-        "eta_fac=0", "eta_fac=inf"])
+        "eta_fac=0", "eta_fac=inf", "x0=3x3", "x0=nan"])
 def test_newton_rejects_bad_arguments(kwargs):
     with pytest.raises(ValueError) as info:
         newton_gadi_riccati(gen_ex421(8), **kwargs)

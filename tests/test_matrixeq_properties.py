@@ -9,8 +9,7 @@ from hypothesis import strategies as st
 from gadisolve import (LyapunovProblem, NewtonState, RiccatiProblem,
                        SplitParams, build_newton_lift, lift_lyapunov,
                        step, unvec, vec)
-from gadisolve.matrixeq import (_congruence, _eigh, _EigenSweep, _first_half, _lifted,
-                                _newton_step, _second_part, _sylvester_solver)
+from gadisolve.matrixeq import _congruence, _eigh, _EigenSweep, _lyapunov_part, _newton_part
 from helpers import random_psd, random_spd, symmetrize
 
 TOL = 1e-12
@@ -52,17 +51,20 @@ def lifted_solve(M, r):
 
 
 def eigen_sweep(p, params, X):
-    """The eigen-coordinate sweep of ``p`` and the state of the iterate X."""
-    sweep = _EigenSweep(p, _eigh(p.W), params)
-    return sweep, sweep.state(_congruence(sweep.V, X))
+    """The eigen-coordinate sweep of the Lyapunov problem ``p`` and the state
+    of the iterate X."""
+    sweep = _EigenSweep(_eigh(p.W), p.Q, params, _lyapunov_part(p.T, params))
+    return sweep, sweep.state(sweep.coordinates(X))
 
 
 def assert_state_is(p, sweep, state, lift, x):
     """The state holds the iterate x, and its r_U is U^T R U for the lifted
-    residual R = q - (w_lift + i t_lift) x."""
+    residual R = q - (w_lift + i t_lift) x, less g_lift x for a Newton lift."""
     n = p.n
     assert rel(vec(sweep.X(state[0])), x) <= TOL
     r = lift.q - lift.w_lift @ x - 1j * (lift.t_lift @ x)
+    if hasattr(lift, "g_lift"):
+        r = r + lift.g_lift @ x
     assert rel(state[2], _congruence(_eigh(p.W)[1], unvec(r, n, n))) <= TOL
 
 
@@ -107,23 +109,21 @@ def test_newton_half_step_sweep_and_residual_match_lift(n, seed, a, om):
     p, state, S = newton(rng, n, a)
     lift = build_newton_lift(state, p)
     I = sp.eye_array(n * n)
-    m1 = a * I + lift.w_lift
-    m2 = a * I + 1j * lift.t_lift - lift.g_lift
-    R = cmatrix(rng, n)
-    half1 = _first_half(_eigh(p.W), a)
-    assert rel(half1(R), unvec(lifted_solve(m1, vec(R)), n, n)) <= TOL
-    T = p.T.toarray()
-    half2 = _sylvester_solver(T, S, a)
-    assert rel(half2(R), unvec(lifted_solve(m2, vec(R)), n, n)) <= TOL
-
+    params = SplitParams("gadi", a, om)
+    sweep = _EigenSweep(_eigh(p.W), state.Q_k, params, _newton_part(p.T.toarray(), S, params))
     X = cmatrix(rng, n)
     x = vec(X)
-    Sx = 1j * (lift.t_lift @ x) - lift.g_lift @ x
-    xh = lifted_solve(m1, a * x - Sx + lift.q)
-    want = lifted_solve(m2, Sx - (1 - om) * a * x + (2 - om) * a * xh)
-    step = _newton_step(T, S, state.Q_k, half1, half2, SplitParams("gadi", a, om))
-    (Xn, K), inner = step((X, _second_part(T, S, X)), None)
+    start = sweep.state(sweep.coordinates(X))
+    assert_state_is(p, sweep, start, lift, x)
+
+    Kx = 1j * (lift.t_lift @ x) - lift.g_lift @ x
+    xh = lifted_solve(a * I + lift.w_lift, a * x - Kx + lift.q)
+    Xh_Z = sweep.first(start)
+    assert rel(vec(sweep.X(Xh_Z)), xh) <= TOL
+    want = lifted_solve(a * I + 1j * lift.t_lift - lift.g_lift,
+                        Kx - (1 - om) * a * x + (2 - om) * a * xh)
+    new = sweep.second(start, Xh_Z)
+    assert_state_is(p, sweep, new, lift, want)
+    swept, inner = sweep.step(start, None)
     assert inner == 0
-    assert rel(vec(Xn), want) <= TOL
-    assert np.array_equal(K, _second_part(T, S, Xn))
-    assert rel(vec(_lifted(p.W.toarray(), X, _second_part(T, S, X))), lift.matvec(x)) <= TOL
+    assert np.array_equal(swept[0], new[0])
