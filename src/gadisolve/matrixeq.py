@@ -441,21 +441,27 @@ def newton_gadi_riccati(problem, outer_tol=1e-6, max_outer=30, inner_forcing=(0.
     The sweeps hold the iterate in the eigenbasis of W and, for the second
     half-step (aI - iT - S) X + X (iT - S^H) = R with S = X_k G, in the
     Schur basis of aI - iT - S, where that half-step is one trsyl
-    (Bartels-Stewart). The start's residual is that of X_k itself, and a step
-    that takes no sweep returns X_k. ``x0``, if given, is a finite n x n start.
+    (Bartels-Stewart). ``x0``, if given, is a finite n x n start.
     A forcing term of the order of the residual keeps Newton's local
-    quadratic convergence (Dembo, Eisenstat & Steihaug 1982). The outer loop
-    stops when Res(X) = ||A* X + X A + Q - X G X||_2 / ||Q||_2 < outer_tol,
-    or after ``max_outer`` steps; outer_tol must be finite and positive, and
-    max_outer at least 1. The default shift ``alpha`` is that of the lifted
-    real part, as for :func:`solve_lyapunov_gadi`.
+    quadratic convergence (Dembo, Eisenstat & Steihaug 1982). The outer steps
+    run in the sweep loop of :mod:`gadisolve.splitting`, which stops when
+    Res(X) = ||A* X + X A + Q - X G X||_2 / ||Q||_2 < outer_tol, after
+    ``max_outer`` steps, or at a fixed point: a step whose start X_k already
+    meets its inner tolerance (its residual taken of X_k itself) returns X_k
+    and builds no Schur form, and every later step would repeat it.
+    outer_tol must be finite and positive, and max_outer at least 1. The
+    default shift ``alpha`` is that of the lifted real part, as for
+    :func:`solve_lyapunov_gadi`.
 
     Two safeguards keep the iteration well posed: a start whose first step
     operator is numerically singular is inflated by a multiple of the
     identity, and if the first step's inner sweeps diverge (the lifted
     operator can be expansive at a positive-semidefinite start) the iteration
-    restarts once from X = 0, whose steps are provably contractive here. All
-    executed sweeps count toward ``inner_iteration_total``.
+    restarts once from X = 0. All executed sweeps count toward
+    ``inner_iteration_total``. Inner sweeps that diverge at a later step, or
+    after the restart, raise InnerSolverError; its ``iterations`` count every
+    inner sweep taken, and its ``report`` is the outer loop's partial
+    SolveReport, whose history holds the Res of each step reached.
 
     Returns a :class:`RiccatiResult`; reaching max_outer yields
     ``converged=False``. Bad arguments raise a one-line ValueError.
@@ -481,58 +487,53 @@ def newton_gadi_riccati(problem, outer_tol=1e-6, max_outer=30, inner_forcing=(0.
     eig_W = _eigh(problem.W)
     params = SplitParams("gadi", _lift_shift(eig_W[0]) if alpha is None else float(alpha), omega)
 
-    total_inner = 0
-    restarted = False
     states = []
-    history = []
-    k = 0
-    stagnant = 0
-    prev_res = np.inf
-    while True:
-        res = _riccati_res(A, G, problem.Q, nq, X)
-        history.append((k, res))
-        if res < outer_tol or k >= max_outer or stagnant >= 3:
-            return RiccatiResult(
-                X=X, converged=res < outer_tol, outer_iterations=k,
-                inner_iteration_total=total_inner, res_history=history,
-                states=states, wall_time=time.perf_counter() - t0,
-                restarted=restarted, final_res=res)
-        Q_k = -X @ G @ X - problem.Q
-        state = NewtonState(k=k, X=X, A_k=A - G @ X, Q_k=Q_k)
-        eps_abs = min(eta_max, eta_fac * res) * np.linalg.norm(Q_k)
-        sweep = _EigenSweep(eig_W, Q_k, params, _newton_part(T, X @ G, params))
-        start = sweep.state(sweep.coordinates(X))
+    spent = 0  # the inner sweeps of a diverged first start
+
+    def newton_step(X, res):
         # the inner sweeps stop on the absolute residual, once it is below
         # eps_abs; that of the start is taken of X_k itself, as in eigen
         # coordinates its rounding can exceed eps_abs at a solution. A residual
         # that keeps growing means g_lift pushed the contraction factor above one
-        direct = np.linalg.norm(Q_k - state.A_k.conj().T @ X - X @ state.A_k)
+        k = len(states)
+        Q_k = -X @ G @ X - problem.Q
+        A_k = A - G @ X
+        eps_abs = min(eta_max, eta_fac * res) * np.linalg.norm(Q_k)
+        direct = float(np.linalg.norm(Q_k - A_k.conj().T @ X - X @ A_k))
+        if direct < eps_abs:  # X_k is a fixed point of the outer sweep
+            states.append(NewtonState(k, X, A_k, Q_k, 0, direct, res))
+            return X, 0
+        sweep = _EigenSweep(eig_W, Q_k, params, _newton_part(T, X @ G, params))
+        start = sweep.state(sweep.coordinates(X))
         try:
             end, inner = _sweep(
                 lambda: sweep.step,
                 lambda s: direct if s is start else np.linalg.norm(s[2]), start,
                 np.nextafter(eps_abs, -np.inf), NEWTON_MAX_INNER, guard=True)
         except _Diverged as div:
-            total_inner += div.args[0].iterations
-            if restarted or k > 0:
-                err = InnerSolverError(
-                    f"inner GADI sweeps diverge at outer step {k}", x=vec(X),
-                    iterations=total_inner, residual=res)
-                err.half_step = f"outer step {k}"
-                raise err from None
-            restarted = True
-            X = np.zeros((n, n), dtype=complex)
-            states.clear()
-            history.clear()
-            continue
+            if not (spent or k):
+                raise  # the first step from the first start: restart from X = 0
+            err = InnerSolverError(
+                f"inner GADI sweeps diverge at outer step {k}", x=vec(X),
+                iterations=spent + sum(s.inner_iterations for s in states)
+                + div.args[0].iterations, residual=res)
+            err.half_step = f"outer step {k}"
+            raise err from None
         l = inner.iterations
-        total_inner += l
-        state.inner_iterations = l
-        state.inner_residual = float(inner.final_res)
-        Xn = sweep.X(end[0]) if l else X  # no sweep: X_k, not its round trip Z Y Z^H
-        X = 0.5 * (Xn + Xn.conj().T)  # inner tolerance allows a Hermitian drift
-        k += 1
-        state.res = res
-        states.append(state)
-        stagnant = stagnant + 1 if (l == 0 and res >= prev_res * (1 - 1e-12)) else 0
-        prev_res = res
+        states.append(NewtonState(k, X, A_k, Q_k, l, float(inner.final_res), res))
+        Xn = sweep.X(end[0])
+        return 0.5 * (Xn + Xn.conj().T), l  # inner tolerance allows a Hermitian drift
+
+    def newton(X):
+        return _sweep(lambda: newton_step, lambda X: _riccati_res(A, G, problem.Q, nq, X), X,
+                      float(np.nextafter(outer_tol, -np.inf)), max_outer)
+    try:
+        X, report = newton(X)
+    except _Diverged as div:
+        spent = div.args[0].iterations
+        X, report = newton(np.zeros((n, n), dtype=complex))
+    return RiccatiResult(
+        X=X, converged=report.converged, outer_iterations=report.iterations,
+        inner_iteration_total=spent + report.inner_iteration_total,
+        res_history=report.residual_history, states=states,
+        wall_time=time.perf_counter() - t0, restarted=spent > 0, final_res=report.final_res)

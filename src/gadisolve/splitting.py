@@ -21,7 +21,8 @@ is g^k * S b. The sweep loop runs on its squared modulus, with no
 factorization and no matvec, and x is formed once at the end.
 
 One sweep loop, :func:`_sweep`, drives every method, the modal solves and
-the Lyapunov and Newton sweeps of :mod:`gadisolve.matrixeq`.
+the Lyapunov sweeps and the Newton inner and outer steps of
+:mod:`gadisolve.matrixeq`.
 """
 import functools
 import math
@@ -363,8 +364,8 @@ def _make_step(W, T, b, params, mode):
             if x_prev is not None:
                 r = rhs - M @ x_prev
                 nr = np.linalg.norm(r)
-                if nr == 0.0:
-                    return x_prev, 0
+                if nr == 0.0:  # a new object: x_prev may be the sweep's input
+                    return x_prev.copy(), 0
                 tol *= np.linalg.norm(rhs) / nr  # keeps the cold target tol * ||rhs||
             try:
                 d, steps = krylov(M, r, rel_tol=tol, max_it=4 * n + 100)
@@ -403,7 +404,9 @@ def _sweep(make_step, residual, x, tol, max_sweeps, guard=False):
     Sweeps ``x, inner = step(x, res)`` while ``res = residual(x)`` exceeds
     ``tol``, for at most ``max_sweeps`` sweeps. ``make_step()`` builds the
     step, factorizing its coefficients, before the first sweep, so a start
-    that already meets ``tol`` costs no factorization. Returns
+    that already meets ``tol`` costs no factorization. A step that returns
+    ``x`` itself marks a fixed point: the loop records that sweep at the same
+    residual and stops, so every other step must return a new object. Returns
     ``(x, SolveReport)``. An InnerSolverError from a step leaves with the
     partial report as ``err.report``. With ``guard``, a residual that grew six
     sweeps running to above twice its start raises _Diverged.
@@ -420,12 +423,16 @@ def _sweep(make_step, residual, x, tol, max_sweeps, guard=False):
     while res > tol and it < max_sweeps:
         step = step or make_step()
         try:
-            x, inner = step(x, res)
+            x_next, inner = step(x, res)
         except InnerSolverError as err:
             err.report = report()
             raise
         inner_total += inner
         it += 1
+        if x_next is x:  # a fixed point
+            history.append((it, res))
+            break
+        x = x_next
         new = residual(x)
         grow = grow + 1 if new > res else 0
         res = new
