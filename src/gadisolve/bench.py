@@ -580,12 +580,15 @@ def _cmd_sweep(args):
 
 
 def main(argv=None):
-    """Exit 0 when every run converged, 1 when one did not or its solver failed, 2 on bad input."""
+    """Exit 0 when every run converged, 1 when one did not or its solver failed, 2 on bad
+    input or an output file that cannot be written."""
     parser = _build_parser()
     args = _parse_args(parser, sys.argv[1:] if argv is None else list(argv))
     try:
+        if args.out:  # an unwritable --out fails before any solve
+            open(args.out, "a").close()
         return args.func(args)
-    except ValueError as err:  # a bad problem, method, parameter or config value
+    except (ValueError, OSError) as err:  # bad input, or an output file it cannot write
         parser.error(f"{args.command}: {err}")
 
 

@@ -9,7 +9,11 @@ steps A_k* X + X A_k = Q_k (A_k = A - G X_k) of the Riccati equation
 A* X + X A + Q - X G X = 0 run the same sweep, with the second half-step
 (aI - iT - S) X + X (iT - S^H) = R, S = X_k G, held in its Schur basis:
 Bartels-Stewart, one complex Schur form per Newton step and a LAPACK trsyl
-per sweep. The sparse lifts are built only as reference operators.
+per sweep. The Newton outer steps run in the sweep loop of the inner sweeps,
+``splitting._sweep``: a step whose start already meets its inner tolerance
+returns X_k, a fixed point that ends the iteration, and the restart from
+X = 0 is a second run of that loop. The sparse lifts are built only as
+reference operators.
 """
 import time
 from dataclasses import dataclass, field
@@ -37,6 +41,7 @@ __all__ = [
 
 LIFT_LIMIT = 128  # the explicit lifts have n^2 rows
 NEWTON_MAX_INNER = 500  # inner GADI sweeps per Newton step
+NEWTON_MAX_INFLATIONS = 60  # identity inflations tried on a singular Newton start
 
 
 class _EquationData:
@@ -174,6 +179,14 @@ def _lift_shift(lam):
         raise NotPositiveDefiniteError(
             f"W is not positive definite: minimum eigenvalue {lam[0]:.6e}")
     return 2.0 * float(np.sqrt(lam[0] * lam[-1]))
+
+
+def _square(X, n, name="X"):
+    """``X`` as an array, or a one-line ValueError if it is not n x n."""
+    X = np.asarray(X)
+    if X.shape != (n, n):
+        raise ValueError(f"{name} must be {n} x {n}, got shape {X.shape}")
+    return X
 
 
 def _q_norm(Q, ord):
@@ -337,7 +350,7 @@ def lyapunov_residual(problem, X):
     """Relative residual ||Q - A* X - X A||_F / ||Q||_F."""
     nq = _q_norm(problem.Q, "fro")
     A = problem.dense_A()
-    X = np.asarray(X)
+    X = _square(X, problem.n)
     return float(np.linalg.norm(problem.Q - A.conj().T @ X - X @ A, "fro") / nq)
 
 
@@ -364,7 +377,7 @@ def newton_initial_guess(problem):
 def riccati_residual(problem, X):
     """Relative residual ||A* X + X A + Q - X G X||_2 / ||Q||_2 (spectral norm)."""
     nq = _q_norm(problem.Q, 2)
-    return _riccati_res(problem.dense_A(), problem.G, problem.Q, nq, np.asarray(X))
+    return _riccati_res(problem.dense_A(), problem.G, problem.Q, nq, _square(X, problem.n))
 
 
 def _riccati_res(A, G, Q, nq, X):
@@ -405,7 +418,7 @@ def load_riccati_problem(stem):
                           load_dense_block(f"{stem}.Q.dense"))
 
 
-def _ensure_invertible_start(problem, A, X0, max_tries=60):
+def _ensure_invertible_start(problem, A, X0):
     """Inflate X0 by c*I while the first Newton step equation is numerically singular.
 
     The step operator of A_0 = A - G X_0 is singular exactly when two
@@ -416,7 +429,7 @@ def _ensure_invertible_start(problem, A, X0, max_tries=60):
     """
     n = problem.n
     c = 0.0
-    for _ in range(max_tries):
+    for _ in range(NEWTON_MAX_INFLATIONS):
         lam = sla.eigvals(A - problem.G @ (X0 + c * np.eye(n)))
         gap = np.abs(lam[:, None] + lam[None, :].conj()).min()
         if gap > 1e-8 * max(1.0, float(np.abs(lam).max())):
@@ -475,9 +488,7 @@ def newton_gadi_riccati(problem, outer_tol=1e-6, max_outer=30, inner_forcing=(0.
     if not all(np.isfinite(f) and f > 0 for f in (eta_max, eta_fac)):
         raise ValueError(f"inner_forcing entries must be finite and positive, got {inner_forcing}")
     n = problem.n
-    if x0 is not None and np.shape(x0) != (n, n):
-        raise ValueError(f"x0 must be {n} x {n}, got shape {np.shape(x0)}")
-    if x0 is not None and not np.isfinite(x0).all():
+    if x0 is not None and not np.isfinite(_square(x0, n, "x0")).all():
         raise ValueError("x0 must be finite")
     X = newton_initial_guess(problem) if x0 is None else np.asarray(x0, dtype=complex).copy()
     A, G = problem.dense_A(), problem.G

@@ -168,6 +168,33 @@ def test_unreadable_config_file_exits_2(tmp_path, capsys):
     assert code == 2 and "no section headers" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ["run", "--preset", "table5", "--out", "{missing}/rows.csv"],
+    SOLVE + ["--out", "{missing}/row.csv"],
+    SOLVE + ["--series", "{missing}/series.csv"],
+    ["sweep", "--family", "ex241", "--m", "2", "--alpha-grid", "1", "--out", "{missing}/c.csv"],
+    ["run", "--preset", "fig3", "--out", "{tmp}/rows.csv", "--series-dir", "{missing}"],
+], ids=["run-out", "solve-out", "solve-series", "sweep-out", "run-series-dir"])
+def test_unwritable_output_exits_2(tmp_path, capsys, argv):
+    missing = tmp_path / "missing"
+    argv = [a.format(missing=missing, tmp=tmp_path) for a in argv]
+    code, err = _exit_code(argv, capsys)
+    assert code == 2
+    assert f"{argv[0]}: [Errno 2] No such file or directory: '{missing}" in err
+    assert not missing.exists()
+
+
+def test_unwritable_run_out_fails_before_any_solve(tmp_path, monkeypatch, capsys):
+    from gadisolve import bench
+
+    def no_solve(*args, **kwargs):
+        raise AssertionError("a preset ran before its --out was checked")
+    monkeypatch.setattr(bench, "run_grid", no_solve)
+    code, err = _exit_code(["run", "--preset", "table1", "--out",
+                            str(tmp_path / "missing" / "rows.csv")], capsys)
+    assert code == 2 and "No such file or directory" in err
+
+
 def test_config_file_value_may_begin_with_a_dash(tmp_path, capsys):
     ini = tmp_path / "bench.ini"
     ini.write_text("[solve]\nfamily = ex241\nm = 2\nmethod = gadi\nalpha = -1\n")

@@ -239,6 +239,22 @@ def test_riccati_residual_cases():
     assert abs(riccati_residual(p, X) - want) <= 1e-13
 
 
+@pytest.mark.parametrize("shape", [(4,), (3, 3), (4, 1)], ids=["vector", "3x3", "4x1"])
+@pytest.mark.parametrize("residual, problem", [(lyapunov_residual, gen_ex31(4, 0.1)),
+                                               (riccati_residual, gen_ex421(4))],
+                         ids=["lyapunov", "riccati"])
+def test_residuals_reject_an_x_that_is_not_n_by_n(residual, problem, shape):
+    # a length-n vector used to broadcast to a meaningless number
+    with pytest.raises(ValueError) as info:
+        residual(problem, np.ones(shape))
+    assert str(info.value) == f"X must be 4 x 4, got shape {shape}"
+
+
+def test_lyapunov_residual_of_a_non_finite_x_is_nan():
+    # only the shape is checked: a diverged solve still reports its NaN RES
+    assert np.isnan(lyapunov_residual(gen_ex31(4, 0.1), np.full((4, 4), np.nan)))
+
+
 # -- Newton initialization ------------------------------------------------------------
 
 def test_initial_guess_scalar():
@@ -342,6 +358,8 @@ def test_table5_step_sweeps_are_pinned(n):
     assert result.converged
     assert result.restarted
     assert [s.inner_iterations for s in result.states] == TABLE5_STEP_SWEEPS[n]
+    assert len(result.res_history) == result.outer_iterations + 1
+    assert result.res_history[-1] == (result.outer_iterations, result.final_res)
 
 
 def test_newton_agrees_with_direct_newton_oracle():
@@ -378,18 +396,28 @@ def test_newton_stationary_at_exact_solution():
     assert np.linalg.norm(result.X - Xs, "fro") <= 1e-10 * np.linalg.norm(Xs, "fro")
 
 
-def test_newton_keeps_an_exact_solution_bit_for_bit():
-    # at a solution the start residual of each step is below its inner
-    # tolerance: no step sweeps, and each returns X_k itself
+def test_newton_keeps_an_exact_solution_bit_for_bit(monkeypatch):
+    # at a solution the start residual of the first step is below its inner
+    # tolerance: the step returns X_k itself before it builds a Schur form,
+    # a fixed point that ends the outer sweep after that one step
+    from gadisolve import matrixeq
+    schur, calls = matrixeq.sla.schur, []
+    monkeypatch.setattr(matrixeq.sla, "schur", lambda *a, **k: calls.append(1) or schur(*a, **k))
     p = gen_ex421(4)
     A = p.dense_A()
     Xs = solve_continuous_are(A, np.eye(4, dtype=complex), p.Q, np.linalg.inv(p.G))
     Xs = _refine_care(p, Xs)
     result = newton_gadi_riccati(p, outer_tol=1e-14, max_outer=6, x0=Xs)
-    assert result.states
-    assert [s.inner_iterations for s in result.states] == [0] * len(result.states)
+    assert result.outer_iterations == len(result.states) == 1
+    assert not result.converged
+    assert calls == []
     assert np.array_equal(result.X, Xs)
-    assert all(np.array_equal(s.X, Xs) for s in result.states)
+    (state,) = result.states
+    assert state.inner_iterations == 0 and np.array_equal(state.X, Xs)
+    A_k, Q_k = A - p.G @ Xs, -Xs @ p.G @ Xs - p.Q
+    assert state.inner_residual == float(np.linalg.norm(Q_k - A_k.conj().T @ Xs - Xs @ A_k))
+    res = riccati_residual(p, Xs)
+    assert result.res_history == [(0, res), (1, res)] and state.res == res
 
 
 def test_newton_early_exit_at_exact_solution():
@@ -415,6 +443,21 @@ def test_newton_rejects_bad_arguments(kwargs):
     assert "\n" not in str(info.value)
     (name,) = kwargs
     assert str(info.value).startswith(f"{name} ")  # the message names the argument
+
+
+def test_newton_divergence_after_the_restart_counts_every_inner_sweep():
+    # at n = 40 the first start diverges at step 0, and the restart from
+    # X = 0 diverges at step 2; the error counts the sweeps of the first
+    # start, of the two completed steps and of the diverging one
+    from gadisolve import InnerSolverError
+    with pytest.raises(InnerSolverError, match="^inner GADI sweeps diverge at outer step 2$") as info:
+        newton_gadi_riccati(gen_ex421(40), outer_tol=1e-5)
+    err = info.value
+    assert err.iterations == 80
+    assert err.residual == pytest.approx(4759.2515937790, rel=1e-12)
+    assert err.half_step == "outer step 2"
+    assert err.report.iterations == 2 and not err.report.converged
+    assert err.report.residual_history[-1] == (2, err.residual)
 
 
 def test_newton_restart_guard_on_expansive_start():

@@ -184,6 +184,39 @@ def test_sweep_starts_at_solution_without_factorizing(monkeypatch):
     assert made == []
 
 
+def test_sweep_stops_at_a_step_that_returns_its_input():
+    # a step that hands back its own input is at a fixed point: the loop
+    # records that sweep at the same residual and stops short of max_sweeps
+    from gadisolve import splitting
+    calls = []
+
+    def step(x, res):
+        calls.append(res)
+        return (x if len(calls) == 3 else x + 1.0), 1
+    x0 = np.zeros(1)
+    x, report = splitting._sweep(lambda: step, lambda x: 1.0 / (1.0 + x[0]), x0, 1e-6, 10)
+    assert len(calls) == 3
+    assert report.iterations == 3 and report.inner_iteration_total == 3
+    assert report.residual_history == [(0, 1.0), (1, 0.5), (2, 1 / 3), (3, 1 / 3)]
+    assert report.final_res == 1 / 3
+    assert not report.converged
+    assert x[0] == 2.0 and x is not x0
+
+
+def test_a_zero_warm_start_correction_returns_a_new_object():
+    # the second half-step's previous solution is the sweep's input, so
+    # handing it back would read as a fixed point to the sweep loop
+    from gadisolve import splitting
+    rng = np.random.default_rng(43)
+    system = random_system(rng, 6)
+    step_ = splitting._make_step(system.W, system.T, np.zeros(6, complex),
+                                 SplitParams("gadi", 1.0), "iterative")
+    x1, _ = step_(np.zeros(6, complex), 1.0)
+    x2, inner = step_(x1, 1.0)  # both corrections are exactly zero
+    assert inner == 0 and not x2.any()
+    assert x2 is not x1
+
+
 def test_residual_history_invariants():
     rng = np.random.default_rng(42)
     system = random_system(rng, 8)
