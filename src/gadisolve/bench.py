@@ -531,6 +531,7 @@ def _parse_args(parser, argv):
 
 def _cmd_run(args):
     cfgs = build_preset(args.preset, tol=args.tol, inner=args.inner)
+    open(args.out, "a").close()  # an unwritable --out fails before the preset runs
     series_dir = args.series_dir
     if series_dir is None and any(c.series for c in cfgs):
         series_dir = os.path.dirname(os.path.abspath(args.out))
@@ -585,8 +586,6 @@ def main(argv=None):
     parser = _build_parser()
     args = _parse_args(parser, sys.argv[1:] if argv is None else list(argv))
     try:
-        if args.out:  # an unwritable --out fails before any solve
-            open(args.out, "a").close()
         return args.func(args)
     except (ValueError, OSError) as err:  # bad input, or an output file it cannot write
         parser.error(f"{args.command}: {err}")
