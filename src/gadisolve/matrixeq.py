@@ -4,7 +4,11 @@ Under column-stacking vec, A* X + X A = Q with A = W + iT is the system
 (W~ + iT~) x = q of size n^2, with W~ = W (x) I + I (x) W and
 T~ = T (x) I - I (x) T. Its GADI sweeps, and HSS as GADI at omega = 0, run
 on n x n iterates held in two bases: the half-steps aX + WX + XW = R and
-aX + i(XT - TX) = R are diagonal in the eigenbasis of W and of T. Newton
+aX + i(XT - TX) = R are diagonal in the eigenbasis of W and of T. When the
+1-D DST-I S1 diagonalizes both W and T (``splitting._joint_eigenbasis``
+at dims=1, as for tridiagonal Toeplitz W and T), both bases are S1 and the
+lift is diagonal in S1 (x) S1, so a solve is the closed-form modal sweep of
+``splitting._ModalSweep``, with no eigensolve. Newton
 steps A_k* X + X A_k = Q_k (A_k = A - G X_k) of the Riccati equation
 A* X + X A + Q - X G X = 0 run the same sweep, with the second half-step
 (aI - iT - S) X + X (iT - S^H) = R, S = X_k G, held in its Schur basis:
@@ -15,6 +19,7 @@ returns X_k, a fixed point that ends the iteration, and the restart from
 X = 0 is a second run of that loop. The sparse lifts are built only as
 reference operators.
 """
+import math
 import time
 from dataclasses import dataclass, field
 
@@ -27,7 +32,8 @@ from .linalg import (InnerSolverError, NotPositiveDefiniteError, _dense, _eye_li
                      load_dense_block, load_matrix_coo, save_dense_block,
                      save_matrix_coo, vec)
 from .splitting import (DEFAULT_OMEGA, ComplexSymSystem, SolveConfig, SplitParams,
-                        _check_data, _Diverged, _sweep)
+                        _check_data, _Diverged, _joint_eigenbasis, _ModalSweep,
+                        _sine_transform, _sweep)
 
 __all__ = [
     "LyapunovProblem", "RiccatiProblem", "LyapunovLift", "NewtonLift",
@@ -174,11 +180,12 @@ def _eigh(M):
 
 def _lift_shift(lam):
     """sqrt(gamma_min*gamma_max) of W (x) I + I (x) W, whose eigenvalues are the
-    sums lam_i + lam_j of those of W: 2 sqrt(lam_min lam_max)."""
-    if lam[0] <= 0:
+    sums lam_i + lam_j of those lam of W: 2 sqrt(lam_min lam_max)."""
+    lo, hi = lam.min(), lam.max()
+    if lo <= 0:
         raise NotPositiveDefiniteError(
-            f"W is not positive definite: minimum eigenvalue {lam[0]:.6e}")
-    return 2.0 * float(np.sqrt(lam[0] * lam[-1]))
+            f"W is not positive definite: minimum eigenvalue {lo:.6e}")
+    return 2.0 * float(np.sqrt(lo * hi))
 
 
 def _square(X, n, name="X"):
@@ -298,27 +305,40 @@ def _newton_part(T, S, params):
 def _solve_lyapunov(problem, method, params, config):
     config = config or SolveConfig(tol=1e-6, max_outer=500)
     nq = _q_norm(problem.Q, "fro")
-    eig_W = _eigh(problem.W)
+    n, tol = problem.n, config.tol
+    basis = _joint_eigenbasis(problem.W, problem.T, dims=1)
+    eig_W = _eigh(problem.W) if basis is None else None
     if params is None:
-        params = SplitParams(method, alpha=_lift_shift(eig_W[0]))
+        params = SplitParams(method, alpha=_lift_shift((basis or eig_W)[0]))
     if params.method not in ("gadi", "hss"):
         raise ValueError(f"Lyapunov sweeps are 'gadi' or 'hss', got {params.method!r}")
-    sweep = _EigenSweep(eig_W, problem.Q, params, _lyapunov_part(problem.T, params))
-    tol = config.tol
 
     # the residual in eigen coordinates decides while it is above tol; at or
     # below tol the residual of X decides and is reported, and X = 0 has RES 1
-    def residual(state):
-        Y, _, r_U = state
-        if not Y.any():
+    def residual(start, res, X):
+        if start:
             return 1.0
-        res = float(np.linalg.norm(r_U) / nq)
-        return lyapunov_residual(problem, sweep.X(Y)) if res <= tol else res
+        return lyapunov_residual(problem, X()) if res <= tol else res
 
-    state, report = _sweep(lambda: sweep.step, residual,
-                           sweep.state(np.zeros((problem.n, problem.n), dtype=complex)),
-                           tol, config.max_outer)
-    X = sweep.X(state[0])
+    if basis is None:
+        sweep = _EigenSweep(eig_W, problem.Q, params, _lyapunov_part(problem.T, params))
+        state, report = _sweep(
+            lambda: sweep.step,
+            lambda s: residual(not s[0].any(), float(np.linalg.norm(s[2]) / nq),
+                               lambda: sweep.X(s[0])),
+            sweep.state(np.zeros((n, n), dtype=complex)), tol, config.max_outer)
+        X = sweep.X(state[0])
+    else:
+        # the lift is diag(lam_i + lam_j) + i diag(mu_j - mu_i) in S1 (x) S1,
+        # which takes vec X to S1 X S1
+        lam, mu, S1 = basis
+        modal = _ModalSweep((lam[:, None] + lam).ravel(), (mu - mu[:, None]).ravel(), S1,
+                            _sine_transform(S1, problem.Q), params)
+        X, report = modal.solve(
+            lambda w: residual(modal.sweeps == 0, math.sqrt(w.sum()) / nq,
+                               lambda: modal.x().reshape(n, n)),
+            tol, config.max_outer)
+        X = X.reshape(n, n)
     if not report.converged:  # its last RES was taken in the eigenbases
         report.final_res = lyapunov_residual(problem, X)
         report.residual_history[-1] = (report.iterations, report.final_res)
@@ -334,9 +354,17 @@ def solve_lyapunov_gadi(problem, params=None, config=None):
     residual there; once that is at or below tol, and after the last sweep,
     the residual of the iterate's X decides and is reported. X = 0 has RES
     exactly 1.
+    When a probe finds that the 1-D DST-I S1 diagonalizes both W and T
+    (S1 W S1 = diag(lam), S1 T S1 = diag(mu)), the lift is diagonal in
+    S1 (x) S1 and the solve is closed-form: each mode has one factor g from
+    the method's row on diag(lam_i + lam_j) and diag(mu_j - mu_i), the sweeps
+    map w = |S1 Q S1|^2 to |g|^2 w, and
+    X = S1 ((1 - g^K) * S1 Q S1 / (lam_i + lam_j + i (mu_j - mu_i))) S1 is
+    formed only where its residual decides, by the same rule, and at the end.
     With ``params=None`` the shift is sqrt(gamma_min*gamma_max) of the lifted
-    real part and omega is DEFAULT_OMEGA. The sweeps start at X = 0, and of
-    ``config`` only ``tol`` and ``max_outer`` apply.
+    real part, 2 sqrt(lam_min lam_max) of the eigenvalues lam of W, and
+    omega is DEFAULT_OMEGA. The sweeps start at X = 0, and of ``config``
+    only ``tol`` and ``max_outer`` apply.
     """
     return _solve_lyapunov(problem, "gadi", params, config)
 
@@ -375,13 +403,16 @@ def newton_initial_guess(problem):
 
 
 def riccati_residual(problem, X):
-    """Relative residual ||A* X + X A + Q - X G X||_2 / ||Q||_2 (spectral norm)."""
+    """Relative residual ||A* X + X A + Q - X G X||_2 / ||Q||_2 (spectral norm);
+    NaN when the residual matrix is not finite, as for a non-finite X."""
     nq = _q_norm(problem.Q, 2)
     return _riccati_res(problem.dense_A(), problem.G, problem.Q, nq, _square(X, problem.n))
 
 
 def _riccati_res(A, G, Q, nq, X):
     R = A.conj().T @ X + X @ A + Q - X @ G @ X
+    if not np.isfinite(R).all():  # the SVD of the spectral norm would not converge
+        return math.nan
     return float(np.linalg.norm(R, 2) / nq)
 
 

@@ -15,10 +15,12 @@ from its previous solution.
 
 A system whose W and T the orthonormal 2-D DST-I S diagonalizes (the ex241
 and ex242 families; :attr:`ComplexSymSystem.joint_eigenbasis`) solves in
-exact mode in closed form (:func:`_modal_solve`): there every method's
+exact mode in closed form (:class:`_ModalSweep`): there every method's
 sweep is one factor g_j per mode, so from x = 0 the residual after k sweeps
 is g^k * S b. The sweep loop runs on its squared modulus, with no
-factorization and no matvec, and x is formed once at the end.
+factorization and no matvec, and x is formed once at the end. The Lyapunov
+solves of :mod:`gadisolve.matrixeq` run the same modal sweep on their lift
+when the 1-D DST-I diagonalizes their n x n W and T.
 
 One sweep loop, :func:`_sweep`, drives every method, the modal solves and
 the Lyapunov sweeps and the Newton inner and outer steps of
@@ -77,22 +79,24 @@ def _sine_transform(S1, v):
     return (S1 @ v.reshape(m, m) @ S1).ravel()
 
 
-def _joint_eigenbasis(W, T):
-    """``(lam, mu, S1)`` when S = S1 (x) S1 diagonalizes both W and T, else None.
+def _joint_eigenbasis(W, T, dims=2):
+    """``(lam, mu, S1)`` when the sine basis S diagonalizes both W and T, else None.
 
     S1[j, k] = sqrt(2/(m+1)) sin(pi (j+1)(k+1) / (m+1)) is the orthonormal
-    DST-I of size m, and n = m^2. If S W S is diagonal, its diagonal is
-    lam = S W S 1, and likewise mu for T. Each is kept only if one fixed-seed
-    probe v passes ``||S W S v - lam * v|| <= 1e-12 max|lam| ||v||``; a W or
-    T that S does not diagonalize fails it by orders of magnitude.
+    DST-I of size m, and S is S1 itself for ``dims=1`` (n = m) or the 2-D
+    DST-I S1 (x) S1 for ``dims=2`` (n = m^2). If S W S is diagonal, its
+    diagonal is lam = S W S 1, and likewise mu for T. Each is kept only if
+    one fixed-seed probe v passes
+    ``||S W S v - lam * v|| <= 1e-12 max|lam| ||v||``; a W or T that S does
+    not diagonalize fails it by orders of magnitude.
     """
     n = W.shape[0]
-    m = math.isqrt(n)
-    if m * m != n:
+    m = n if dims == 1 else math.isqrt(n)
+    if m ** dims != n:
         return None
     k = np.arange(1, m + 1)
     S1 = np.sqrt(2.0 / (m + 1)) * np.sin(np.pi * np.outer(k, k) / (m + 1))
-    S = functools.partial(_sine_transform, S1)
+    S = S1.__matmul__ if dims == 1 else functools.partial(_sine_transform, S1)
     ones = S(np.ones(n))
     v = np.random.default_rng(0).standard_normal(n)
     Sv = S(v)
@@ -442,31 +446,48 @@ def _sweep(make_step, residual, x, tol, max_sweeps, guard=False):
     return x, report()
 
 
-def _modal_solve(system, params, tol, max_sweeps):
-    """:func:`run_stationary` in exact mode on a system with a joint eigenbasis.
+class _ModalSweep:
+    """The sweeps of the system diag(lam) + i diag(mu) that the 2-D DST-I
+    S = S1 (x) S1 makes of (W, T), from x = 0, with Sb = S b.
 
     There every method's sweep is one factor g_j per mode: g is the method's
     own row, swept once on (diag(lam), diag(mu)) with b = 0 from the ones
     vector. From x = 0 the residual after k sweeps is g^k * S b exactly, so
-    the loop sweeps its squared modulus w -> |g|^2 w alone, with
-    RES = sqrt(sum w) / ||b||. The answer is formed once from the K sweeps
-    taken: x = S((1 - g^K) * S b / (lam + i mu)).
+    a sweep maps the squared modulus w = |g^k * S b|^2 to |g|^2 w alone, and
+    :attr:`sweeps` counts the sweeps taken. :meth:`x` forms their iterate.
     """
-    lam, mu, S1 = system.joint_eigenbasis
-    Sb = system._modal_b
-    n = system.n
-    nb = float(np.linalg.norm(system.b))
-    g = 0.0  # no sweep taken: g^0 = 1 and x = 0
 
-    def make_step():
-        nonlocal g
-        g = _make_step(_Diagonal(lam), _Diagonal(mu), np.zeros(n), params, "exact")(
-            np.ones(n, complex), 0.0)[0]
-        g2 = np.abs(g) ** 2
-        return lambda w, res: (g2 * w, 0)
-    _, report = _sweep(make_step, lambda w: math.sqrt(w.sum()) / nb, np.abs(Sb) ** 2,
-                       tol, max_sweeps)
-    return _sine_transform(S1, (1 - g ** report.iterations) * Sb / (lam + 1j * mu)), report
+    def __init__(self, lam, mu, S1, Sb, params):
+        self.lam, self.mu, self.S1, self.Sb, self.params = lam, mu, S1, Sb, params
+        self.g = 0.0  # no sweep taken: g^0 = 1 and x = 0
+        self.sweeps = 0
+        self._x = (None, None)
+
+    def make_step(self):
+        n = self.lam.shape[0]
+        self.g = _make_step(_Diagonal(self.lam), _Diagonal(self.mu), np.zeros(n), self.params,
+                            "exact")(np.ones(n, complex), 0.0)[0]
+        g2 = np.abs(self.g) ** 2
+
+        def step(w, res):
+            self.sweeps += 1
+            return g2 * w, 0
+        return step
+
+    def x(self):
+        """x = S((1 - g^k) * S b / (lam + i mu)) after the k sweeps taken,
+        formed once for each k."""
+        k = self.sweeps
+        if self._x[0] != k:
+            self._x = (k, _sine_transform(
+                self.S1, (1 - self.g ** k) * self.Sb / (self.lam + 1j * self.mu)))
+        return self._x[1]
+
+    def solve(self, residual, tol, max_sweeps):
+        """:func:`_sweep` on w from x = 0, with ``residual(w)`` the RES of the
+        current state; returns ``(x, SolveReport)``."""
+        report = _sweep(self.make_step, residual, np.abs(self.Sb) ** 2, tol, max_sweeps)[1]
+        return self.x(), report
 
 
 def step(system, params, x, config=None):
@@ -492,15 +513,16 @@ def run_stationary(system, params, config=None):
     Reaching max_outer is reported via ``converged=False``, not an exception;
     an inner-solver failure raises InnerSolverError with the partial report
     attached as ``err.report``. In exact inner mode a system with a joint
-    eigenbasis sweeps its modal residual alone (see :func:`_modal_solve`).
+    eigenbasis sweeps its modal residual alone (see :class:`_ModalSweep`).
     """
     config = config or SolveConfig()
-    nb = np.linalg.norm(system.b)
+    nb = float(np.linalg.norm(system.b))
     if nb == 0.0:
         raise ValueError("b = 0: relative residual is undefined")
     mode = config.resolved_inner(system.n)
     if mode == "exact" and system.joint_eigenbasis is not None:
-        return _modal_solve(system, params, config.tol, config.max_outer)
+        modal = _ModalSweep(*system.joint_eigenbasis, system._modal_b, params)
+        return modal.solve(lambda w: math.sqrt(w.sum()) / nb, config.tol, config.max_outer)
     return _sweep(lambda: _make_step(system.W, system.T, system.b, params, mode),
                   lambda x: float(np.linalg.norm(system.b - system.matvec(x)) / nb),
                   np.zeros(system.n, complex), config.tol, config.max_outer)

@@ -38,9 +38,11 @@ def random_system(rng, n, w_range=(0.5, 5.0), t_range=(0.3, 3.0), t_zero=False):
 
 def without_joint_eigenbasis(monkeypatch):
     """Turn off the joint eigenbasis detection, so that every system built
-    afterwards solves on the sparse path: factorizations and eigensolves."""
-    from gadisolve import splitting
-    monkeypatch.setattr(splitting, "_joint_eigenbasis", lambda W, T: None)
+    afterwards solves on the sparse path (factorizations and eigensolves),
+    and every Lyapunov solve on its eigen-coordinate sweep."""
+    from gadisolve import matrixeq, splitting
+    for module in (splitting, matrixeq):
+        monkeypatch.setattr(module, "_joint_eigenbasis", lambda W, T, dims=2: None)
 
 
 def dense_solution(system):

@@ -578,3 +578,12 @@ def test_preset_rows_are_pinned(tmp_path, preset):
         got = [rec[:7] + rec[8:] for rec in csv.reader(fh)]
     assert got[0] == ["algorithm", "n", "problem", "alpha", "omega", "RES", "IT", "converged"]
     assert got[1:] == list(csv.reader(PINNED_ROWS[preset].splitlines()))
+
+
+@pytest.mark.parametrize("preset", ["table3", "table4"])
+def test_lyapunov_preset_rows_are_pinned_on_the_eigen_sweep_path(tmp_path, monkeypatch, preset):
+    # ex31's W and T are tridiagonal Toeplitz, so every preset solve runs the
+    # closed-form modal path; with detection off the same rows must come from
+    # the eigen-coordinate sweep, which this keeps pinned
+    without_joint_eigenbasis(monkeypatch)
+    test_preset_rows_are_pinned(tmp_path, preset)

@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.linalg import solve_continuous_are
 
 from gadisolve import (LyapunovProblem, NewtonState, NotPositiveDefiniteError,
@@ -9,7 +11,7 @@ from gadisolve import (LyapunovProblem, NewtonState, NotPositiveDefiniteError,
                        lyapunov_residual, newton_gadi_riccati,
                        newton_initial_guess, riccati_residual,
                        solve_lyapunov_gadi, solve_lyapunov_hss, unvec, vec)
-from helpers import match_multisets, random_psd, random_spd, symmetrize
+from helpers import match_multisets, random_psd, random_spd, symmetrize, without_joint_eigenbasis
 
 
 def scalar_lyapunov(w=2.0, t=1.0, q=4.0):
@@ -253,6 +255,14 @@ def test_residuals_reject_an_x_that_is_not_n_by_n(residual, problem, shape):
 def test_lyapunov_residual_of_a_non_finite_x_is_nan():
     # only the shape is checked: a diverged solve still reports its NaN RES
     assert np.isnan(lyapunov_residual(gen_ex31(4, 0.1), np.full((4, 4), np.nan)))
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf])
+def test_riccati_residual_of_a_non_finite_x_is_nan(value):
+    # the SVD behind the spectral norm raised LinAlgError on a non-finite
+    # residual matrix; inf X makes inf - inf entries, hence the errstate
+    with np.errstate(invalid="ignore"):
+        assert np.isnan(riccati_residual(gen_ex421(4), np.full((4, 4), value)))
 
 
 # -- Newton initialization ------------------------------------------------------------
@@ -541,6 +551,110 @@ def test_default_shift_rejects_indefinite_W():
     p = LyapunovProblem(np.diag([1.0, -1.0]), np.zeros((2, 2)), np.eye(2, dtype=complex))
     with pytest.raises(NotPositiveDefiniteError):
         solve_lyapunov_gadi(p)
+
+
+# -- the modal solve of a problem with a joint sine eigenbasis ---------------------
+
+def toeplitz3(n, diag, off):
+    """The symmetric tridiagonal Toeplitz matrix tridiag(off, diag, off), sparse."""
+    return sp.diags_array([np.full(n - 1, off), np.full(n, diag), np.full(n - 1, off)],
+                          offsets=[-1, 0, 1], format="csr")
+
+
+def solve_both_ways(problem, solver, params, config):
+    """``(X, report)`` of the detected modal path and of the eigen-coordinate
+    sweep, which detection turned off by a monkeypatch leaves."""
+    detected = solver(problem, params, config)
+    with pytest.MonkeyPatch.context() as patch:
+        without_joint_eigenbasis(patch)
+        return detected, solver(problem, params, config)
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=60)
+@given(n=st.integers(1, 8), seed=st.integers(0, 2 ** 32 - 1),
+       w=st.floats(0.5, 5.0), w_off=st.floats(-0.49, 0.49),
+       t=st.floats(-3.0, 3.0), t_off=st.floats(-2.0, 2.0),
+       solver=st.sampled_from([solve_lyapunov_gadi, solve_lyapunov_hss]),
+       shift=st.sampled_from([None, 0.2, 0.5, 1.0, 2.0, 5.0]),
+       omega=st.sampled_from([0.0, 0.01, 0.5, 1.0, 1.5]))
+def test_modal_lyapunov_solve_matches_the_eigen_sweep(n, seed, w, w_off, t, t_off, solver,
+                                                      shift, omega):
+    # W = tridiag(w_off w, w, w_off w) is positive definite, as |2 w_off| < 1;
+    # T is any tridiagonal Toeplitz matrix, and Q any Hermitian one. A shift
+    # scales the default one; None takes the default on either path
+    from gadisolve.matrixeq import _eigh, _joint_eigenbasis, _lift_shift
+    rng = np.random.default_rng(seed)
+    C = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    p = LyapunovProblem(toeplitz3(n, w, w_off * w), toeplitz3(n, t, t_off), C + C.conj().T)
+    assert _joint_eigenbasis(p.W, p.T, dims=1) is not None
+    params = None
+    if shift is not None:
+        method = "gadi" if solver is solve_lyapunov_gadi else "hss"
+        params = SplitParams(method, shift * _lift_shift(_eigh(p.W)[0]), omega)
+    config = SolveConfig(tol=1e-6, max_outer=300)
+    (X, modal), (X_eig, eig) = solve_both_ways(p, solver, params, config)
+    assert (modal.iterations, modal.converged) == (eig.iterations, eig.converged)
+    assert np.linalg.norm(X - X_eig) <= 1e-9 * np.linalg.norm(X_eig)
+    for Y, report in ((X, modal), (X_eig, eig)):
+        # the start has RES exactly 1, and the RES reported is that of X
+        assert report.residual_history[0] == (0, 1.0)
+        assert report.residual_history[-1] == (report.iterations, report.final_res)
+        mat = lyapunov_residual(p, Y)
+        assert abs(report.final_res - mat) <= 1e-10 * mat
+
+
+def test_joint_sine_eigenbasis_rejects_a_perturbed_w_and_a_foreign_t(monkeypatch):
+    # one symmetric off-diagonal pair of W off by 1e-6, or a diagonal T that is
+    # not a multiple of I: the probe rejects either, and the solve sweeps in
+    # the eigenbases of W and T
+    from gadisolve import matrixeq
+    base = gen_ex31(16, 0.01)
+    W = base.W.tolil()
+    W[3, 4] += 1e-6
+    W[4, 3] += 1e-6
+    T = sp.diags_array(np.random.default_rng(3).uniform(0.5, 1.5, 16), format="csr")
+    made = []
+
+    class Counted(matrixeq._EigenSweep):
+        def __init__(self, *args):
+            made.append(1)
+            super().__init__(*args)
+    monkeypatch.setattr(matrixeq, "_EigenSweep", Counted)
+    assert matrixeq._joint_eigenbasis(base.W, base.T, dims=1) is not None
+    for p in (LyapunovProblem(sp.csr_array(W), base.T, base.Q),
+              LyapunovProblem(base.W, T, base.Q)):
+        assert matrixeq._joint_eigenbasis(p.W, p.T, dims=1) is None
+        made.clear()
+        X, report = solve_lyapunov_gadi(p, config=SolveConfig(tol=1e-6, max_outer=500))
+        assert made == [1] and report.converged
+        assert lyapunov_residual(p, X) == report.final_res
+
+
+@pytest.mark.parametrize("detect", [True, False], ids=["detected", "detection-off"])
+def test_detected_lyapunov_solve_makes_no_eigensolve_and_no_eigen_sweep(monkeypatch, detect):
+    from gadisolve import matrixeq
+    calls = {"eigh": 0, "sweep": 0}
+    eigh = matrixeq.sla.eigh
+
+    def counted_eigh(*args, **kwargs):
+        calls["eigh"] += 1
+        return eigh(*args, **kwargs)
+
+    class Counted(matrixeq._EigenSweep):
+        def __init__(self, *args):
+            calls["sweep"] += 1
+            super().__init__(*args)
+    monkeypatch.setattr(matrixeq.sla, "eigh", counted_eigh)
+    monkeypatch.setattr(matrixeq, "_EigenSweep", Counted)
+    if not detect:
+        without_joint_eigenbasis(monkeypatch)
+    p = gen_ex31(32, 0.1)
+    for solver in (solve_lyapunov_gadi, solve_lyapunov_hss):
+        X, report = solver(p, config=SolveConfig(tol=1e-6, max_outer=500))
+        assert report.converged and lyapunov_residual(p, X) == report.final_res
+    newton_initial_guess(gen_ex421(8))  # the shifted W + beta I is Toeplitz too
+    # the eigen sweep makes two eigensolves per solve, of W and of T
+    assert calls == ({"eigh": 0, "sweep": 0} if detect else {"eigh": 6, "sweep": 3})
 
 
 # -- input validation ----------------------------------------------------------------

@@ -175,7 +175,7 @@ def test_sweep_starts_at_solution_without_factorizing(monkeypatch):
     p = SplitParams("gadi", alpha=2.0, omega=0.5)
     nb = np.linalg.norm(system.b)
     x, report = splitting._sweep(
-        lambda: splitting._make_step(system, p, SolveConfig(inner="exact")),
+        lambda: splitting._make_step(system.W, system.T, system.b, p, "exact"),
         lambda x: float(np.linalg.norm(system.b - system.matvec(x)) / nb),
         xstar, 1e-6, 1000)
     assert report.iterations == 0
