@@ -19,7 +19,6 @@ returns X_k, a fixed point that ends the iteration, and the restart from
 X = 0 is a second run of that loop. The sparse lifts are built only as
 reference operators.
 """
-import math
 import time
 from dataclasses import dataclass, field
 
@@ -335,7 +334,7 @@ def _solve_lyapunov(problem, method, params, config):
         modal = _ModalSweep((lam[:, None] + lam).ravel(), (mu - mu[:, None]).ravel(), S1,
                             _sine_transform(S1, problem.Q), params)
         X, report = modal.solve(
-            lambda w: residual(modal.sweeps == 0, math.sqrt(w.sum()) / nq,
+            lambda w: residual(modal.sweeps == 0, float(np.sqrt(w.sum()) / nq),
                                lambda: modal.x().reshape(n, n)),
             tol, config.max_outer)
         X = X.reshape(n, n)
@@ -412,7 +411,7 @@ def riccati_residual(problem, X):
 def _riccati_res(A, G, Q, nq, X):
     R = A.conj().T @ X + X @ A + Q - X @ G @ X
     if not np.isfinite(R).all():  # the SVD of the spectral norm would not converge
-        return math.nan
+        return np.nan
     return float(np.linalg.norm(R, 2) / nq)
 
 
