@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from gadisolve.bench import (SWEEP_MAX_OUTER, SWEEP_OMEGAS, BenchmarkRow, ParamPolicy, RunConfig,
-                             best_cell, build_preset, main, parse_csv,
+                             PRESET_NAMES, best_cell, build_preset, main, parse_csv,
                              run_grid, sweep_params, write_convergence_series,
                              write_csv)
 from gadisolve.problems import ProblemSpec
@@ -517,6 +517,60 @@ def test_cli_solve_prints_the_written_row(tmp_path, capsys):
 def test_unknown_preset_rejected():
     with pytest.raises(ValueError):
         build_preset("table9")
+
+
+def _labels(family, sizes, **params):
+    size = "m" if family in ("ex241", "ex242") else "n"
+    tail = "".join(f",{k}={v}" for k, v in params.items())
+    return tuple(f"{family}({size}={s}{tail})" for s in sizes)
+
+
+_T1 = (8, 16, 24, 32, 48)
+_EX241 = _labels("ex241", _T1, tau="h", stencil="unit")
+_EX242 = _labels("ex242", _T1, s1=100, s2=100, stencil="unit")
+_COMPARISON = ("mhss", "pmhss", "pmhss-vi", "cri", "tscsp")
+_FIG_LINEAR = ("mhss", "pmhss", "cri", "tscsp", "gadi")
+_AUTO = ((None, None),)
+_FIG3 = [(("ex31(n=32,t=0.01)",), ("hss", "gadi"), "fixed", ((None, 0.0),), True)]
+_FIG4 = [(("ex31(n=32,t=0.1)",), ("hss", "gadi"), "fixed", ((None, 0.0),), True)]
+
+# every batch of every preset: (spec labels, methods, policy kind, policy
+# points, series)
+PINNED_PRESETS = {
+    "table1": [(_EX241, _COMPARISON, "fixed", _AUTO, False),
+               (_EX241, ("gadi",), "sweep", _AUTO, False),
+               (_labels("ex241", _T1, tau="500h", stencil="unit"), ("gadi",), "sweep", _AUTO,
+                False)],
+    "table2": [(_EX242, _COMPARISON, "fixed", _AUTO, False),
+               (_EX242, ("gadi",), "sweep", _AUTO, False)],
+    "table3": [(("ex31(n=16,t=0.01)", "ex31(n=16,t=0.1)"), ("gadi",), "fixed",
+                tuple((None, w) for w in (0.01, 0.1, 0.0, 0.5, 1.0, 1.5)), False)],
+    "table4": [(tuple(f"ex31(n={n},t={t})" for n in _T1 for t in (0.01, 0.1)),
+                ("hss", "gadi"), "fixed", ((None, 0.0),), False)],
+    "table5": [(_labels("ex421", (8, 16, 24, 32)), ("newton-gadi",), "fixed", ((None, 0.01),),
+                False)],
+    "fig1": [(_labels("ex241", (32,), tau="h", stencil="unit"), _FIG_LINEAR, "fixed", _AUTO,
+              True)],
+    "fig2": [(_labels("ex242", (32,), s1=100, s2=100, stencil="unit"), _FIG_LINEAR, "fixed",
+              _AUTO, True)],
+    "fig3": _FIG3,
+    "fig4": _FIG4,
+    "fig5": _FIG3,
+    "fig6": _FIG4,
+    "fig7": [(_labels("ex421", (8, 16, 24)), ("newton-gadi",), "fixed", ((None, 0.01),), True)],
+}
+
+
+@pytest.mark.parametrize("tol, inner", [(1e-5, "exact"), (1e-7, "iterative")])
+def test_preset_batches_are_pinned(tol, inner):
+    assert PRESET_NAMES == tuple(PINNED_PRESETS)
+    for name, batches in PINNED_PRESETS.items():
+        cfgs = (build_preset(name) if (tol, inner) == (1e-5, "exact")
+                else build_preset(name, tol=tol, inner=inner))
+        got = [(tuple(spec.label() for spec in cfg.problems), cfg.methods, cfg.policy.kind,
+                cfg.policy.points, cfg.series) for cfg in cfgs]
+        assert got == batches, name
+        assert all((cfg.tol, cfg.inner, cfg.max_outer) == (tol, inner, 500) for cfg in cfgs)
 
 
 # -- the pinned reproduction rows ---------------------------------------------------
