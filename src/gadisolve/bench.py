@@ -75,15 +75,14 @@ class ParamPolicy:
     means the method's default shift or DEFAULT_OMEGA. "sweep": the
     geometric shift grid around the default shift, times SWEEP_OMEGAS for a
     method that relaxes, reporting the single best cell (fewest iterations,
-    residual tiebreak, then smaller alpha). It runs the grid in the same
-    shift-by-shift loop as :func:`sweep_params`, but finds the full grid's
-    winner with less work: the shifts run nearest the default first, and a
-    cell stops once it has taken as many sweeps as the best converged cell so
-    far (except on ex421, whose IT counts inner sweeps). Every cell is one
-    solve; on ex241 and ex242 in exact inner mode that is the closed-form
-    solve in the systems' joint sine eigenbasis, with no factorization. A
-    row records the omega its sweeps ran with, 0 for a method that does not
-    relax.
+    residual tiebreak, then smaller alpha). It finds the winner of the grid
+    :func:`sweep_params` runs with less work: the shifts run nearest the
+    default first, and a cell stops once it has taken as many sweeps as the
+    best converged cell so far (except on ex421, whose IT counts inner
+    sweeps). Every cell is one solve; on ex241 and ex242 in exact inner mode
+    that is the closed-form solve in the systems' joint sine eigenbasis, with
+    no factorization. A row records the omega its sweeps ran with, 0 for a
+    method that does not relax.
     """
     kind: str = "fixed"
     points: tuple = ((None, None),)
@@ -181,7 +180,7 @@ def _cell(spec, problem, method, alpha, omega, cfg, max_outer):
 
 
 def _grid(spec, problem, method, shifts, omegas, cfg, max_outer, capped):
-    """Every (shift, omega) cell, shift by shift; returns [(row, report)] shift-major.
+    """The sweep policy's (shift, omega) cells, shift by shift, as [(row, report)].
 
     With ``capped`` no cell may take more sweeps than the best converged cell
     so far: one that needs more cannot win, and the cap is inclusive, so a tie
@@ -253,9 +252,9 @@ def sweep_params(spec, method, alpha_grid, omega_grid, tol=1e-5, inner="exact",
     ``alpha_grid`` None selects the geometric grid around the method's
     default shift. A method that does not relax runs at omega 0 alone,
     whatever ``omega_grid`` holds. Every cell may run to ``max_outer``
-    sweeps (Newton steps on ex421). The grid runs in the sweep policy's
-    shift-by-shift loop, uncapped. Returns the BenchmarkRow of each cell in
-    grid order (omega-major); pick the winner with :func:`best_cell`.
+    sweeps (Newton steps on ex421). Returns the BenchmarkRow of each cell in
+    grid order (omega-major), the order it solves them in; pick the winner
+    with :func:`best_cell`.
     """
     if (alpha_grid is not None and len(alpha_grid) == 0) or len(omega_grid) == 0:
         raise ValueError("sweep grids must be nonempty")
@@ -265,10 +264,8 @@ def sweep_params(spec, method, alpha_grid, omega_grid, tol=1e-5, inner="exact",
     problem = spec.build()
     if alpha_grid is None:
         alpha_grid = _auto_grid(_auto_alpha(spec, problem, method))
-    omegas = _swept_omegas(method, omega_grid)
-    rows = [row for row, _ in _grid(spec, problem, method, alpha_grid, omegas, cfg,
-                                    max_outer, capped=False)]
-    return [row for j in range(len(omegas)) for row in rows[j::len(omegas)]]
+    return [_cell(spec, problem, method, a, w, cfg, max_outer)[0]
+            for w in _swept_omegas(method, omega_grid) for a in alpha_grid]
 
 
 def best_cell(cells):
@@ -337,77 +334,52 @@ def _series_filename(prefix, row):
 
 # -- presets ------------------------------------------------------------------
 
-PRESET_NAMES = ("table1", "table2", "table3", "table4", "table5",
-                "fig1", "fig2", "fig3", "fig4", "fig5", "fig6", "fig7")
-
 _T1_SIZES = (8, 16, 24, 32, 48)
+_COMPARISON = ("mhss", "pmhss", "pmhss-vi", "cri", "tscsp")
+_FIG_METHODS = ("mhss", "pmhss", "cri", "tscsp", "gadi")
+_DEFAULT, _SWEEP = ParamPolicy(), ParamPolicy("sweep")
+_AT_OMEGA_0 = ParamPolicy("fixed", points=((None, 0.0),))
+_AT_OMEGA_001 = ParamPolicy("fixed", points=((None, 0.01),))
+
+
+def _grid_specs(family, sizes, **params):
+    # the unit Laplacian stencil: the reading of ex241/ex242 that matches the
+    # reference iteration counts (see README)
+    return tuple(ProblemSpec(family, m=m, stencil="unit", **params) for m in sizes)
+
+
+_FIG3 = (((ProblemSpec("ex31", n=32, t=0.01),), ("hss", "gadi"), _AT_OMEGA_0, True),)
+_FIG4 = (((ProblemSpec("ex31", n=32, t=0.1),), ("hss", "gadi"), _AT_OMEGA_0, True),)
+# preset: its batches in run order, each (problems, methods, policy, series)
+_PRESETS = {
+    "table1": ((_grid_specs("ex241", _T1_SIZES), _COMPARISON, _DEFAULT, False),
+               (_grid_specs("ex241", _T1_SIZES), ("gadi",), _SWEEP, False),
+               (_grid_specs("ex241", _T1_SIZES, tau_mode="500h"), ("gadi",), _SWEEP, False)),
+    "table2": ((_grid_specs("ex242", _T1_SIZES), _COMPARISON, _DEFAULT, False),
+               (_grid_specs("ex242", _T1_SIZES), ("gadi",), _SWEEP, False)),
+    "table3": ((tuple(ProblemSpec("ex31", n=16, t=t) for t in (0.01, 0.1)), ("gadi",),
+                ParamPolicy("fixed", tuple((None, w) for w in (0.01, 0.1, 0.0, 0.5, 1.0, 1.5))),
+                False),),
+    "table4": ((tuple(ProblemSpec("ex31", n=n, t=t) for n in _T1_SIZES for t in (0.01, 0.1)),
+                ("hss", "gadi"), _AT_OMEGA_0, False),),
+    "table5": ((tuple(ProblemSpec("ex421", n=n) for n in (8, 16, 24, 32)), ("newton-gadi",),
+                _AT_OMEGA_001, False),),
+    "fig1": ((_grid_specs("ex241", (32,)), _FIG_METHODS, _DEFAULT, True),),
+    "fig2": ((_grid_specs("ex242", (32,)), _FIG_METHODS, _DEFAULT, True),),
+    "fig3": _FIG3, "fig4": _FIG4, "fig5": _FIG3, "fig6": _FIG4,
+    "fig7": ((tuple(ProblemSpec("ex421", n=n) for n in (8, 16, 24)), ("newton-gadi",),
+              _AT_OMEGA_001, True),),
+}
+PRESET_NAMES = tuple(_PRESETS)
 
 
 def build_preset(name, tol=1e-5, inner="exact"):
-    """Pinned problem/method/parameter grids reproducing the reference tables.
-
-    The ex241/ex242 presets use the unit Laplacian stencil, which is the
-    reading of those families that matches the reference iteration counts
-    (see README). Returns a list of RunConfig batches executed in order.
-    """
-    def spec241(m, tau="h"):
-        return ProblemSpec("ex241", m=m, tau_mode=tau, stencil="unit")
-
-    def spec242(m):
-        return ProblemSpec("ex242", m=m, stencil="unit")
-
-    comparison = ("mhss", "pmhss", "pmhss-vi", "cri", "tscsp")
-    if name == "table1":
-        return [
-            RunConfig(tuple(spec241(m) for m in _T1_SIZES), comparison,
-                      ParamPolicy(), tol=tol, inner=inner),
-            RunConfig(tuple(spec241(m) for m in _T1_SIZES), ("gadi",),
-                      ParamPolicy("sweep"), tol=tol, inner=inner),
-            RunConfig(tuple(spec241(m, "500h") for m in _T1_SIZES), ("gadi",),
-                      ParamPolicy("sweep"), tol=tol, inner=inner),
-        ]
-    if name == "table2":
-        return [
-            RunConfig(tuple(spec242(m) for m in _T1_SIZES), comparison,
-                      ParamPolicy(), tol=tol, inner=inner),
-            RunConfig(tuple(spec242(m) for m in _T1_SIZES), ("gadi",),
-                      ParamPolicy("sweep"), tol=tol, inner=inner),
-        ]
-    if name == "table3":
-        points = tuple((None, w) for w in (0.01, 0.1, 0.0, 0.5, 1.0, 1.5))
-        return [RunConfig(tuple(ProblemSpec("ex31", n=16, t=t) for t in (0.01, 0.1)),
-                          ("gadi",), ParamPolicy("fixed", points=points),
-                          tol=tol, inner=inner)]
-    if name == "table4":
-        specs = tuple(ProblemSpec("ex31", n=n, t=t)
-                      for n in (8, 16, 24, 32, 48) for t in (0.01, 0.1))
-        return [RunConfig(specs, ("hss", "gadi"),
-                          ParamPolicy("fixed", points=((None, 0.0),)),
-                          tol=tol, inner=inner)]
-    if name == "table5":
-        specs = tuple(ProblemSpec("ex421", n=n) for n in (8, 16, 24, 32))
-        return [RunConfig(specs, ("newton-gadi",),
-                          ParamPolicy("fixed", points=((None, 0.01),)),
-                          tol=tol, inner=inner)]
-    if name == "fig1":
-        return [RunConfig((spec241(32),), ("mhss", "pmhss", "cri", "tscsp", "gadi"),
-                          ParamPolicy(), tol=tol, inner=inner, series=True)]
-    if name == "fig2":
-        return [RunConfig((spec242(32),), ("mhss", "pmhss", "cri", "tscsp", "gadi"),
-                          ParamPolicy(), tol=tol, inner=inner, series=True)]
-    if name in ("fig3", "fig5"):
-        return [RunConfig((ProblemSpec("ex31", n=32, t=0.01),), ("hss", "gadi"),
-                          ParamPolicy("fixed", points=((None, 0.0),)),
-                          tol=tol, inner=inner, series=True)]
-    if name in ("fig4", "fig6"):
-        return [RunConfig((ProblemSpec("ex31", n=32, t=0.1),), ("hss", "gadi"),
-                          ParamPolicy("fixed", points=((None, 0.0),)),
-                          tol=tol, inner=inner, series=True)]
-    if name == "fig7":
-        return [RunConfig(tuple(ProblemSpec("ex421", n=n) for n in (8, 16, 24)),
-                          ("newton-gadi",), ParamPolicy("fixed", points=((None, 0.01),)),
-                          tol=tol, inner=inner, series=True)]
-    raise ValueError(f"unknown preset {name!r}; choose from {PRESET_NAMES}")
+    """The RunConfig batches, run in order, that reproduce reference table or
+    figure ``name``; they are pinned data, so only tol and inner vary."""
+    if name not in _PRESETS:
+        raise ValueError(f"unknown preset {name!r}; choose from {PRESET_NAMES}")
+    return [RunConfig(problems, methods, policy, tol=tol, inner=inner, series=series)
+            for problems, methods, policy, series in _PRESETS[name]]
 
 
 # -- command line -------------------------------------------------------------

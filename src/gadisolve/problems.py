@@ -23,9 +23,6 @@ from .splitting import ComplexSymSystem
 __all__ = ["ProblemSpec", "gen_ex241", "gen_ex242", "gen_ex31", "gen_ex421",
            "save_system", "load_system"]
 
-FAMILIES = ("ex241", "ex242", "ex31", "ex421")
-
-
 def _tridiag(n, lo, diag, up):
     return sp.diags_array([np.full(n - 1, lo), np.full(n, diag), np.full(n - 1, up)],
                           offsets=[-1, 0, 1], format="csr")
@@ -132,6 +129,18 @@ def load_system(stem):
     return ComplexSymSystem(W, T, load_vector(f"{stem}.b.vec"))
 
 
+# family: (its size field, generator, the generator's further ProblemSpec
+# fields, label format); the size field is the generator's first argument
+FAMILIES = {
+    "ex241": ("m", gen_ex241, ("tau_mode", "stencil"),
+              "ex241(m={m},tau={tau_mode},stencil={stencil})"),
+    "ex242": ("m", gen_ex242, ("sigma1", "sigma2", "stencil"),
+              "ex242(m={m},s1={sigma1:g},s2={sigma2:g},stencil={stencil})"),
+    "ex31": ("n", gen_ex31, ("t",), "ex31(n={n},t={t:g})"),
+    "ex421": ("n", gen_ex421, (), "ex421(n={n})"),
+}
+
+
 @dataclass
 class ProblemSpec:
     """Addressable benchmark instance: family name plus its parameters."""
@@ -146,33 +155,19 @@ class ProblemSpec:
 
     def __post_init__(self):
         if self.family not in FAMILIES:
-            raise ValueError(f"unknown family {self.family!r}; expected one of {FAMILIES}")
-        if self.family in ("ex241", "ex242") and (self.m is None or self.m < 1):
-            raise ValueError(f"family {self.family} needs a grid size m >= 1")
-        if self.family in ("ex31", "ex421") and (self.n is None or self.n < 1):
-            raise ValueError(f"family {self.family} needs a matrix size n >= 1")
+            raise ValueError(f"unknown family {self.family!r}; expected one of {tuple(FAMILIES)}")
+        size = FAMILIES[self.family][0]
+        if getattr(self, size) is None or getattr(self, size) < 1:
+            kind = "grid" if size == "m" else "matrix"
+            raise ValueError(f"family {self.family} needs a {kind} size {size} >= 1")
 
     @property
     def dimension(self):
-        if self.family in ("ex241", "ex242"):
-            return self.m * self.m
-        return self.n
+        return self.m * self.m if FAMILIES[self.family][0] == "m" else self.n
 
     def build(self):
-        if self.family == "ex241":
-            return gen_ex241(self.m, self.tau_mode, self.stencil)
-        if self.family == "ex242":
-            return gen_ex242(self.m, self.sigma1, self.sigma2, self.stencil)
-        if self.family == "ex31":
-            return gen_ex31(self.n, self.t)
-        return gen_ex421(self.n)
+        size, generate, fields, _ = FAMILIES[self.family]
+        return generate(*(getattr(self, name) for name in (size, *fields)))
 
     def label(self):
-        if self.family == "ex241":
-            return f"ex241(m={self.m},tau={self.tau_mode},stencil={self.stencil})"
-        if self.family == "ex242":
-            return (f"ex242(m={self.m},s1={self.sigma1:g},s2={self.sigma2:g},"
-                    f"stencil={self.stencil})")
-        if self.family == "ex31":
-            return f"ex31(n={self.n},t={self.t:g})"
-        return f"ex421(n={self.n})"
+        return FAMILIES[self.family][3].format_map(vars(self))
