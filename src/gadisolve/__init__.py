@@ -10,8 +10,7 @@ from .splitting import (METHODS, ComplexSymSystem, SolveConfig, SolveReport,
                         SplitParams, default_alpha, run_stationary, step)
 from .spectral import (IterationMatrixPair, SpectrumSummary,
                        build_iteration_matrices, eig_extremes_spd,
-                       min_radius_alpha, optimal_alpha, sigma_bound,
-                       spectral_radius)
+                       optimal_alpha, sigma_bound, spectral_radius)
 from .matrixeq import (LyapunovLift, LyapunovProblem, NewtonLift, NewtonState,
                        RiccatiProblem, RiccatiResult, build_newton_lift,
                        lift_lyapunov, load_lyapunov_problem,

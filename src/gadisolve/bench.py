@@ -72,10 +72,11 @@ class ParamPolicy:
     """How (alpha, omega) are chosen per (problem, method) cell.
 
     kind "fixed" (the default): the given (alpha, omega) points, where None
-    means the method's default shift or DEFAULT_OMEGA. "sweep": the
-    geometric shift grid around the default shift, times SWEEP_OMEGAS for a
-    method that relaxes, reporting the single best cell (fewest iterations,
-    residual tiebreak, then smaller alpha). It finds the winner of the grid
+    means the method's default shift or DEFAULT_OMEGA; a bad point is
+    rejected here, before any solve. "sweep": the geometric shift grid
+    around the default shift, times SWEEP_OMEGAS for a method that relaxes,
+    reporting the single best cell (fewest iterations, residual tiebreak,
+    then smaller alpha). It finds the winner of the grid
     :func:`sweep_params` runs with less work: the shifts run nearest the
     default first, and a cell stops once it has taken as many sweeps as the
     best converged cell so far (except on ex421, whose IT counts inner
@@ -90,6 +91,9 @@ class ParamPolicy:
     def __post_init__(self):
         if self.kind not in ("fixed", "sweep"):
             raise ValueError(f"policy kind must be fixed or sweep, got {self.kind!r}")
+        for alpha, omega in self.points:  # None, the method's default, is always valid
+            SplitParams("gadi", 1.0 if alpha is None else alpha,
+                        DEFAULT_OMEGA if omega is None else omega)
 
 
 @dataclass
@@ -252,20 +256,22 @@ def sweep_params(spec, method, alpha_grid, omega_grid, tol=1e-5, inner="exact",
     ``alpha_grid`` None selects the geometric grid around the method's
     default shift. A method that does not relax runs at omega 0 alone,
     whatever ``omega_grid`` holds. Every cell may run to ``max_outer``
-    sweeps (Newton steps on ex421). Returns the BenchmarkRow of each cell in
-    grid order (omega-major), the order it solves them in; pick the winner
-    with :func:`best_cell`.
+    sweeps (Newton steps on ex421). Every point is checked before the first
+    solve. Returns the BenchmarkRow of each cell in grid order (omega-major),
+    the order it solves them in; pick the winner with :func:`best_cell`.
     """
     if (alpha_grid is not None and len(alpha_grid) == 0) or len(omega_grid) == 0:
         raise ValueError("sweep grids must be nonempty")
-    # RunConfig rejects a method that is not valid for the family before the
-    # problem is built
-    cfg = RunConfig((spec,), (method,), tol=tol, inner=inner, max_outer=max_outer)
+    omegas = _swept_omegas(method, omega_grid)
+    alphas = (None,) if alpha_grid is None else alpha_grid
+    # RunConfig rejects a method that is not valid for the family, and its
+    # policy a bad point, before the problem is built
+    policy = ParamPolicy("fixed", tuple((a, w) for w in omegas for a in alphas))
+    cfg = RunConfig((spec,), (method,), policy, tol=tol, inner=inner, max_outer=max_outer)
     problem = spec.build()
     if alpha_grid is None:
-        alpha_grid = _auto_grid(_auto_alpha(spec, problem, method))
-    return [_cell(spec, problem, method, a, w, cfg, max_outer)[0]
-            for w in _swept_omegas(method, omega_grid) for a in alpha_grid]
+        alphas = _auto_grid(_auto_alpha(spec, problem, method))
+    return [_cell(spec, problem, method, a, w, cfg, max_outer)[0] for w in omegas for a in alphas]
 
 
 def best_cell(cells):
@@ -278,17 +284,13 @@ def best_cell(cells):
 
 # -- output -------------------------------------------------------------------
 
-def _format_param(x):
-    return "auto" if x is None else f"{x:.10g}"
-
-
 def _write_rows(rows, fh):
     writer = csv.writer(fh, lineterminator="\n")
     writer.writerow(CSV_HEADER)
     for r in rows:
         writer.writerow([
             r.algorithm, r.n, r.problem,
-            _format_param(r.alpha), _format_param(r.omega),
+            f"{r.alpha:.10g}", f"{r.omega:.10g}",
             f"{r.res:.4e}", r.it, f"{r.cpu:.6f}",
             "true" if r.converged else "false",
         ])
@@ -302,8 +304,6 @@ def write_csv(rows, path):
 
 def parse_csv(path):
     """Read a benchmark CSV back into rows (inverse of :func:`write_csv`)."""
-    def param(tok):
-        return None if tok == "auto" else float(tok)
     rows = []
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
@@ -312,7 +312,7 @@ def parse_csv(path):
             raise ValueError(f"unexpected CSV header {header}")
         for rec in reader:
             rows.append(BenchmarkRow(
-                rec[0], int(rec[1]), rec[2], param(rec[3]), param(rec[4]),
+                rec[0], int(rec[1]), rec[2], float(rec[3]), float(rec[4]),
                 float(rec[5]), int(rec[6]), float(rec[7]), rec[8] == "true"))
     return rows
 

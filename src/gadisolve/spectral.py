@@ -22,7 +22,7 @@ from .linalg import NotPositiveDefiniteError, _dense
 __all__ = [
     "SpectrumSummary", "IterationMatrixPair",
     "eig_extremes_spd", "optimal_alpha", "sigma_bound",
-    "build_iteration_matrices", "spectral_radius", "min_radius_alpha",
+    "build_iteration_matrices", "spectral_radius",
 ]
 
 DENSE_EIG_LIMIT = 2000  # the extremes of larger matrices are Lanczos estimates
@@ -156,18 +156,3 @@ def spectral_radius(M):
     if M.ndim != 2 or M.shape[0] != M.shape[1]:
         raise ValueError(f"spectral radius needs a square matrix, got shape {M.shape}")
     return float(np.abs(sla.eigvals(M)).max())
-
-
-def min_radius_alpha(system, alphas, omega=0.01):
-    """Brute-force search for the alpha minimizing rho(M(alpha, omega)).
-
-    Intended for small systems (n <= 128); returns (alpha_best, rho_best).
-    """
-    if system.n > 128:
-        raise ValueError(f"radius search limited to n <= 128, got n = {system.n}")
-    best = (None, np.inf)
-    for a in alphas:
-        rho = spectral_radius(build_iteration_matrices(system, float(a), omega).M_alpha_omega)
-        if rho < best[1]:
-            best = (float(a), rho)
-    return best

@@ -57,8 +57,11 @@ def _is_exactly_symmetric(M):
 
 def _check_data(W, T, **hermitian):
     """Reject malformed problem data with a one-line ValueError: W, T and the
-    named Hermitian matrices must be finite and n x n, W and T exactly symmetric."""
+    named Hermitian matrices must be finite and n x n with n >= 1, W and T
+    exactly symmetric."""
     n = W.shape[0]
+    if n == 0:
+        raise ValueError("W is empty: n must be at least 1")
     mats = {"W": W, "T": T, **hermitian}
     for name, M in mats.items():
         if M.shape != (n, n):

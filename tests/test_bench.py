@@ -10,7 +10,7 @@ from gadisolve.bench import (SWEEP_MAX_OUTER, SWEEP_OMEGAS, BenchmarkRow, ParamP
                              write_csv)
 from gadisolve.problems import ProblemSpec
 from gadisolve.splitting import DEFAULT_OMEGA, SolveReport
-from helpers import without_joint_eigenbasis
+from helpers import joint_sine_factors, mode_factors, without_joint_eigenbasis
 
 
 # -- run_grid -------------------------------------------------------------------
@@ -153,6 +153,20 @@ def test_sweep_policy_without_a_converged_cell_solves_once_more(monkeypatch):
     assert (row.alpha, row.omega) == (best.alpha, best.omega)
 
 
+def test_a_bad_grid_point_fails_before_any_solve(monkeypatch, capsys):
+    calls = _count_solves(monkeypatch)
+    with pytest.raises(ValueError, match="^omega must lie in \\[0, 2\\), got 2.5$"):
+        run_grid(RunConfig((ProblemSpec("ex241", m=2),), ("gadi",),
+                           ParamPolicy("fixed", points=((1.0, 0.01), (1.0, 2.5)))))
+    assert calls == []
+    with pytest.raises(SystemExit) as info:
+        main(["sweep", "--family", "ex241", "--m", "2", "--alpha-grid", "1,-1",
+              "--omega-grid", "0,0.5"])
+    assert info.value.code == 2
+    assert capsys.readouterr().err.endswith("sweep: alpha must be positive, got -1.0\n")
+    assert calls == []
+
+
 @pytest.mark.parametrize("spec", [
     ProblemSpec("ex241", m=6, tau_mode="h", stencil="unit"),
     ProblemSpec("ex241", m=6, tau_mode="500h", stencil="unit"),
@@ -290,15 +304,17 @@ def test_sweep_policy_not_worse_than_auto():
 
 
 def test_sweep_consistent_with_radius_search():
-    from gadisolve import min_radius_alpha
+    from gadisolve import default_alpha
     spec = ProblemSpec("ex241", m=4, stencil="unit")
     system = spec.build()
-    from gadisolve import default_alpha
     at = default_alpha(system, "gadi")
     grid = tuple(np.geomspace(at / 4, 4 * at, 15))
     cells = sweep_params(spec, "gadi", grid, (0.01,), tol=1e-5)
     best = best_cell(cells)
-    a_rho, _ = min_radius_alpha(system, grid, omega=0.01)
+    # the iteration matrix is diagonal in the joint sine eigenbasis, so its
+    # spectral radius is the largest per-mode factor
+    lam, mu, _ = joint_sine_factors(system)
+    a_rho = min(grid, key=lambda a: np.abs(mode_factors("gadi", lam, mu, a, 0.01)).max())
     it_at_rho_min = next(c.it for c in cells if c.alpha == pytest.approx(a_rho))
     assert it_at_rho_min <= best.it + 2
 

@@ -5,10 +5,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.linalg import solve_continuous_are
 
-from gadisolve import (LyapunovProblem, NewtonState, NotPositiveDefiniteError,
-                       ProblemSpec, RiccatiProblem, SolveConfig, SplitParams,
-                       build_newton_lift, gen_ex31, gen_ex421, lift_lyapunov,
-                       lyapunov_residual, newton_gadi_riccati,
+from gadisolve import (ComplexSymSystem, LyapunovProblem, NewtonState,
+                       NotPositiveDefiniteError, ProblemSpec, RiccatiProblem,
+                       SolveConfig, SplitParams, build_newton_lift, gen_ex31,
+                       gen_ex421, lift_lyapunov, lyapunov_residual, newton_gadi_riccati,
                        newton_initial_guess, riccati_residual,
                        solve_lyapunov_gadi, solve_lyapunov_hss, unvec, vec)
 from helpers import match_multisets, random_psd, random_spd, symmetrize, without_joint_eigenbasis
@@ -690,3 +690,15 @@ def test_problems_reject_bad_data(which, kind, message):
     if which in ("W", "T"):  # sparse storage is checked too
         with pytest.raises(ValueError, match=f"^{message}$"):
             LyapunovProblem(sp.csr_array(data["W"]), sp.csr_array(data["T"]), data["Q"])
+
+
+def test_problems_reject_empty_data():
+    # an empty system used to construct, and its default shift then failed in
+    # numpy's "zero-size array to reduction operation maximum"
+    empty = np.zeros((0, 0))
+    for make in (lambda: ComplexSymSystem(empty, empty, np.zeros(0)),
+                 lambda: LyapunovProblem(empty, empty, empty),
+                 lambda: RiccatiProblem(empty, empty, empty, empty),
+                 lambda: LyapunovProblem(sp.csr_array(empty), sp.csr_array(empty), empty)):
+        with pytest.raises(ValueError, match="^W is empty: n must be at least 1$"):
+            make()
