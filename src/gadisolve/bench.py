@@ -67,7 +67,7 @@ class BenchmarkRow:
     converged: bool
 
 
-@dataclass
+@dataclass(frozen=True)
 class ParamPolicy:
     """How (alpha, omega) are chosen per (problem, method) cell.
 
@@ -350,7 +350,8 @@ def _grid_specs(family, sizes, **params):
 
 _FIG3 = (((ProblemSpec("ex31", n=32, t=0.01),), ("hss", "gadi"), _AT_OMEGA_0, True),)
 _FIG4 = (((ProblemSpec("ex31", n=32, t=0.1),), ("hss", "gadi"), _AT_OMEGA_0, True),)
-# preset: its batches in run order, each (problems, methods, policy, series)
+# preset: its batches in run order, each (problems, methods, policy, series);
+# specs and policies are frozen, so presets and their batches share them
 _PRESETS = {
     "table1": ((_grid_specs("ex241", _T1_SIZES), _COMPARISON, _DEFAULT, False),
                (_grid_specs("ex241", _T1_SIZES), ("gadi",), _SWEEP, False),

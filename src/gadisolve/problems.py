@@ -141,7 +141,7 @@ FAMILIES = {
 }
 
 
-@dataclass
+@dataclass(frozen=True)
 class ProblemSpec:
     """Addressable benchmark instance: family name plus its parameters."""
     family: str

@@ -693,8 +693,7 @@ def test_problems_reject_bad_data(which, kind, message):
 
 
 def test_problems_reject_empty_data():
-    # an empty system used to construct, and its default shift then failed in
-    # numpy's "zero-size array to reduction operation maximum"
+    # n = 0 has no default shift and no residual norm: the data are refused
     empty = np.zeros((0, 0))
     for make in (lambda: ComplexSymSystem(empty, empty, np.zeros(0)),
                  lambda: LyapunovProblem(empty, empty, empty),
