@@ -305,4 +305,6 @@ def save_dense_block(path, M):
 def load_dense_block(path):
     with open(path) as fh:
         m, n = (int(t) for t in fh.readline().split())
+        if n == 0:  # loadtxt skips the m empty lines of an m x 0 block
+            return np.zeros((m, 0), dtype=complex)
         return _read_rows(fh, m, np.dtype([("row", float, (2 * n,))]))["row"].view(complex)

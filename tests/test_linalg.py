@@ -1,7 +1,10 @@
+import os
+import tempfile
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from gadisolve import (InnerSolverError, NotPositiveDefiniteError,
@@ -387,3 +390,71 @@ def test_readers_match_a_line_by_line_parse(tmp_path):
     lines = (tmp_path / "x.vec").read_text().splitlines()[1:]
     want = np.array([complex(float(re), float(im)) for re, im in (ln.split() for ln in lines)])
     assert load_vector(tmp_path / "x.vec").tobytes() == want.tobytes()
+
+
+# -- the text formats round-trip bit for bit ------------------------------------
+
+_DOUBLES = st.floats(allow_nan=False, allow_infinity=False)  # subnormals and -0.0 too
+_ENTRIES = st.builds(complex, _DOUBLES, _DOUBLES)
+_EDGES = [complex(-0.0, 5e-324), complex(0.1, -2.2250738585072009e-308),
+          complex(1 / 3, -0.0), complex(-1.7976931348623157e308, 2.0 ** -1074 * 3)]
+_ROUND_TRIP = settings(derandomize=True, deadline=None, database=None, max_examples=60)
+
+
+def _reread(save, load, value):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "f")
+        save(path, value)
+        return load(path)
+
+
+def _sorted_entries(A):
+    C = sp.coo_array(A)
+    order = np.lexsort((C.col, C.row))
+    return (C.shape, C.row[order].tolist(), C.col[order].tolist(),
+            np.asarray(C.data, dtype=complex)[order].tobytes())
+
+
+def _coo_cases(shape):
+    m, n = shape
+    cells = st.dictionaries(st.tuples(st.integers(0, m - 1), st.integers(0, n - 1)), _ENTRIES,
+                            max_size=m * n) if m and n else st.just({})
+    return st.tuples(st.just(shape), cells)
+
+
+def _blocks(shape):
+    size = shape[0] * shape[1]
+    return st.lists(_ENTRIES, min_size=size, max_size=size).map(
+        lambda v: np.array(v, dtype=complex).reshape(shape))
+
+
+_SHAPES = st.tuples(st.integers(0, 4), st.integers(0, 4))
+
+
+@_ROUND_TRIP
+@given(st.lists(_ENTRIES, max_size=8))
+@example(_EDGES)
+def test_vector_format_round_trips_bit_for_bit(entries):
+    x = np.array(entries, dtype=complex)
+    assert _reread(save_vector, load_vector, x).tobytes() == x.tobytes()
+
+
+@_ROUND_TRIP
+@given(_SHAPES.flatmap(_coo_cases))
+@example(((3, 2), dict(zip([(0, 1), (2, 0), (1, 1), (2, 1)], _EDGES))))
+def test_coo_format_round_trips_bit_for_bit(case):
+    shape, cells = case
+    rows, cols = np.array(list(cells), dtype=np.int64).reshape(-1, 2).T
+    A = sp.coo_array((np.array(list(cells.values()), dtype=complex), (rows, cols)), shape=shape)
+    assert _sorted_entries(_reread(save_matrix_coo, load_matrix_coo, A)) == _sorted_entries(A)
+
+
+@_ROUND_TRIP
+@given(_SHAPES.flatmap(_blocks))
+@example(np.zeros((2, 0), dtype=complex))
+@example(np.array([_EDGES]))
+def test_dense_block_format_round_trips_bit_for_bit(M):
+    from gadisolve import load_dense_block, save_dense_block
+    back = _reread(save_dense_block, load_dense_block, M)
+    assert back.shape == M.shape
+    assert back.tobytes() == M.tobytes()
