@@ -11,6 +11,7 @@ iteration counts for these families are only reproduced by the unscaled
 stencil V = tridiag(-1,2,-1) (``stencil="unit"``), which the table presets
 select. See the README reproduction notes.
 """
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -157,9 +158,11 @@ class ProblemSpec:
         if self.family not in FAMILIES:
             raise ValueError(f"unknown family {self.family!r}; expected one of {tuple(FAMILIES)}")
         size = FAMILIES[self.family][0]
-        if getattr(self, size) is None or getattr(self, size) < 1:
+        value = getattr(self, size)
+        if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < 1:
             kind = "grid" if size == "m" else "matrix"
-            raise ValueError(f"family {self.family} needs a {kind} size {size} >= 1")
+            raise ValueError(f"family {self.family} needs a {kind} size {size} >= 1, "
+                             f"an integer; got {value!r}")
 
     @property
     def dimension(self):

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -217,3 +219,19 @@ def test_problem_spec_validation():
         ProblemSpec("ex241")  # missing m
     with pytest.raises(ValueError):
         ProblemSpec("ex31")  # missing n
+
+
+@pytest.mark.parametrize("family, name, value", [
+    ("ex241", "m", 2.5), ("ex241", "m", True), ("ex242", "m", "3"), ("ex31", "n", 4.0),
+    ("ex421", "n", np.float64(3)), ("ex31", "n", 0)])
+def test_problem_spec_rejects_a_size_that_is_not_an_integer_at_least_1(family, name, value):
+    tail = re.escape(f"size {name} >= 1, an integer; got {value!r}")
+    with pytest.raises(ValueError, match=f"^family {family} needs a (grid|matrix) {tail}$"):
+        ProblemSpec(family, **{name: value})
+
+
+def test_problem_spec_takes_numpy_integer_sizes():
+    spec = ProblemSpec("ex241", m=np.int64(3), stencil="unit")
+    assert spec.dimension == 9 and spec.label() == "ex241(m=3,tau=h,stencil=unit)"
+    assert spec.build().n == 9
+    assert ProblemSpec("ex421", n=np.int32(2)).build().n == 2
