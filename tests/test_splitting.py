@@ -135,6 +135,24 @@ def test_hss_matches_closed_form_iteration_matrix():
     assert np.linalg.norm(M - pair.T_alpha, "fro") <= 1e-11
 
 
+@settings(derandomize=True, deadline=None, database=None, max_examples=40)
+@given(n=st.integers(1, 6), seed=st.integers(0, 2 ** 32 - 1),
+       alpha=st.floats(0.1, 10.0), omega=st.floats(0.0, 1.99))
+def test_a_sweep_is_the_affine_map_of_its_dense_iteration_matrix(n, seed, alpha, omega):
+    # GADI's sweep x -> M x + c has M = M(alpha, omega) = ((2 - w) T(alpha) + w I) / 2,
+    # HSS's has M = T(alpha), and both fix the solution x*
+    system = random_system(np.random.default_rng(seed), n)
+    pair = build_iteration_matrices(system, alpha, omega)
+    M, c = _affine_map(system, SplitParams("gadi", alpha, omega))
+    H, d = _affine_map(system, SplitParams("hss", alpha))
+    relaxed = 0.5 * ((2 - omega) * pair.T_alpha + omega * np.eye(n))
+    for got, want in ((M, pair.M_alpha_omega), (M, relaxed), (H, pair.T_alpha)):
+        assert np.linalg.norm(got - want) <= 1e-10
+    xstar = dense_solution(system)
+    for got, const in ((M, c), (H, d)):
+        assert np.linalg.norm(got @ xstar + const - xstar) <= 1e-10 * np.linalg.norm(xstar)
+
+
 @pytest.mark.parametrize("method", ["mhss", "pmhss", "cri", "tscsp"])
 def test_two_step_methods_match_dense_composition(method):
     rng = np.random.default_rng(23)
