@@ -32,7 +32,7 @@ import numpy as np
 from .linalg import NotPositiveDefiniteError
 from .matrixeq import (_eigh, _lift_shift, newton_gadi_riccati,
                        solve_lyapunov_gadi, solve_lyapunov_hss)
-from .problems import ProblemSpec
+from .problems import FAMILIES, ProblemSpec
 from .splitting import (DEFAULT_OMEGA, SolveConfig, SolveReport, SplitParams, default_alpha,
                         run_stationary)
 
@@ -427,14 +427,15 @@ def _add_common_flags(p):
 
 
 def _add_problem_flags(p):
-    p.add_argument("--family", required=True, choices=("ex241", "ex242", "ex31", "ex421"))
+    p.add_argument("--family", required=True, choices=FAMILIES)
     p.add_argument("--m", type=int, help="grid size for ex241/ex242 (n = m^2)")
     p.add_argument("--n", type=int, help="matrix size for ex31/ex421")
-    p.add_argument("--tau", default="h", choices=("h", "500h"), help="ex241 time step")
-    p.add_argument("--sigma1", type=float, default=100.0)
-    p.add_argument("--sigma2", type=float, default=100.0)
-    p.add_argument("--t", type=float, default=0.01, help="ex31 control parameter")
-    p.add_argument("--stencil", default="h2", choices=("h2", "unit"),
+    p.add_argument("--tau", default=ProblemSpec.tau_mode, choices=("h", "500h"),
+                   help="ex241 time step")
+    p.add_argument("--sigma1", type=float, default=ProblemSpec.sigma1)
+    p.add_argument("--sigma2", type=float, default=ProblemSpec.sigma2)
+    p.add_argument("--t", type=float, default=ProblemSpec.t, help="ex31 control parameter")
+    p.add_argument("--stencil", default=ProblemSpec.stencil, choices=("h2", "unit"),
                    help="Laplacian scaling for ex241/ex242")
 
 

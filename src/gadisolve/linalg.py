@@ -6,7 +6,6 @@ arrays. All routines are pure functions of their inputs. CG and COCG are one
 recurrence that differs only in its form: the Hermitian inner product for CG,
 the unconjugated bilinear form x^T y for COCG.
 """
-import itertools
 import warnings
 
 import numpy as np
@@ -48,12 +47,6 @@ class NotPositiveDefiniteError(ValueError):
     """An operator required to be positive definite is not."""
 
 
-def _as_matvec(M):
-    """Return a matvec callable for a matrix or an already-callable operator."""
-    # neither a numpy array nor a scipy sparse array is callable
-    return M if callable(M) else (lambda v: M @ v)
-
-
 def _dense(M):
     """A dense numpy copy (or view) of a sparse or dense matrix."""
     return M.toarray() if sp.issparse(M) else np.asarray(M)
@@ -88,7 +81,7 @@ def kron(A, B):
 
 
 def cg_hpd(M, b, rel_tol=1e-12, max_it=None):
-    """Conjugate gradients for a Hermitian positive definite operator.
+    """Conjugate gradients for a Hermitian positive definite matrix.
 
     Works in complex arithmetic, so a real SPD matrix applied to complex
     right-hand sides is handled in a single solve. Starts from x = 0 and
@@ -123,7 +116,6 @@ def _conjugate_gradients(M, b, rel_tol, max_it, hermitian):
     """The CG recurrence of :func:`cg_hpd` (``hermitian``, form vdot(u, v).real)
     and of :func:`cocg_sym` (form dot(u, v)), restarted from the true residual
     whenever the recurrence residual meets the tolerance but the true one does not."""
-    op = _as_matvec(M)
     b = np.asarray(b, dtype=complex)
     n = b.shape[0]
     if max_it is None:
@@ -154,7 +146,7 @@ def _conjugate_gradients(M, b, rel_tol, max_it, hermitian):
         while it < max_it:
             if not hermitian and (abs(rho) <= 1e-300 or abs(rho) < 1e-30 * rn ** 2):
                 raise breakdown(f"quasi-null residual form r^T r = {rho:.3e}")
-            q = op(p)
+            q = M @ p
             curv = form(p, q)
             if hermitian:
                 if curv <= 0.0:
@@ -174,7 +166,7 @@ def _conjugate_gradients(M, b, rel_tol, max_it, hermitian):
                 break
             p = r + (rho_new / rho) * p
             rho = rho_new
-        r = b - op(x)
+        r = b - M @ x
     raise InnerSolverError(
         f"{'CG' if hermitian else 'COCG'} did not reach rel_tol={rel_tol:.1e} in {max_it} "
         f"iterations (best residual {best_r / nb:.3e})",
@@ -228,7 +220,7 @@ _ROWS_PER_WRITE = 256  # bounds the text a writer holds, whatever the file's siz
 
 
 def _write_columns(fh, fmt, *columns):
-    """Write fmt.format(*row) for each row of equal-length 1-D columns.
+    """Write fmt.format(*row) for each row of equal-length columns.
 
     Rows go out a block at a time, each block one string built by one join.
     """
@@ -296,10 +288,11 @@ def save_dense_block(path, M):
     M = np.asarray(M, dtype=complex)
     pairs = np.empty((M.shape[0], 2 * M.shape[1]))  # each row as re, im, re, im, ...
     pairs[:, 0::2], pairs[:, 1::2] = M.real, M.imag
-    row = " ".join(["{:.17g}"] * pairs.shape[1]) + "\n"
+    # one column whose rows are the lists of pairs, so an m x 0 block is m empty lines
+    row = " ".join(f"{{0[{j}]:.17g}}" for j in range(pairs.shape[1])) + "\n"
     with open(path, "w") as fh:
         fh.write(f"{M.shape[0]} {M.shape[1]}\n")
-        fh.write("".join(itertools.starmap(row.format, pairs.tolist())))
+        _write_columns(fh, row, pairs)
 
 
 def load_dense_block(path):

@@ -27,9 +27,9 @@ import scipy.linalg as sla
 import scipy.sparse as sp
 from scipy.linalg.lapack import ztrsyl
 
-from .linalg import (InnerSolverError, NotPositiveDefiniteError, _dense, _eye_like, kron,
-                     load_dense_block, load_matrix_coo, save_dense_block,
-                     save_matrix_coo, vec)
+from .linalg import (InnerSolverError, _dense, _eye_like, kron, load_dense_block,
+                     load_matrix_coo, save_dense_block, save_matrix_coo, vec)
+from .spectral import SpectrumSummary, _require_positive, optimal_alpha
 from .splitting import (DEFAULT_OMEGA, ComplexSymSystem, SolveConfig, SplitParams,
                         _check_data, _Diverged, _joint_eigenbasis, _ModalSweep,
                         _sine_transform, _sweep)
@@ -179,12 +179,9 @@ def _eigh(M):
 
 def _lift_shift(lam):
     """sqrt(gamma_min*gamma_max) of W (x) I + I (x) W, whose eigenvalues are the
-    sums lam_i + lam_j of those lam of W: 2 sqrt(lam_min lam_max)."""
-    lo, hi = lam.min(), lam.max()
-    if lo <= 0:
-        raise NotPositiveDefiniteError(
-            f"W is not positive definite: minimum eigenvalue {lo:.6e}")
-    return 2.0 * float(np.sqrt(lo * hi))
+    sums lam_i + lam_j of those lam of W: twice the bound shift of W."""
+    extremes = SpectrumSummary(float(lam.min()), float(lam.max()))
+    return 2.0 * optimal_alpha(_require_positive(extremes))
 
 
 def _square(X, n, name="X"):
@@ -302,6 +299,8 @@ def _newton_part(T, S, params):
 
 
 def _solve_lyapunov(problem, method, params, config):
+    if params is not None and params.method != method:
+        raise ValueError(f"solve_lyapunov_{method} takes {method!r} params, got {params.method!r}")
     config = config or SolveConfig(tol=1e-6, max_outer=500)
     nq = _q_norm(problem.Q, "fro")
     n, tol = problem.n, config.tol
@@ -309,8 +308,6 @@ def _solve_lyapunov(problem, method, params, config):
     eig_W = _eigh(problem.W) if basis is None else None
     if params is None:
         params = SplitParams(method, alpha=_lift_shift((basis or eig_W)[0]))
-    if params.method not in ("gadi", "hss"):
-        raise ValueError(f"Lyapunov sweeps are 'gadi' or 'hss', got {params.method!r}")
 
     # the residual in eigen coordinates decides while it is above tol; at or
     # below tol the residual of X decides and is reported, and X = 0 has RES 1
@@ -321,11 +318,12 @@ def _solve_lyapunov(problem, method, params, config):
 
     if basis is None:
         sweep = _EigenSweep(eig_W, problem.Q, params, _lyapunov_part(problem.T, params))
+        start = sweep.state(np.zeros((n, n), dtype=complex))
         state, report = _sweep(
             lambda: sweep.step,
-            lambda s: residual(not s[0].any(), float(np.linalg.norm(s[2]) / nq),
+            lambda s: residual(s is start, float(np.linalg.norm(s[2]) / nq),
                                lambda: sweep.X(s[0])),
-            sweep.state(np.zeros((n, n), dtype=complex)), tol, config.max_outer)
+            start, tol, config.max_outer)
         X = sweep.X(state[0])
     else:
         # the lift is diag(lam_i + lam_j) + i diag(mu_j - mu_i) in S1 (x) S1,
@@ -467,9 +465,7 @@ def _ensure_invertible_start(problem, A, X0):
         c = 1.0 if c == 0.0 else 2.0 * c
     else:
         raise RuntimeError("could not regularize the initial Newton step")
-    if c:
-        X0 = X0 + c * np.eye(n)
-    return X0, c
+    return X0 + c * np.eye(n) if c else X0
 
 
 def newton_gadi_riccati(problem, outer_tol=1e-6, max_outer=30, inner_forcing=(0.1, 0.1),
@@ -522,7 +518,7 @@ def newton_gadi_riccati(problem, outer_tol=1e-6, max_outer=30, inner_forcing=(0.
         raise ValueError("x0 must be finite")
     X = newton_initial_guess(problem) if x0 is None else np.asarray(x0, dtype=complex).copy()
     A, G = problem.dense_A(), problem.G
-    X, _ = _ensure_invertible_start(problem, A, X)
+    X = _ensure_invertible_start(problem, A, X)
     T = _dense(problem.T)
     nq = _q_norm(problem.Q, 2)
     eig_W = _eigh(problem.W)

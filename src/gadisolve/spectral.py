@@ -35,7 +35,6 @@ class SpectrumSummary:
     gamma_min: float
     gamma_max: float
     method: str = "dense-exact"
-    estimate_tol: float = 0.0
 
 
 @dataclass
@@ -72,21 +71,20 @@ def eig_extremes_spd(W):
     n = W.shape[0]
     if n <= DENSE_EIG_LIMIT:
         ev = sla.eigvalsh(_dense(W))
-        out = SpectrumSummary(float(ev[0]), float(ev[-1]), "dense-exact", 0.0)
+        out = SpectrumSummary(float(ev[0]), float(ev[-1]), "dense-exact")
     else:
         Ws = sp.csr_array(W)
-        tol = 1e-8
         lo, hi = _gershgorin(Ws)
         if lo == hi:  # W = cI, and d = 0 would put both shifts at c: a singular factor
-            out = SpectrumSummary(lo, hi, "iterative-estimate", tol)
+            out = SpectrumSummary(lo, hi, "iterative-estimate")
         else:
             d = 1e-3 * (hi - lo)
             # deterministic Lanczos start so repeated runs give identical estimates
             v0 = np.random.default_rng(0).standard_normal(n)
-            gmin, gmax = (float(spla.eigsh(Ws, k=1, sigma=sigma, which="LM", tol=tol,
+            gmin, gmax = (float(spla.eigsh(Ws, k=1, sigma=sigma, which="LM", tol=1e-8,
                                            v0=v0, return_eigenvectors=False)[0])
                           for sigma in (lo - d, hi + d))
-            out = SpectrumSummary(gmin, gmax, "iterative-estimate", tol)
+            out = SpectrumSummary(gmin, gmax, "iterative-estimate")
     return _require_positive(out)
 
 

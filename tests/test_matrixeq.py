@@ -553,6 +553,15 @@ def test_default_shift_rejects_indefinite_W():
         solve_lyapunov_gadi(p)
 
 
+@pytest.mark.parametrize("solve, other", [(solve_lyapunov_gadi, "hss"),
+                                          (solve_lyapunov_hss, "gadi"),
+                                          (solve_lyapunov_gadi, "mhss")])
+def test_a_lyapunov_solver_rejects_the_other_methods_params(solve, other):
+    own = solve.__name__.rsplit("_", 1)[1]
+    with pytest.raises(ValueError, match=f"^{solve.__name__} takes '{own}' params, got '{other}'$"):
+        solve(gen_ex31(8, 0.01), SplitParams(other, 2.0, 0.5))
+
+
 # -- the modal solve of a problem with a joint sine eigenbasis ---------------------
 
 def toeplitz3(n, diag, off):
