@@ -360,14 +360,16 @@ def solve_lyapunov_gadi(problem, params=None, config=None):
     formed only where its residual decides, by the same rule, and at the end.
     With ``params=None`` the shift is sqrt(gamma_min*gamma_max) of the lifted
     real part, 2 sqrt(lam_min lam_max) of the eigenvalues lam of W, and
-    omega is DEFAULT_OMEGA. The sweeps start at X = 0, and of ``config``
+    omega is DEFAULT_OMEGA; given ``params`` must be GADI's, and any other
+    method's raise ValueError. The sweeps start at X = 0, and of ``config``
     only ``tol`` and ``max_outer`` apply.
     """
     return _solve_lyapunov(problem, "gadi", params, config)
 
 
 def solve_lyapunov_hss(problem, params=None, config=None):
-    """Same lifted system as :func:`solve_lyapunov_gadi`, stepped with HSS sweeps."""
+    """Same lifted system as :func:`solve_lyapunov_gadi`, stepped with HSS sweeps;
+    ``params`` of any other method raise ValueError."""
     return _solve_lyapunov(problem, "hss", params, config)
 
 
