@@ -80,10 +80,11 @@ class ParamPolicy:
     :func:`sweep_params` runs with less work: the shifts run nearest the
     default first, and a cell stops once it has taken as many sweeps as the
     best converged cell so far (except on ex421, whose IT counts inner
-    sweeps). Every cell is one solve; on ex241 and ex242 in exact inner mode
-    that is the closed-form solve in the systems' joint sine eigenbasis, with
-    no factorization. A row records the omega its sweeps ran with, 0 for a
-    method that does not relax.
+    sweeps). Every cell is one solve; on ex241 and ex242 in exact or auto
+    inner mode, at every n, that is the closed-form solve in the systems'
+    joint sine eigenbasis, with no factorization and no Krylov step. A row
+    records the omega its sweeps ran with, 0 for a method that does not
+    relax.
     """
     kind: str = "fixed"
     points: tuple = ((None, None),)

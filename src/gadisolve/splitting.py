@@ -15,7 +15,8 @@ from its previous solution.
 
 A system whose W and T the orthonormal 2-D DST-I S diagonalizes (the ex241
 and ex242 families; :attr:`ComplexSymSystem.joint_eigenbasis`) solves in
-exact mode in closed form (:class:`_ModalSweep`): there every method's
+closed form (:class:`_ModalSweep`) in "exact" and "auto" inner mode at
+every n; only "iterative" mode runs CG/COCG on it. There every method's
 sweep is one factor g_j per mode, so from x = 0 the residual after k sweeps
 is g^k * S b. The sweep loop runs on its squared modulus, with no
 factorization and no matvec, and x is formed once at the end. The Lyapunov
@@ -239,8 +240,11 @@ class SolveConfig:
     """Driver configuration: outer tolerance, sweep budget and inner-solve mode.
 
     inner: "exact" (direct factorization), "iterative" (CG/COCG), or "auto"
-    (exact up to n = 4096). In iterative mode both half-step solves run to
-    the relative tolerance 1e-2 * (current outer residual), floored at 1e-14.
+    (exact up to n = 4096). A system with a joint eigenbasis takes the
+    closed-form modal solve, which factorizes nothing, under "exact" and
+    "auto" at every n; only "iterative" keeps CG/COCG for it. In iterative
+    mode both half-step solves run to the relative tolerance
+    1e-2 * (current outer residual), floored at 1e-14.
     From a solve's second sweep on, each half-step is warm-started from its
     previous solution; its Krylov tolerance is rescaled so that the absolute
     target, tol * ||rhs||, is that of a solve started from zero.
@@ -515,17 +519,19 @@ def run_stationary(system, params, config=None):
     Starts from x = 0 and returns ``(x, SolveReport)``.
     Reaching max_outer is reported via ``converged=False``, not an exception;
     an inner-solver failure raises InnerSolverError with the partial report
-    attached as ``err.report``. In exact inner mode a system with a joint
-    eigenbasis sweeps its modal residual alone (see :class:`_ModalSweep`).
+    attached as ``err.report``. Unless the inner mode is "iterative", a
+    system with a joint eigenbasis sweeps its modal residual alone at every
+    n (see :class:`_ModalSweep`): the closed form factorizes nothing, so the
+    "auto" size limit does not apply to it.
     """
     config = config or SolveConfig()
     nb = float(np.linalg.norm(system.b))
     if nb == 0.0:
         raise ValueError("b = 0: relative residual is undefined")
-    mode = config.resolved_inner(system.n)
-    if mode == "exact" and system.joint_eigenbasis is not None:
+    if config.inner != "iterative" and system.joint_eigenbasis is not None:
         modal = _ModalSweep(*system.joint_eigenbasis, system._modal_b, params)
         return modal.solve(lambda w: math.sqrt(w.sum()) / nb, config.tol, config.max_outer)
+    mode = config.resolved_inner(system.n)
     return _sweep(lambda: _make_step(system.W, system.T, system.b, params, mode),
                   lambda x: float(np.linalg.norm(system.b - system.matvec(x)) / nb),
                   np.zeros(system.n, complex), config.tol, config.max_outer)

@@ -661,6 +661,68 @@ def test_modal_solve_returns_the_x_of_its_reported_res(system):
         assert report.converged and abs(true_res - report.final_res) <= 1e-13, method
 
 
+# -- "auto" inner mode on a detected system --------------------------------------
+
+ABOVE_EXACT_LIMIT = {  # m = 65: n = 4225 > EXACT_INNER_LIMIT = 4096
+    "ex241-500h": lambda: gen_ex241(65, "500h", stencil="unit"),
+    "ex242": lambda: gen_ex242(65, stencil="unit"),
+}
+
+
+def _no_krylov(M, b, rel_tol, max_it):
+    raise AssertionError("a CG/COCG half-step ran")
+
+
+def _forbid_krylov(monkeypatch):
+    from gadisolve import splitting
+    monkeypatch.setattr(splitting, "cg_hpd", _no_krylov)
+    monkeypatch.setattr(splitting, "cocg_sym", _no_krylov)
+
+
+@pytest.mark.parametrize("family", sorted(ABOVE_EXACT_LIMIT))
+def test_auto_takes_the_closed_form_above_the_exact_limit(family):
+    # the closed form factorizes nothing, so "auto" takes it at every n and
+    # returns the bits of "exact"; only "iterative" keeps CG/COCG for it
+    from gadisolve import splitting
+    system = ABOVE_EXACT_LIMIT[family]()
+    assert system.n > splitting.EXACT_INNER_LIMIT and system.joint_eigenbasis is not None
+    for method in METHODS:
+        params = SplitParams(method, default_alpha(system, method))
+        x_exact, exact = run_stationary(system, params, SolveConfig(tol=1e-5, inner="exact"))
+        with pytest.MonkeyPatch.context() as patch:
+            _forbid_krylov(patch)
+            x, auto = run_stationary(system, params, SolveConfig(tol=1e-5, inner="auto"))
+        assert np.array_equal(x, x_exact), method
+        assert auto.iterations == exact.iterations, method
+        assert auto.residual_history == exact.residual_history, method
+        assert auto.converged and auto.inner_iteration_total == 0, method
+        iterative = run_stationary(system, params,
+                                   SolveConfig(tol=1e-5, max_outer=2, inner="iterative"))[1]
+        assert iterative.inner_iteration_total > 0, method
+
+
+def test_auto_keeps_krylov_for_a_system_without_joint_eigenbasis(monkeypatch):
+    # above a lowered limit "auto" is the closed form for a detected system
+    # and CG/COCG for one the probe rejects
+    from gadisolve import splitting
+    monkeypatch.setattr(splitting, "EXACT_INNER_LIMIT", 16)
+    config = SolveConfig(tol=1e-5, inner="auto")
+    detected = gen_ex241(8, "500h", stencil="unit")
+    with pytest.MonkeyPatch.context() as patch:
+        _forbid_krylov(patch)
+        for method in METHODS:
+            report = run_stationary(detected, SplitParams(method, default_alpha(detected, method)),
+                                    config)[1]
+            assert report.converged and report.inner_iteration_total == 0, method
+    without_joint_eigenbasis(monkeypatch)
+    rejected = gen_ex241(8, "500h", stencil="unit")
+    assert rejected.joint_eigenbasis is None
+    for method in METHODS:
+        report = run_stationary(rejected, SplitParams(method, default_alpha(rejected, method)),
+                                config)[1]
+        assert report.converged and report.inner_iteration_total > 0, method
+
+
 def test_invalid_params_rejected():
     with pytest.raises(ValueError):
         SplitParams("gadi", alpha=-1.0)
