@@ -11,6 +11,7 @@ iteration counts for these families are only reproduced by the unscaled
 stencil V = tridiag(-1,2,-1) (``stencil="unit"``), which the table presets
 select. See the README reproduction notes.
 """
+import math
 import numbers
 from dataclasses import dataclass
 
@@ -24,6 +25,17 @@ from .splitting import ComplexSymSystem
 __all__ = ["ProblemSpec", "gen_ex241", "gen_ex242", "gen_ex31", "gen_ex421",
            "save_system", "load_system"]
 
+# the values of the ex241/ex242 string fields, which the generators and
+# ProblemSpec both check
+TAU_MODES = ("h", "500h")
+STENCILS = ("h2", "unit")
+
+
+def _check_choice(name, value, allowed):
+    if not isinstance(value, str) or value not in allowed:
+        raise ValueError(f"{name} must be {' or '.join(map(repr, allowed))}, got {value!r}")
+
+
 def _tridiag(n, lo, diag, up):
     return sp.diags_array([np.full(n - 1, lo), np.full(n, diag), np.full(n - 1, up)],
                           offsets=[-1, 0, 1], format="csr")
@@ -31,12 +43,11 @@ def _tridiag(n, lo, diag, up):
 
 def _grid_laplacian(m, stencil):
     """K = I (x) V + V (x) I on an m-by-m grid with h = 1/(m+1)."""
+    _check_choice("stencil", stencil, STENCILS)
     h = 1.0 / (m + 1)
     V = _tridiag(m, -1.0, 2.0, -1.0)
     if stencil == "h2":
         V = V / h ** 2
-    elif stencil != "unit":
-        raise ValueError(f"stencil must be 'h2' or 'unit', got {stencil!r}")
     I = sp.eye_array(m, format="csr")
     return sp.csr_array(kron(I, V) + kron(V, I)), h
 
@@ -49,13 +60,9 @@ def gen_ex241(m, tau_mode="h", stencil="h2"):
     """
     if m < 1:
         raise ValueError("m must be at least 1")
+    _check_choice("tau_mode", tau_mode, TAU_MODES)
     K, h = _grid_laplacian(m, stencil)
-    if tau_mode == "h":
-        tau = h
-    elif tau_mode == "500h":
-        tau = 500.0 * h
-    else:
-        raise ValueError(f"tau_mode must be 'h' or '500h', got {tau_mode!r}")
+    tau = h if tau_mode == "h" else 500.0 * h
     n = m * m
     I = sp.eye_array(n, format="csr")
     W = sp.csr_array(K + ((3.0 - np.sqrt(3.0)) / tau) * I)
@@ -163,6 +170,13 @@ class ProblemSpec:
             kind = "grid" if size == "m" else "matrix"
             raise ValueError(f"family {self.family} needs a {kind} size {size} >= 1, "
                              f"an integer; got {value!r}")
+        _check_choice("tau_mode", self.tau_mode, TAU_MODES)
+        _check_choice("stencil", self.stencil, STENCILS)
+        for name in ("t", "sigma1", "sigma2"):
+            value = getattr(self, name)
+            if (isinstance(value, bool) or not isinstance(value, numbers.Real)
+                    or not math.isfinite(value)):
+                raise ValueError(f"{name} must be a finite real number, got {value!r}")
 
     @property
     def dimension(self):

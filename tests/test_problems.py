@@ -1,4 +1,6 @@
+import math
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -235,3 +237,39 @@ def test_problem_spec_takes_numpy_integer_sizes():
     assert spec.dimension == 9 and spec.label() == "ex241(m=3,tau=h,stencil=unit)"
     assert spec.build().n == 9
     assert ProblemSpec("ex421", n=np.int32(2)).build().n == 2
+
+
+@pytest.mark.parametrize("family, fields, message", [
+    ("ex241", {"m": 4, "tau_mode": "1h"}, "tau_mode must be 'h' or '500h', got '1h'"),
+    ("ex241", {"m": 4, "tau_mode": None}, "tau_mode must be 'h' or '500h', got None"),
+    ("ex241", {"m": 4, "stencil": "h3"}, "stencil must be 'h2' or 'unit', got 'h3'"),
+    ("ex242", {"m": 4, "stencil": ["unit"]}, "stencil must be 'h2' or 'unit', got ['unit']"),
+    ("ex31", {"n": 4, "t": "x"}, "t must be a finite real number, got 'x'"),
+    ("ex31", {"n": 4, "t": True}, "t must be a finite real number, got True"),
+    ("ex31", {"n": 4, "t": math.nan}, "t must be a finite real number, got nan"),
+    ("ex31", {"n": 4, "t": 1j}, "t must be a finite real number, got 1j"),
+    ("ex242", {"m": 4, "sigma1": math.inf}, "sigma1 must be a finite real number, got inf"),
+    ("ex242", {"m": 4, "sigma2": -math.inf}, "sigma2 must be a finite real number, got -inf"),
+    ("ex242", {"m": 4, "sigma2": "100"}, "sigma2 must be a finite real number, got '100'")],
+    ids=["tau-1h", "tau-none", "stencil-h3", "stencil-list", "t-str", "t-bool", "t-nan",
+         "t-complex", "sigma1-inf", "sigma2-minus-inf", "sigma2-str"])
+def test_problem_spec_rejects_a_bad_field_when_made(family, fields, message):
+    # the one-line error comes at construction, before any warning or build
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            ProblemSpec(family, **fields)
+
+
+def test_generators_reject_the_choices_problem_spec_rejects():
+    with pytest.raises(ValueError, match="^tau_mode must be 'h' or '500h', got '1h'$"):
+        gen_ex241(4, "1h")
+    with pytest.raises(ValueError, match="^stencil must be 'h2' or 'unit', got 'h3'$"):
+        gen_ex242(4, stencil="h3")
+
+
+def test_problem_spec_takes_integer_and_numpy_real_fields():
+    spec = ProblemSpec("ex31", n=4, t=1)
+    assert spec.label() == "ex31(n=4,t=1)" and spec.build().n == 4
+    spec = ProblemSpec("ex242", m=2, sigma1=np.float64(-5.0), sigma2=np.float32(2.5))
+    assert spec.label() == "ex242(m=2,s1=-5,s2=2.5,stencil=h2)" and spec.build().n == 4
