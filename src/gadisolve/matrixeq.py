@@ -3,21 +3,20 @@
 Under column-stacking vec, A* X + X A = Q with A = W + iT is the system
 (W~ + iT~) x = q of size n^2, with W~ = W (x) I + I (x) W and
 T~ = T (x) I - I (x) T. Its GADI sweeps, and HSS as GADI at omega = 0, run
-on n x n iterates held in two bases: the half-steps aX + WX + XW = R and
-aX + i(XT - TX) = R are diagonal in the eigenbasis of W and of T. When the
-1-D DST-I S1 diagonalizes both W and T (``splitting._joint_eigenbasis``
-at dims=1, as for tridiagonal Toeplitz W and T), both bases are S1 and the
-lift is diagonal in S1 (x) S1, so a solve is the closed-form modal sweep of
-``splitting._ModalSweep``, with no eigensolve. Newton
-steps A_k* X + X A_k = Q_k (A_k = A - G X_k) of the Riccati equation
-A* X + X A + Q - X G X = 0 run the same sweep, with the second half-step
+on n x n iterates held in two bases (:class:`_EigenSweep`): the half-steps
+aX + WX + XW = R and aX + i(XT - TX) = R are diagonal in the eigenbasis of
+W and of T. When the 1-D DST-I S1 diagonalizes both W and T
+(``splitting._joint_eigenbasis`` at dims=1, as for tridiagonal Toeplitz W
+and T), the lift is diagonal in S1 (x) S1 and a solve is the closed-form
+``splitting._ModalSweep``, with no eigensolve. Newton steps
+A_k* X + X A_k = Q_k (A_k = A - G X_k) of the Riccati equation
+A* X + X A + Q - X G X = 0 run the eigen sweep with the second half-step
 (aI - iT - S) X + X (iT - S^H) = R, S = X_k G, held in its Schur basis:
 Bartels-Stewart, one complex Schur form per Newton step and a LAPACK trsyl
-per sweep. The Newton outer steps run in the sweep loop of the inner sweeps,
-``splitting._sweep``: a step whose start already meets its inner tolerance
-returns X_k, a fixed point that ends the iteration, and the restart from
-X = 0 is a second run of that loop. The sparse lifts are built only as
-reference operators.
+per sweep. A Lyapunov solve and a Newton step drive either sweep the same
+way, through its ``start``, ``make_step``, ``res`` and ``x`` in one
+``splitting._sweep`` call; the Newton outer steps run in that loop too.
+The sparse lifts are built only as reference operators.
 """
 import time
 from dataclasses import dataclass, field
@@ -29,10 +28,10 @@ from scipy.linalg.lapack import ztrsyl
 
 from .linalg import (InnerSolverError, _dense, _eye_like, kron, load_dense_block,
                      load_matrix_coo, save_dense_block, save_matrix_coo, vec)
-from .spectral import SpectrumSummary, _require_positive, optimal_alpha
+from .spectral import _bound_shift_of
 from .splitting import (DEFAULT_OMEGA, ComplexSymSystem, SolveConfig, SplitParams,
                         _check_data, _Diverged, _joint_eigenbasis, _ModalSweep,
-                        _sine_transform, _sweep)
+                        _require_count, _require_real, _sine_transform, _sweep)
 
 __all__ = [
     "LyapunovProblem", "RiccatiProblem", "LyapunovLift", "NewtonLift",
@@ -180,8 +179,7 @@ def _eigh(M):
 def _lift_shift(lam):
     """sqrt(gamma_min*gamma_max) of W (x) I + I (x) W, whose eigenvalues are the
     sums lam_i + lam_j of those lam of W: twice the bound shift of W."""
-    extremes = SpectrumSummary(float(lam.min()), float(lam.max()))
-    return 2.0 * optimal_alpha(_require_positive(extremes))
+    return 2.0 * _bound_shift_of(lam)
 
 
 def _square(X, n, name="X"):
@@ -214,27 +212,30 @@ def _congruence(M, Z):
 
 
 class _EigenSweep:
-    """The lifted GADI sweep (HSS at omega = 0) of WX + XW + K(X) = Q, held in
-    the eigenbasis W = U diag(lam) U^T and a basis Z of the second part K.
+    """The lifted GADI sweep (HSS at omega = 0) of WX + XW + K(X) = Q from X0
+    (zero when None), held in the eigenbasis W = U diag(lam) U^T and a basis
+    Z of the second part K.
 
     With Lw_ij = lam_i + lam_j, WX + XW is Lw * X_U in U coordinates
     (X_U = U^T X U), so the first half-step is a division. The second is data,
-    ``second = (Z, K, F, solve)``: K(Y) and F(Y) = K(Y) - (1 - w)aY in Z
-    coordinates Y = Z^H X Z, and the solver of aY + K(Y) = R. A state is
-    (Y, X_U, r_U), with r_U = U^T R U for the residual R = Q - WX - XW - K(X);
-    it changes basis through P = U^T Z, six products of P with an n x n matrix
-    per sweep, and ||r_U||_F = ||R||_F.
+    ``second = (Z, K, solve)``: K(Y) in Z coordinates Y = Z^H X Z, and the
+    solver of aY + K(Y) = R. A state is (Y, X_U, r_U), with r_U = U^T R U for
+    the residual R = Q - WX - XW - K(X); it changes basis through P = U^T Z,
+    six products of P with an n x n matrix per sweep, and :meth:`res` is
+    ||r_U||_F = ||R||_F.
     """
 
-    def __init__(self, eig_W, Q, params, second):
+    def __init__(self, eig_W, Q, params, second, X0=None):
         lam, U = eig_W
-        self.Z, self.K, self.F, self.solve = second
+        self.Z, self.K, self.solve = second
         self.P = U.T @ self.Z
         self.PH = self.P.conj().T
         self.Lw = lam[:, None] + lam[None, :]
         a, om = params.alpha, params.relaxation
-        self.D1, self.b = a + self.Lw, (2 - om) * a
+        self.D1, self.c, self.b = a + self.Lw, (1 - om) * a, (2 - om) * a
         self.Q_U = _congruence(U, Q)
+        self.start = self.state(np.zeros(self.Lw.shape, dtype=complex) if X0 is None
+                                else _congruence(self.Z, X0))
 
     def state(self, Y):
         """The state of the iterate Z Y Z^H, with X_U = P Y P^H and
@@ -242,13 +243,11 @@ class _EigenSweep:
         X_U = _congruence(self.PH, Y)
         return Y, X_U, self.Q_U - self.Lw * X_U - _congruence(self.PH, self.K(Y))
 
-    def coordinates(self, X):
-        """The Z coordinates Z^H X Z of an iterate X."""
-        return _congruence(self.Z, X)
+    def res(self, state):
+        return np.linalg.norm(state[2])
 
-    def X(self, Y):
-        """The iterate Z Y Z^H of Z coordinates Y."""
-        return _congruence(self.Z.conj().T, Y)
+    def x(self, state):
+        return _congruence(self.Z.conj().T, state[0])
 
     def first(self, state):
         """Z^H Xh Z for the first half-step's (aI + W~) xh = a x - K~ x + q,
@@ -259,10 +258,14 @@ class _EigenSweep:
     def second(self, state, Xh_Z):
         """The state after the second half-step
         (aI + K~) x' = (K~ - (1 - w) aI) x + (2 - w) a xh."""
-        return self.state(self.solve(self.F(state[0]) + self.b * Xh_Z))
+        Y = state[0]
+        return self.state(self.solve(self.K(Y) - self.c * Y + self.b * Xh_Z))
 
     def step(self, state, res):
         return self.second(state, self.first(state)), 0
+
+    def make_step(self):
+        return self.step
 
 
 def _lyapunov_part(T, params):
@@ -271,9 +274,8 @@ def _lyapunov_part(T, params):
     and the solve is a division by a + E."""
     mu, V = _eigh(T)
     E = 1j * (mu[None, :] - mu[:, None])
-    a, om = params.alpha, params.relaxation
-    F, D2 = E - (1 - om) * a, a + E
-    return V, lambda Y: E * Y, lambda Y: F * Y, lambda R: R / D2
+    D2 = params.alpha + E
+    return V, lambda Y: E * Y, lambda R: R / D2
 
 
 def _newton_part(T, S, params):
@@ -284,18 +286,17 @@ def _newton_part(T, S, params):
     the complex Schur form C = Z U Z^H, K(Y) = N Y + Y N^H with N = U - aI,
     and the solve of U Y + Y N^H = R is one LAPACK trsyl.
     """
-    a, om = params.alpha, params.relaxation
+    a = params.alpha
     I = np.eye(S.shape[0])
     U, Z = sla.schur(a * I - 1j * T - S, output="complex")
     N = U - a * I
-    K = lambda Y: N @ Y + Y @ N.conj().T
 
     def solve(R):
         Y, scale, info = ztrsyl(U, N, R, tranb="C")
         if info != 0:
             raise RuntimeError(f"Newton step equation is numerically singular (trsyl info {info})")
         return Y / scale
-    return Z, K, lambda Y: K(Y) - (1 - om) * a * Y, solve
+    return Z, lambda Y: N @ Y + Y @ N.conj().T, solve
 
 
 def _solve_lyapunov(problem, method, params, config):
@@ -308,35 +309,26 @@ def _solve_lyapunov(problem, method, params, config):
     eig_W = _eigh(problem.W) if basis is None else None
     if params is None:
         params = SplitParams(method, alpha=_lift_shift((basis or eig_W)[0]))
-
-    # the residual in eigen coordinates decides while it is above tol; at or
-    # below tol the residual of X decides and is reported, and X = 0 has RES 1
-    def residual(start, res, X):
-        if start:
-            return 1.0
-        return lyapunov_residual(problem, X()) if res <= tol else res
-
     if basis is None:
         sweep = _EigenSweep(eig_W, problem.Q, params, _lyapunov_part(problem.T, params))
-        start = sweep.state(np.zeros((n, n), dtype=complex))
-        state, report = _sweep(
-            lambda: sweep.step,
-            lambda s: residual(s is start, float(np.linalg.norm(s[2]) / nq),
-                               lambda: sweep.X(s[0])),
-            start, tol, config.max_outer)
-        X = sweep.X(state[0])
     else:
         # the lift is diag(lam_i + lam_j) + i diag(mu_j - mu_i) in S1 (x) S1,
         # which takes vec X to S1 X S1
         lam, mu, S1 = basis
-        modal = _ModalSweep((lam[:, None] + lam).ravel(), (mu - mu[:, None]).ravel(), S1,
+        sweep = _ModalSweep((lam[:, None] + lam).ravel(), (mu - mu[:, None]).ravel(), S1,
                             _sine_transform(S1, problem.Q), params)
-        X, report = modal.solve(
-            lambda w: residual(modal.sweeps == 0, float(np.sqrt(w.sum()) / nq),
-                               lambda: modal.x().reshape(n, n)),
-            tol, config.max_outer)
-        X = X.reshape(n, n)
-    if not report.converged:  # its last RES was taken in the eigenbases
+
+    # the residual in the sweep's basis decides while it is above tol; at or
+    # below tol the residual of X decides and is reported, and X = 0 has RES 1
+    def residual(s):
+        if s is sweep.start:
+            return 1.0
+        res = float(sweep.res(s) / nq)
+        return lyapunov_residual(problem, sweep.x(s).reshape(n, n)) if res <= tol else res
+
+    state, report = _sweep(sweep.make_step, residual, sweep.start, tol, config.max_outer)
+    X = sweep.x(state).reshape(n, n)
+    if not report.converged:  # its last RES was taken in the sweep's basis
         report.final_res = lyapunov_residual(problem, X)
         report.residual_history[-1] = (report.iterations, report.final_res)
     return X, report
@@ -347,17 +339,15 @@ def solve_lyapunov_gadi(problem, params=None, config=None):
 
     Returns ``(X, SolveReport)``; the report's residuals are the lifted
     relative residuals, which coincide with ||Q - A*X - XA||_F / ||Q||_F.
-    The sweeps hold the iterate in the eigenbases of W and T and take the
-    residual there; once that is at or below tol, and after the last sweep,
-    the residual of the iterate's X decides and is reported. X = 0 has RES
+    The sweeps hold the iterate in the eigenbases of W and T or, when a
+    probe finds that the 1-D DST-I S1 diagonalizes both
+    (S1 W S1 = diag(lam), S1 T S1 = diag(mu)), in closed form: the lift is
+    then diagonal in S1 (x) S1, each mode has one factor g from the method's
+    row on diag(lam_i + lam_j) and diag(mu_j - mu_i), and the sweeps map
+    w = |S1 Q S1|^2 to |g|^2 w. Either way the residual is taken in the
+    sweep's basis; once it is at or below tol, and after the last sweep, the
+    residual of the iterate's X decides and is reported. X = 0 has RES
     exactly 1.
-    When a probe finds that the 1-D DST-I S1 diagonalizes both W and T
-    (S1 W S1 = diag(lam), S1 T S1 = diag(mu)), the lift is diagonal in
-    S1 (x) S1 and the solve is closed-form: each mode has one factor g from
-    the method's row on diag(lam_i + lam_j) and diag(mu_j - mu_i), the sweeps
-    map w = |S1 Q S1|^2 to |g|^2 w, and
-    X = S1 ((1 - g^K) * S1 Q S1 / (lam_i + lam_j + i (mu_j - mu_i))) S1 is
-    formed only where its residual decides, by the same rule, and at the end.
     With ``params=None`` the shift is sqrt(gamma_min*gamma_max) of the lifted
     real part, 2 sqrt(lam_min lam_max) of the eigenvalues lam of W, and
     omega is DEFAULT_OMEGA; given ``params`` must be GADI's, and any other
@@ -508,23 +498,21 @@ def newton_gadi_riccati(problem, outer_tol=1e-6, max_outer=30, inner_forcing=(0.
     ``converged=False``. Bad arguments raise a one-line ValueError.
     """
     t0 = time.perf_counter()
-    if not (outer_tol > 0 and np.isfinite(outer_tol)):
-        raise ValueError(f"outer_tol must be finite and positive, got {outer_tol}")
-    if max_outer < 1:
-        raise ValueError(f"max_outer must be at least 1, got {max_outer}")
+    _require_real("outer_tol", outer_tol)
+    _require_count("max_outer", max_outer)
     eta_max, eta_fac = inner_forcing
     if not all(np.isfinite(f) and f > 0 for f in (eta_max, eta_fac)):
         raise ValueError(f"inner_forcing entries must be finite and positive, got {inner_forcing}")
     n = problem.n
     if x0 is not None and not np.isfinite(_square(x0, n, "x0")).all():
         raise ValueError("x0 must be finite")
+    eig_W = _eigh(problem.W)
+    params = SplitParams("gadi", _lift_shift(eig_W[0]) if alpha is None else alpha, omega)
     X = newton_initial_guess(problem) if x0 is None else np.asarray(x0, dtype=complex).copy()
     A, G = problem.dense_A(), problem.G
     X = _ensure_invertible_start(problem, A, X)
     T = _dense(problem.T)
     nq = _q_norm(problem.Q, 2)
-    eig_W = _eigh(problem.W)
-    params = SplitParams("gadi", _lift_shift(eig_W[0]) if alpha is None else float(alpha), omega)
 
     states = []
     spent = 0  # the inner sweeps of a diverged first start
@@ -542,13 +530,11 @@ def newton_gadi_riccati(problem, outer_tol=1e-6, max_outer=30, inner_forcing=(0.
         if direct < eps_abs:  # X_k is a fixed point of the outer sweep
             states.append(NewtonState(k, X, A_k, Q_k, 0, direct, res))
             return X, 0
-        sweep = _EigenSweep(eig_W, Q_k, params, _newton_part(T, X @ G, params))
-        start = sweep.state(sweep.coordinates(X))
+        sweep = _EigenSweep(eig_W, Q_k, params, _newton_part(T, X @ G, params), X)
         try:
             end, inner = _sweep(
-                lambda: sweep.step,
-                lambda s: direct if s is start else np.linalg.norm(s[2]), start,
-                np.nextafter(eps_abs, -np.inf), NEWTON_MAX_INNER, guard=True)
+                sweep.make_step, lambda s: direct if s is sweep.start else sweep.res(s),
+                sweep.start, np.nextafter(eps_abs, -np.inf), NEWTON_MAX_INNER, guard=True)
         except _Diverged as div:
             if not (spent or k):
                 raise  # the first step from the first start: restart from X = 0
@@ -560,7 +546,7 @@ def newton_gadi_riccati(problem, outer_tol=1e-6, max_outer=30, inner_forcing=(0.
             raise err from None
         l = inner.iterations
         states.append(NewtonState(k, X, A_k, Q_k, l, float(inner.final_res), res))
-        Xn = sweep.X(end[0])
+        Xn = sweep.x(end)
         return 0.5 * (Xn + Xn.conj().T), l  # inner tolerance allows a Hermitian drift
 
     def newton(X):

@@ -96,6 +96,12 @@ def _require_positive(spectrum):
     return spectrum
 
 
+def _bound_shift_of(lam):
+    """sqrt(min * max) of an eigenvalue array ``lam``; NotPositiveDefiniteError
+    when its minimum is <= 0."""
+    return optimal_alpha(_require_positive(SpectrumSummary(float(lam.min()), float(lam.max()))))
+
+
 def optimal_alpha(spectrum):
     """Bound-minimizing shift sqrt(gamma_min * gamma_max)."""
     if isinstance(spectrum, SpectrumSummary):

@@ -23,12 +23,14 @@ factorization and no matvec, and x is formed once at the end. The Lyapunov
 solves of :mod:`gadisolve.matrixeq` run the same modal sweep on their lift
 when the 1-D DST-I diagonalizes their n x n W and T.
 
-One sweep loop, :func:`_sweep`, drives every method, the modal solves and
-the Lyapunov sweeps and the Newton inner and outer steps of
-:mod:`gadisolve.matrixeq`.
+One sweep loop, :func:`_sweep`, drives every solve. :class:`_ModalSweep`
+and ``matrixeq._EigenSweep`` offer it the same members: ``start``,
+``make_step()``, ``res(state)``, the absolute residual norm in the sweep's
+basis, and ``x(state)``, the iterate; a caller tells the start by identity.
 """
 import functools
 import math
+import numbers
 import time
 from dataclasses import dataclass
 
@@ -36,7 +38,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .linalg import DirectSolver, InnerSolverError, _dense, _eye_like, cg_hpd, cocg_sym
-from .spectral import SpectrumSummary, _require_positive, eig_extremes_spd, optimal_alpha
+from .spectral import _bound_shift_of, eig_extremes_spd, optimal_alpha
 
 __all__ = [
     "METHODS", "DEFAULT_OMEGA", "ComplexSymSystem", "SplitParams", "SolveConfig",
@@ -75,6 +77,25 @@ def _check_data(W, T, **hermitian):
     for name, M in hermitian.items():
         if np.linalg.norm(M - M.conj().T) > 1e-13 * np.linalg.norm(M):
             raise ValueError(f"{name} is not Hermitian")
+
+
+def _require_real(name, value, positive=True):
+    """A one-line ValueError unless ``value`` is a real number, not a bool,
+    and, if ``positive``, finite and > 0."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ValueError(f"{name} must be a real number, got {value!r}")
+    if positive and not value > 0:
+        raise ValueError(f"{name} must be positive, got {value}")
+    if positive and not np.isfinite(value):
+        raise ValueError(f"{name} must be finite, got {value}")
+
+
+def _require_count(name, value):
+    """A one-line ValueError unless ``value`` is an integer >= 1 and not a bool."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    if value < 1:
+        raise ValueError(f"{name} must be at least 1, got {value!r}")
 
 
 def _sine_transform(S1, v):
@@ -196,9 +217,7 @@ class ComplexSymSystem:
         basis = self.joint_eigenbasis
         if basis is None:
             return optimal_alpha(eig_extremes_spd(self.W))
-        lam = basis[0]
-        return optimal_alpha(_require_positive(
-            SpectrumSummary(float(lam.min()), float(lam.max()), "joint-eigenbasis")))
+        return _bound_shift_of(basis[0])
 
     def matvec(self, x):
         """A x = W x + i T x."""
@@ -222,10 +241,8 @@ class SplitParams:
     def __post_init__(self):
         if self.method not in METHODS:
             raise ValueError(f"unknown method {self.method!r}; expected one of {METHODS}")
-        if not self.alpha > 0:
-            raise ValueError(f"alpha must be positive, got {self.alpha}")
-        if not np.isfinite(self.alpha):
-            raise ValueError(f"alpha must be finite, got {self.alpha}")
+        _require_real("alpha", self.alpha)
+        _require_real("omega", self.omega, positive=False)
         if not 0 <= self.omega < 2:
             raise ValueError(f"omega must lie in [0, 2), got {self.omega}")
 
@@ -254,12 +271,8 @@ class SolveConfig:
     inner: str = "auto"
 
     def __post_init__(self):
-        if not self.tol > 0:
-            raise ValueError(f"tol must be positive, got {self.tol}")
-        if not np.isfinite(self.tol):
-            raise ValueError(f"tol must be finite, got {self.tol}")
-        if self.max_outer < 1:
-            raise ValueError("max_outer must be at least 1")
+        _require_real("tol", self.tol)
+        _require_count("max_outer", self.max_outer)
         if self.inner not in ("auto", "exact", "iterative"):
             raise ValueError(f"inner must be 'auto', 'exact' or 'iterative', got {self.inner!r}")
 
@@ -460,14 +473,14 @@ class _ModalSweep:
     There every method's sweep is one factor g_j per mode: g is the method's
     own row, swept once on (diag(lam), diag(mu)) with b = 0 from the ones
     vector. From x = 0 the residual after k sweeps is g^k * S b exactly, so
-    a sweep maps the squared modulus w = |g^k * S b|^2 to |g|^2 w alone, and
-    :attr:`sweeps` counts the sweeps taken. :meth:`x` forms their iterate.
+    a state is (k, w) with w = |g^k * S b|^2, a sweep maps it to
+    (k + 1, |g|^2 w), and :meth:`res` is sqrt(sum w).
     """
 
     def __init__(self, lam, mu, S1, Sb, params):
         self.lam, self.mu, self.S1, self.Sb, self.params = lam, mu, S1, Sb, params
         self.g = 0.0  # no sweep taken: g^0 = 1 and x = 0
-        self.sweeps = 0
+        self.start = (0, np.abs(Sb) ** 2)
         self._x = (None, None)
 
     def make_step(self):
@@ -475,26 +488,18 @@ class _ModalSweep:
         self.g = _make_step(_Diagonal(self.lam), _Diagonal(self.mu), np.zeros(n), self.params,
                             "exact")(np.ones(n, complex), 0.0)[0]
         g2 = np.abs(self.g) ** 2
+        return lambda state, res: ((state[0] + 1, g2 * state[1]), 0)
 
-        def step(w, res):
-            self.sweeps += 1
-            return g2 * w, 0
-        return step
+    def res(self, state):
+        return math.sqrt(state[1].sum())
 
-    def x(self):
-        """x = S((1 - g^k) * S b / (lam + i mu)) after the k sweeps taken,
-        formed once for each k."""
-        k = self.sweeps
+    def x(self, state):
+        """x = S((1 - g^k) * S b / (lam + i mu)) after k sweeps, formed once per k."""
+        k = state[0]
         if self._x[0] != k:
             self._x = (k, _sine_transform(
                 self.S1, (1 - self.g ** k) * self.Sb / (self.lam + 1j * self.mu)))
         return self._x[1]
-
-    def solve(self, residual, tol, max_sweeps):
-        """:func:`_sweep` on w from x = 0, with ``residual(w)`` the RES of the
-        current state; returns ``(x, SolveReport)``."""
-        report = _sweep(self.make_step, residual, np.abs(self.Sb) ** 2, tol, max_sweeps)[1]
-        return self.x(), report
 
 
 def step(system, params, x, config=None):
@@ -530,7 +535,9 @@ def run_stationary(system, params, config=None):
         raise ValueError("b = 0: relative residual is undefined")
     if config.inner != "iterative" and system.joint_eigenbasis is not None:
         modal = _ModalSweep(*system.joint_eigenbasis, system._modal_b, params)
-        return modal.solve(lambda w: math.sqrt(w.sum()) / nb, config.tol, config.max_outer)
+        state, report = _sweep(modal.make_step, lambda s: modal.res(s) / nb, modal.start,
+                               config.tol, config.max_outer)
+        return modal.x(state), report
     mode = config.resolved_inner(system.n)
     return _sweep(lambda: _make_step(system.W, system.T, system.b, params, mode),
                   lambda x: float(np.linalg.norm(system.b - system.matvec(x)) / nb),

@@ -79,6 +79,11 @@ def test_run_config_checks_its_solver_settings():
             sweep_params(spec, method, (1.0,), (0.01,), max_outer=0)
 
 
+def test_param_policy_rejects_an_unknown_kind():
+    with pytest.raises(ValueError, match="^policy kind must be fixed or sweep, got 'grid'$"):
+        ParamPolicy("grid")
+
+
 def test_solve_config_names_a_nonpositive_tol():
     from gadisolve import SolveConfig
     with pytest.raises(ValueError, match="tol must be positive, got -1.0"):
@@ -386,6 +391,13 @@ def test_csv_round_trip(tmp_path):
         assert b.alpha == pytest.approx(a.alpha)
 
 
+def test_parse_csv_rejects_a_wrong_header(tmp_path):
+    path = tmp_path / "rows.csv"
+    path.write_text("algorithm,n,problem\ngadi,4,ex241(m=2)\n")
+    with pytest.raises(ValueError, match=r"^unexpected CSV header \('algorithm', 'n', 'problem'\)$"):
+        parse_csv(path)
+
+
 def test_series_minimal_report(tmp_path):
     report = SolveReport(True, 0, 0.0, [(0, 0.0)], 0.0)
     path = tmp_path / "series.csv"
@@ -393,6 +405,13 @@ def test_series_minimal_report(tmp_path):
     lines = path.read_text().splitlines()
     assert len(lines) == 2
     assert lines[0] == "iteration,RES"
+
+
+def test_series_of_an_empty_history_is_refused(tmp_path):
+    path = tmp_path / "series.csv"
+    with pytest.raises(ValueError, match="^report has an empty residual history$"):
+        write_convergence_series(SolveReport(False, 0, 1.0, [], 0.0), path)
+    assert not path.exists()
 
 
 def test_series_length_matches_history(tmp_path):
@@ -483,6 +502,18 @@ def test_cli_run_preset_with_series(tmp_path, capsys):
     for name, row in zip(series, sorted(rows, key=lambda r: r.algorithm)):
         lines = (tmp_path / name).read_text().splitlines()
         assert len(lines) == row.it + 2
+
+
+def test_cli_run_preset_writes_its_series_beside_out_by_default(tmp_path, monkeypatch, capsys):
+    # without --series-dir a series preset writes into the directory of --out
+    out_dir = tmp_path / "rows"
+    out_dir.mkdir()
+    monkeypatch.chdir(tmp_path)
+    assert main(["run", "--preset", "fig1", "--out", str(out_dir / "x.csv")]) == 0
+    rows = parse_csv(out_dir / "x.csv")
+    series = sorted(out_dir.glob("fig1_*.csv"))
+    assert len(series) == len(rows) == 5
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["rows"]
 
 
 def test_cli_config_file_defaults_and_override(tmp_path, capsys):

@@ -27,6 +27,11 @@ def test_vec_column_stacking():
     assert np.array_equal(vec(X), np.array([1.0, 2.0, 3.0, 4.0]))
 
 
+def test_vec_rejects_an_array_that_is_not_2d():
+    with pytest.raises(ValueError, match=r"^vec expects a 2-d array, got shape \(3,\)$"):
+        vec(np.ones(3))
+
+
 def test_unvec_identity():
     assert np.array_equal(unvec(np.array([1.0, 0, 0, 1.0]), 2, 2), np.eye(2))
 

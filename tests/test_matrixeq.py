@@ -445,8 +445,11 @@ def test_newton_early_exit_at_exact_solution():
     {"inner_forcing": (-1.0, 0.1)}, {"inner_forcing": (np.nan, 0.1)},
     {"inner_forcing": (0.1, 0.0)}, {"inner_forcing": (0.1, np.inf)},
     {"x0": np.zeros((3, 3))}, {"x0": np.full((8, 8), np.nan)},
+    {"outer_tol": True}, {"max_outer": 2.5}, {"max_outer": True}, {"alpha": True},
+    {"alpha": -1.0}, {"omega": True},
 ], ids=["outer_tol=inf", "outer_tol=0", "max_outer=-2", "eta_max=-1", "eta_max=nan",
-        "eta_fac=0", "eta_fac=inf", "x0=3x3", "x0=nan"])
+        "eta_fac=0", "eta_fac=inf", "x0=3x3", "x0=nan", "outer_tol=True", "max_outer=2.5",
+        "max_outer=True", "alpha=True", "alpha=-1", "omega=True"])
 def test_newton_rejects_bad_arguments(kwargs):
     with pytest.raises(ValueError) as info:
         newton_gadi_riccati(gen_ex421(8), **kwargs)
@@ -669,7 +672,8 @@ def test_detected_lyapunov_solve_makes_no_eigensolve_and_no_eigen_sweep(monkeypa
 # -- input validation ----------------------------------------------------------------
 
 def _bad_data(which, kind):
-    """ex421 data at n = 4 with one matrix made non-symmetric or non-finite."""
+    """ex421 data at n = 4 with one matrix made non-symmetric, or with the
+    mirrored entries (1, 2) and (2, 1) both set to ``kind``."""
     p = gen_ex421(4)
     data = {"W": p.W.toarray(), "T": p.T.toarray(), "G": p.G, "Q": p.Q}
     M = data[which].copy()
@@ -688,6 +692,11 @@ def _bad_data(which, kind):
     ("T", np.nan, "T has non-finite entries"),
     ("G", np.nan, "G has non-finite entries"),
     ("Q", np.inf, "Q has non-finite entries"),
+    # G and Q must be Hermitian: an entry off its mirror, or 0.5j on both
+    ("G", "nonsymmetric", "G is not Hermitian"),
+    ("Q", "nonsymmetric", "Q is not Hermitian"),
+    ("G", 0.5j, "G is not Hermitian"),
+    ("Q", 0.5j, "Q is not Hermitian"),
 ])
 def test_problems_reject_bad_data(which, kind, message):
     data = _bad_data(which, kind)

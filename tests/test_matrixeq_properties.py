@@ -53,15 +53,15 @@ def lifted_solve(M, r):
 def eigen_sweep(p, params, X):
     """The eigen-coordinate sweep of the Lyapunov problem ``p`` and the state
     of the iterate X."""
-    sweep = _EigenSweep(_eigh(p.W), p.Q, params, _lyapunov_part(p.T, params))
-    return sweep, sweep.state(sweep.coordinates(X))
+    sweep = _EigenSweep(_eigh(p.W), p.Q, params, _lyapunov_part(p.T, params), X)
+    return sweep, sweep.start
 
 
 def assert_state_is(p, sweep, state, lift, x):
     """The state holds the iterate x, and its r_U is U^T R U for the lifted
     residual R = q - (w_lift + i t_lift) x, less g_lift x for a Newton lift."""
     n = p.n
-    assert rel(vec(sweep.X(state[0])), x) <= TOL
+    assert rel(vec(sweep.x(state)), x) <= TOL
     r = lift.q - lift.w_lift @ x - 1j * (lift.t_lift @ x)
     if hasattr(lift, "g_lift"):
         r = r + lift.g_lift @ x
@@ -81,7 +81,7 @@ def test_lyapunov_half_steps_match_lift(n, seed, a, om):
     Xh_V = sweep.first(state)
     tx = 1j * (lift.t_lift @ x)
     xh = lifted_solve(a * I + lift.w_lift, a * x - tx + lift.q)
-    assert rel(vec(sweep.X(Xh_V)), xh) <= TOL
+    assert rel(vec(sweep.x(sweep.state(Xh_V))), xh) <= TOL
     want = lifted_solve(a * I + 1j * lift.t_lift, tx - (1 - om) * a * x + (2 - om) * a * xh)
     assert_state_is(p, sweep, sweep.second(state, Xh_V), lift, want)
 
@@ -110,16 +110,16 @@ def test_newton_half_step_sweep_and_residual_match_lift(n, seed, a, om):
     lift = build_newton_lift(state, p)
     I = sp.eye_array(n * n)
     params = SplitParams("gadi", a, om)
-    sweep = _EigenSweep(_eigh(p.W), state.Q_k, params, _newton_part(p.T.toarray(), S, params))
     X = cmatrix(rng, n)
     x = vec(X)
-    start = sweep.state(sweep.coordinates(X))
+    sweep = _EigenSweep(_eigh(p.W), state.Q_k, params, _newton_part(p.T.toarray(), S, params), X)
+    start = sweep.start
     assert_state_is(p, sweep, start, lift, x)
 
     Kx = 1j * (lift.t_lift @ x) - lift.g_lift @ x
     xh = lifted_solve(a * I + lift.w_lift, a * x - Kx + lift.q)
     Xh_Z = sweep.first(start)
-    assert rel(vec(sweep.X(Xh_Z)), xh) <= TOL
+    assert rel(vec(sweep.x(sweep.state(Xh_Z))), xh) <= TOL
     want = lifted_solve(a * I + 1j * lift.t_lift - lift.g_lift,
                         Kx - (1 - om) * a * x + (2 - om) * a * xh)
     new = sweep.second(start, Xh_Z)

@@ -57,6 +57,13 @@ def test_ex241_tau_modes_and_validation():
         gen_ex241(0)
 
 
+def test_generators_reject_a_size_below_1():
+    with pytest.raises(ValueError, match="^m must be at least 1$"):
+        gen_ex242(0)
+    with pytest.raises(ValueError, match="^n must be at least 1$"):
+        gen_ex421(0)
+
+
 def test_ex241_unit_stencil_variant():
     # the two variants differ exactly by the 1/h^2 scaling of the grid part
     unit = gen_ex241(2, "h", stencil="unit")

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from gadisolve import (ComplexSymSystem, NotPositiveDefiniteError,
+from gadisolve import (ComplexSymSystem, NotPositiveDefiniteError, SpectrumSummary,
                        build_iteration_matrices, eig_extremes_spd, gen_ex31,
                        gen_ex241, lift_lyapunov, optimal_alpha, sigma_bound,
                        spectral_radius)
@@ -109,6 +109,20 @@ def test_optimal_alpha_rejects_nonpositive():
 
 def test_sigma_bound_single_eigenvalue():
     assert sigma_bound(2.0, np.array([2.0])) == 0.0
+
+
+def test_diagnostics_reject_a_nonpositive_shift_or_spectrum_and_a_nonsquare_matrix():
+    for alpha in (0.0, -1.0):
+        for spectrum in (np.array([1.0, 2.0]), SpectrumSummary(1.0, 2.0)):
+            with pytest.raises(ValueError, match=f"^alpha must be positive, got {alpha}$"):
+                sigma_bound(alpha, spectrum)
+        with pytest.raises(ValueError, match=f"^alpha must be positive, got {alpha}$"):
+            build_iteration_matrices(gen_ex241(2), alpha, 0.5)
+    for spectrum in (np.array([0.0, 2.0]), SpectrumSummary(-1.0, 2.0)):
+        with pytest.raises(ValueError, match="^spectrum must be positive$"):
+            sigma_bound(1.0, spectrum)
+    with pytest.raises(ValueError, match=r"^spectral radius needs a square matrix, got shape \(2, 3\)$"):
+        spectral_radius(np.ones((2, 3)))
 
 
 def test_sigma_bound_matches_condition_number_form():

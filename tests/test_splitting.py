@@ -735,6 +735,23 @@ def test_invalid_params_rejected():
             SplitParams("gadi", alpha=bad)
         with pytest.raises(ValueError, match="tol must be"):
             SolveConfig(tol=bad)
+    # a bool or a string is no real number, and a count must be an integer:
+    # max_outer=2.5 used to run 3 sweeps (it < 2.5)
+    for make, message in (
+            (lambda: SplitParams("gadi", True), "alpha must be a real number, got True"),
+            (lambda: SplitParams("gadi", 1.0, True), "omega must be a real number, got True"),
+            (lambda: SplitParams("gadi", "1"), "alpha must be a real number, got '1'"),
+            (lambda: SolveConfig(tol=True), "tol must be a real number, got True"),
+            (lambda: SolveConfig(max_outer=2.5), "max_outer must be an integer, got 2.5"),
+            (lambda: SolveConfig(max_outer=True), "max_outer must be an integer, got True"),
+            (lambda: SolveConfig(max_outer=np.float64(3)),
+             "max_outer must be an integer, got (np.float64\\(3.0\\)|3.0)"),
+            (lambda: SolveConfig(max_outer=0), "max_outer must be at least 1, got 0")):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            make()
+    # numpy scalars are real numbers and integers
+    SplitParams("gadi", np.float64(1.5), np.float32(0.5))
+    SolveConfig(tol=np.float64(1e-6), max_outer=np.int64(3))
 
 
 def test_relaxation_is_omega_for_gadi_only():
