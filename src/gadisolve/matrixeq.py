@@ -500,9 +500,9 @@ def newton_gadi_riccati(problem, outer_tol=1e-6, max_outer=30, inner_forcing=(0.
     t0 = time.perf_counter()
     _require_real("outer_tol", outer_tol)
     _require_count("max_outer", max_outer)
+    for f in inner_forcing:
+        _require_real("inner_forcing entry", f)
     eta_max, eta_fac = inner_forcing
-    if not all(np.isfinite(f) and f > 0 for f in (eta_max, eta_fac)):
-        raise ValueError(f"inner_forcing entries must be finite and positive, got {inner_forcing}")
     n = problem.n
     if x0 is not None and not np.isfinite(_square(x0, n, "x0")).all():
         raise ValueError("x0 must be finite")

@@ -446,10 +446,11 @@ def test_newton_early_exit_at_exact_solution():
     {"inner_forcing": (0.1, 0.0)}, {"inner_forcing": (0.1, np.inf)},
     {"x0": np.zeros((3, 3))}, {"x0": np.full((8, 8), np.nan)},
     {"outer_tol": True}, {"max_outer": 2.5}, {"max_outer": True}, {"alpha": True},
-    {"alpha": -1.0}, {"omega": True},
+    {"alpha": -1.0}, {"omega": True}, {"inner_forcing": (True, 0.1)},
+    {"inner_forcing": ("x", 0.1)},
 ], ids=["outer_tol=inf", "outer_tol=0", "max_outer=-2", "eta_max=-1", "eta_max=nan",
         "eta_fac=0", "eta_fac=inf", "x0=3x3", "x0=nan", "outer_tol=True", "max_outer=2.5",
-        "max_outer=True", "alpha=True", "alpha=-1", "omega=True"])
+        "max_outer=True", "alpha=True", "alpha=-1", "omega=True", "eta_max=True", "eta_max=x"])
 def test_newton_rejects_bad_arguments(kwargs):
     with pytest.raises(ValueError) as info:
         newton_gadi_riccati(gen_ex421(8), **kwargs)
