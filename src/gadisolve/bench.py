@@ -30,8 +30,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .linalg import NotPositiveDefiniteError
-from .matrixeq import (_eigh, _lift_shift, newton_gadi_riccati,
-                       solve_lyapunov_gadi, solve_lyapunov_hss)
+from .matrixeq import newton_gadi_riccati, solve_lyapunov_gadi, solve_lyapunov_hss
 from .problems import FAMILIES, STENCILS, TAU_MODES, ProblemSpec
 from .splitting import (DEFAULT_OMEGA, SolveConfig, SolveReport, SplitParams, default_alpha,
                         run_stationary)
@@ -130,13 +129,6 @@ SWEEP_MAX_OUTER = 200
 METHOD_ALIASES = {"pmhss-vi": "mhss", "newton-gadi": "gadi"}
 
 
-def _auto_alpha(spec, problem, method):
-    if spec.family in ("ex241", "ex242"):
-        return default_alpha(problem, METHOD_ALIASES.get(method, method))
-    # ex31 and ex421: the shift of the lifted real part, the solvers' default
-    return _lift_shift(_eigh(problem.W)[0])
-
-
 def _swept_omegas(method, omega_grid=SWEEP_OMEGAS):
     """The omegas a sweep of ``method`` runs: only GADI relaxes, so any other
     method sweeps its shift alone, at omega 0."""
@@ -203,7 +195,7 @@ def _grid(spec, problem, method, shifts, omegas, cfg, max_outer, capped):
 
 def _method_rows(cfg, spec, problem, method):
     """The [(row, report)] one method contributes to a batch under its policy."""
-    auto = functools.cache(lambda: _auto_alpha(spec, problem, method))
+    auto = functools.cache(lambda: default_alpha(problem, METHOD_ALIASES.get(method, method)))
     if cfg.policy.kind == "fixed":
         points = [(auto() if alpha is None else alpha, DEFAULT_OMEGA if omega is None else omega)
                   for alpha, omega in cfg.policy.points]
@@ -271,7 +263,7 @@ def sweep_params(spec, method, alpha_grid, omega_grid, tol=1e-5, inner="exact",
     cfg = RunConfig((spec,), (method,), policy, tol=tol, inner=inner, max_outer=max_outer)
     problem = spec.build()
     if alpha_grid is None:
-        alphas = _auto_grid(_auto_alpha(spec, problem, method))
+        alphas = _auto_grid(default_alpha(problem, METHOD_ALIASES.get(method, method)))
     return [_cell(spec, problem, method, a, w, cfg, max_outer)[0] for w in omegas for a in alphas]
 
 

@@ -28,7 +28,7 @@ from scipy.linalg.lapack import ztrsyl
 
 from .linalg import (InnerSolverError, _dense, _eye_like, kron, load_dense_block,
                      load_matrix_coo, save_dense_block, save_matrix_coo, vec)
-from .spectral import _bound_shift_of
+from .spectral import optimal_alpha
 from .splitting import (DEFAULT_OMEGA, ComplexSymSystem, SolveConfig, SplitParams,
                         _check_data, _Diverged, _joint_eigenbasis, _ModalSweep,
                         _require_count, _require_real, _sine_transform, _sweep)
@@ -54,6 +54,13 @@ class _EquationData:
     @property
     def n(self):
         return self.W.shape[0]
+
+    @property
+    def bound_shift(self):
+        """Bound shift of the lifted real part W (x) I + I (x) W: 2 sqrt(lam_min
+        lam_max) of W, from one eigensolve; ``default_alpha(problem, "gadi")``.
+        A W that is not positive definite raises NotPositiveDefiniteError."""
+        return _lift_shift(_eigh(self.W)[0])
 
     def dense_A(self):
         return _dense(self.W) + 1j * _dense(self.T)
@@ -179,7 +186,7 @@ def _eigh(M):
 def _lift_shift(lam):
     """sqrt(gamma_min*gamma_max) of W (x) I + I (x) W, whose eigenvalues are the
     sums lam_i + lam_j of those lam of W: twice the bound shift of W."""
-    return 2.0 * _bound_shift_of(lam)
+    return 2.0 * optimal_alpha(lam)
 
 
 def _square(X, n, name="X"):
@@ -348,11 +355,12 @@ def solve_lyapunov_gadi(problem, params=None, config=None):
     sweep's basis; once it is at or below tol, and after the last sweep, the
     residual of the iterate's X decides and is reported. X = 0 has RES
     exactly 1.
-    With ``params=None`` the shift is sqrt(gamma_min*gamma_max) of the lifted
-    real part, 2 sqrt(lam_min lam_max) of the eigenvalues lam of W, and
-    omega is DEFAULT_OMEGA; given ``params`` must be GADI's, and any other
-    method's raise ValueError. The sweeps start at X = 0, and of ``config``
-    only ``tol`` and ``max_outer`` apply.
+    With ``params=None`` omega is DEFAULT_OMEGA and the shift the lifted
+    real part's bound shift 2 sqrt(lam_min lam_max), of the eigenvalues lam
+    of W the sweeps use; the detected ones in closed form can move it from
+    ``default_alpha(problem, "gadi")`` in the last bits. Given ``params``
+    must be GADI's, and any other method's raise ValueError. The sweeps
+    start at X = 0, and of ``config`` only ``tol`` and ``max_outer`` apply.
     """
     return _solve_lyapunov(problem, "gadi", params, config)
 
@@ -481,8 +489,8 @@ def newton_gadi_riccati(problem, outer_tol=1e-6, max_outer=30, inner_forcing=(0.
     meets its inner tolerance (its residual taken of X_k itself) returns X_k
     and builds no Schur form, and every later step would repeat it.
     outer_tol must be finite and positive, and max_outer at least 1. The
-    default shift ``alpha`` is that of the lifted real part, as for
-    :func:`solve_lyapunov_gadi`.
+    default shift ``alpha`` is ``default_alpha(problem, "gadi")``, taken of
+    the eigenvalues of W that the sweeps use.
 
     Two safeguards keep the iteration well posed: a start whose first step
     operator is numerically singular is inflated by a multiple of the
@@ -500,9 +508,12 @@ def newton_gadi_riccati(problem, outer_tol=1e-6, max_outer=30, inner_forcing=(0.
     t0 = time.perf_counter()
     _require_real("outer_tol", outer_tol)
     _require_count("max_outer", max_outer)
-    for f in inner_forcing:
+    try:
+        eta_max, eta_fac = inner_forcing
+    except (TypeError, ValueError):
+        raise ValueError("inner_forcing must be a pair (eta_max, eta_fac)") from None
+    for f in (eta_max, eta_fac):
         _require_real("inner_forcing entry", f)
-    eta_max, eta_fac = inner_forcing
     n = problem.n
     if x0 is not None and not np.isfinite(_square(x0, n, "x0")).all():
         raise ValueError("x0 must be finite")

@@ -1,8 +1,9 @@
 """Shift selection and convergence diagnostics for the splitting iterations.
 
 Provides eigenvalue extremes of SPD matrices, the bound-minimizing shift
-sqrt(gamma_min*gamma_max), the contraction bound sigma(alpha), and dense
-construction of the HSS/GADI iteration matrices with their spectral radii.
+sqrt(gamma_min*gamma_max) that every default shift applies (:func:`optimal_alpha`),
+the contraction bound sigma(alpha), and dense construction of the HSS/GADI
+iteration matrices with their spectral radii.
 
 Above DENSE_EIG_LIMIT the extremes come from shift-invert Lanczos at shifts
 just outside the Gershgorin interval [lo, hi] of W: lo - d for the smallest
@@ -96,21 +97,15 @@ def _require_positive(spectrum):
     return spectrum
 
 
-def _bound_shift_of(lam):
-    """sqrt(min * max) of an eigenvalue array ``lam``; NotPositiveDefiniteError
-    when its minimum is <= 0."""
-    return optimal_alpha(_require_positive(SpectrumSummary(float(lam.min()), float(lam.max()))))
-
-
 def optimal_alpha(spectrum):
-    """Bound-minimizing shift sqrt(gamma_min * gamma_max)."""
-    if isinstance(spectrum, SpectrumSummary):
-        gmin, gmax = spectrum.gamma_min, spectrum.gamma_max
-    else:
-        gmin, gmax = spectrum
-    if gmin <= 0 or gmax <= 0:
-        raise ValueError(f"extreme eigenvalues must be positive, got ({gmin}, {gmax})")
-    return float(np.sqrt(gmin * gmax))
+    """Bound-minimizing shift sqrt(gamma_min * gamma_max) (Bai, Golub & Ng 2003)
+    of a SpectrumSummary or of eigenvalues in any order, a (gamma_min, gamma_max)
+    pair among them; a minimum <= 0 raises NotPositiveDefiniteError, a ValueError."""
+    if not isinstance(spectrum, SpectrumSummary):
+        lam = np.asarray(spectrum, dtype=float)
+        spectrum = SpectrumSummary(float(lam.min()), float(lam.max()))
+    _require_positive(spectrum)
+    return float(np.sqrt(spectrum.gamma_min * spectrum.gamma_max))
 
 
 def sigma_bound(alpha, spectrum):

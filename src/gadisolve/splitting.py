@@ -38,7 +38,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .linalg import DirectSolver, InnerSolverError, _dense, _eye_like, cg_hpd, cocg_sym
-from .spectral import _bound_shift_of, eig_extremes_spd, optimal_alpha
+from .spectral import eig_extremes_spd, optimal_alpha
 
 __all__ = [
     "METHODS", "DEFAULT_OMEGA", "ComplexSymSystem", "SplitParams", "SolveConfig",
@@ -208,16 +208,13 @@ class ComplexSymSystem:
 
     @functools.cached_property
     def bound_shift(self):
-        """sqrt(gamma_min * gamma_max) of W, the minimizer of the contraction bound.
-
-        The extremes of lam when the system has a joint eigenbasis, at any n;
-        otherwise those of an eigensolve. A W that is not positive definite
-        raises NotPositiveDefiniteError.
+        """:func:`~gadisolve.spectral.optimal_alpha` of W, the minimizer of the
+        contraction bound: of lam when the system has a joint eigenbasis, at
+        any n; otherwise of the extremes of an eigensolve. A W that is not
+        positive definite raises NotPositiveDefiniteError.
         """
         basis = self.joint_eigenbasis
-        if basis is None:
-            return optimal_alpha(eig_extremes_spd(self.W))
-        return _bound_shift_of(basis[0])
+        return optimal_alpha(eig_extremes_spd(self.W) if basis is None else basis[0])
 
     def matvec(self, x):
         """A x = W x + i T x."""
@@ -317,8 +314,9 @@ class SolveReport:
 #   tscsp  (aW+T) x_half = i(W-aT) x + (a-i) b,
 #          (aT+W) x_next = i(aW-T) x_half + (1-ia) b
 
-def _bound_shift(system):
-    return system.bound_shift
+def _bound_shift(problem):
+    # a ComplexSymSystem, LyapunovProblem or RiccatiProblem: each has its own
+    return problem.bound_shift
 
 
 def _gadi(W, T, b, I, a, om):
@@ -547,11 +545,12 @@ def run_stationary(system, params, config=None):
 def default_alpha(system, method):
     """Default shift of a method in METHODS, from its row of the method table.
 
-    GADI, HSS and MHSS use the bound-minimizing sqrt(gamma_min*gamma_max) of
-    W, which each system computes once (:attr:`ComplexSymSystem.bound_shift`,
-    with no eigensolve when the system has a joint eigenbasis);
-    PMHSS, CRI and TSCSP use the scale-free choice alpha = 1. Any other
-    name raises ValueError.
+    ``system`` is a ComplexSymSystem, LyapunovProblem or RiccatiProblem.
+    GADI, HSS and MHSS use its ``bound_shift``, the bound-minimizing
+    :func:`~gadisolve.spectral.optimal_alpha` of the real part: of W for a
+    linear system (computed once per system), of the lift W (x) I + I (x) W,
+    2 sqrt(lam_min lam_max) of W, for a matrix equation. PMHSS, CRI and
+    TSCSP use the scale-free alpha = 1. Any other name raises ValueError.
     """
     if method not in _METHODS:
         raise ValueError(f"unknown method {method!r}")

@@ -4,6 +4,7 @@
 and `perfbench/worker.py` calls the library with keyword arguments, so
 removing or renaming one of them breaks the benchmark run.
 """
+import ast
 import importlib
 import inspect
 import os
@@ -15,6 +16,7 @@ from gadisolve.bench import RunConfig
 
 PERFBENCH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
                          "perfbench")
+PACKAGE = os.path.dirname(os.path.abspath(gadisolve.__file__))
 
 
 def test_every_exported_name_is_bound():
@@ -53,3 +55,18 @@ def test_the_calls_the_benchmark_makes_bind():
     ]
     for fn, args, kwargs in calls:
         inspect.signature(fn).bind(*args, **kwargs)
+
+
+def test_the_outer_modules_import_no_private_name():
+    # bench and problems sit on top of the solvers and use only their
+    # public names; a private helper they need belongs in the public API
+    found = []
+    for module in ("bench.py", "problems.py"):
+        with open(os.path.join(PACKAGE, module)) as fh:
+            tree = ast.parse(fh.read())
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and (
+                    node.level > 0 or (node.module or "").startswith("gadisolve")):
+                found += [f"{module}: {node.module}.{alias.name}" for alias in node.names
+                          if alias.name.startswith("_")]
+    assert found == []

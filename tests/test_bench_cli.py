@@ -152,7 +152,7 @@ def test_sweep_rejects_the_method_before_computing_a_shift(monkeypatch, capsys):
 
     def no_shift(*args):
         raise AssertionError("default shift computed for a rejected method")
-    monkeypatch.setattr(bench, "_auto_alpha", no_shift)
+    monkeypatch.setattr(bench, "default_alpha", no_shift)
     code, err = _exit_code(["sweep", "--family", "ex31", "--n", "8", "--method", "mhss"],
                            capsys)
     assert code == 2

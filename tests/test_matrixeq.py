@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 from scipy.linalg import solve_continuous_are
 
 from gadisolve import (ComplexSymSystem, LyapunovProblem, NewtonState,
-                       NotPositiveDefiniteError, ProblemSpec, RiccatiProblem,
+                       NotPositiveDefiniteError, RiccatiProblem,
                        SolveConfig, SplitParams, build_newton_lift, gen_ex31,
                        gen_ex421, lift_lyapunov, lyapunov_residual, newton_gadi_riccati,
                        newton_initial_guess, riccati_residual,
@@ -335,6 +335,9 @@ def test_scalar_care_recovers_positive_root():
     result = newton_gadi_riccati(p, outer_tol=1e-9, max_outer=25)
     assert result.converged
     assert abs(result.X[0, 0] - 3.0) <= 1e-8
+    # the branch with A - G X = -2, not the anti-stable one that
+    # perfbench/checks.check_riccati accepts
+    assert abs(closed_loop_min(p, result.X) + 2.0) <= 1e-8
 
 
 def test_reference_riccati_row_n8():
@@ -345,6 +348,15 @@ def test_reference_riccati_row_n8():
     assert result.final_res <= 1e-5
     assert result.inner_iteration_total <= 50
 
+
+def closed_loop_min(p, X):
+    """min Re eig(A - G X): positive on the anti-stable solution."""
+    return float(np.linalg.eigvals(p.dense_A() - p.G @ X).real.min())
+
+
+# min Re eig(A - G X) of the table5 answers, which equal CARE's anti-stable
+# solution -solve_continuous_are(-A, I, Q, inv(G))
+TABLE5_CLOSED_LOOP_MIN = {8: 0.46791, 16: 0.13506, 24: 0.062834, 32: 0.036143}
 
 # the inner sweeps of each Newton step of the table5 instances, after their
 # restart from X = 0; the table5 pin checks only their totals with the sweeps
@@ -363,13 +375,19 @@ def test_table5_step_sweeps_are_pinned(n):
     (cfg,) = build_preset("table5")
     (alpha, omega), = cfg.policy.points
     assert alpha is None  # the solver's default shift, as in the preset
-    result = newton_gadi_riccati(gen_ex421(n), outer_tol=cfg.tol, max_outer=cfg.max_outer,
-                                 omega=omega)
+    p = gen_ex421(n)
+    result = newton_gadi_riccati(p, outer_tol=cfg.tol, max_outer=cfg.max_outer, omega=omega)
     assert result.converged
     assert result.restarted
     assert [s.inner_iterations for s in result.states] == TABLE5_STEP_SWEEPS[n]
     assert len(result.res_history) == result.outer_iterations + 1
     assert result.res_history[-1] == (result.outer_iterations, result.final_res)
+    # the anti-stable branch: that of CARE's solution, to 1e-6 relative
+    got = closed_loop_min(p, result.X)
+    X_care = -solve_continuous_are(-p.dense_A(), np.eye(n), p.Q, np.linalg.inv(p.G))
+    assert got > 0
+    assert got == pytest.approx(closed_loop_min(p, X_care), rel=1e-6)
+    assert got == pytest.approx(TABLE5_CLOSED_LOOP_MIN[n], rel=1e-4)
 
 
 def test_newton_agrees_with_direct_newton_oracle():
@@ -447,16 +465,26 @@ def test_newton_early_exit_at_exact_solution():
     {"x0": np.zeros((3, 3))}, {"x0": np.full((8, 8), np.nan)},
     {"outer_tol": True}, {"max_outer": 2.5}, {"max_outer": True}, {"alpha": True},
     {"alpha": -1.0}, {"omega": True}, {"inner_forcing": (True, 0.1)},
-    {"inner_forcing": ("x", 0.1)},
+    {"inner_forcing": ("x", 0.1)}, {"inner_forcing": (0.1,)},
+    {"inner_forcing": (0.1, 0.1, 0.1)}, {"inner_forcing": 0.1},
 ], ids=["outer_tol=inf", "outer_tol=0", "max_outer=-2", "eta_max=-1", "eta_max=nan",
         "eta_fac=0", "eta_fac=inf", "x0=3x3", "x0=nan", "outer_tol=True", "max_outer=2.5",
-        "max_outer=True", "alpha=True", "alpha=-1", "omega=True", "eta_max=True", "eta_max=x"])
+        "max_outer=True", "alpha=True", "alpha=-1", "omega=True", "eta_max=True", "eta_max=x",
+        "inner_forcing=1-tuple", "inner_forcing=3-tuple", "inner_forcing=scalar"])
 def test_newton_rejects_bad_arguments(kwargs):
     with pytest.raises(ValueError) as info:
         newton_gadi_riccati(gen_ex421(8), **kwargs)
     assert "\n" not in str(info.value)
     (name,) = kwargs
     assert str(info.value).startswith(f"{name} ")  # the message names the argument
+
+
+def test_newton_takes_inner_forcing_as_any_pair_of_reals():
+    p = gen_ex421(4)
+    want = newton_gadi_riccati(p, inner_forcing=(0.1, 0.1))
+    for pair in ([0.1, 0.1], np.array([0.1, 0.1])):
+        got = newton_gadi_riccati(p, inner_forcing=pair)
+        assert got.converged and np.array_equal(got.X, want.X)
 
 
 def test_newton_divergence_after_the_restart_counts_every_inner_sweep():
@@ -543,12 +571,18 @@ def test_newton_accepts_n_beyond_old_lift_cap():
 
 @pytest.mark.parametrize("n", [8, 16, 32])
 def test_closed_form_shift_is_the_lift_shift(n):
-    from gadisolve import bench, eig_extremes_spd, optimal_alpha
+    # the default shift of the presets: bench takes default_alpha under the
+    # method's alias, bit for bit the solvers' lift shift
+    from gadisolve import default_alpha, eig_extremes_spd, optimal_alpha
+    from gadisolve.bench import METHOD_ALIASES
     from gadisolve.matrixeq import _eigh, _lift_shift
     p = gen_ex31(n, 0.01)
     alpha = _lift_shift(_eigh(p.W)[0])
     assert abs(alpha - optimal_alpha(eig_extremes_spd(lift_lyapunov(p).w_lift))) <= 1e-10
-    assert bench._auto_alpha(ProblemSpec("ex31", n=n, t=0.01), p, "gadi") == alpha
+    assert default_alpha(p, "gadi") == default_alpha(p, "hss") == alpha
+    r = gen_ex421(n)
+    alpha = _lift_shift(_eigh(r.W)[0])
+    assert default_alpha(r, METHOD_ALIASES["newton-gadi"]) == default_alpha(r, "gadi") == alpha
 
 
 def test_default_shift_rejects_indefinite_W():

@@ -100,11 +100,16 @@ def test_optimal_alpha_degenerate_spectrum():
 
 def test_optimal_alpha_pair():
     assert optimal_alpha((1.0, 4.0)) == pytest.approx(2.0, abs=1e-14)
+    # any eigenvalue array, in any order: its extremes decide
+    assert optimal_alpha(np.array([2.5, 4.0, 1.0, 3.0])) == optimal_alpha((1.0, 4.0))
 
 
 def test_optimal_alpha_rejects_nonpositive():
     with pytest.raises(ValueError):
         optimal_alpha((0.0, 1.0))
+    for lam in (np.array([3.0, 0.0, 1.0]), np.array([2.0, -1.0])):
+        with pytest.raises(NotPositiveDefiniteError):
+            optimal_alpha(lam)
 
 
 def test_sigma_bound_single_eigenvalue():
