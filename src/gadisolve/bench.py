@@ -25,15 +25,15 @@ import os
 import re
 import sys
 import time
-from dataclasses import dataclass, field, replace
+from collections import namedtuple
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .linalg import NotPositiveDefiniteError
 from .matrixeq import newton_gadi_riccati, solve_lyapunov_gadi, solve_lyapunov_hss
 from .problems import FAMILIES, STENCILS, TAU_MODES, ProblemSpec
-from .splitting import (DEFAULT_OMEGA, SolveConfig, SolveReport, SplitParams, default_alpha,
-                        run_stationary)
+from .splitting import DEFAULT_OMEGA, SolveConfig, SplitParams, default_alpha, run_stationary
 
 __all__ = [
     "BenchmarkRow", "ParamPolicy", "RunConfig",
@@ -45,11 +45,22 @@ __all__ = [
 CSV_HEADER = ("algorithm", "n", "problem", "alpha", "omega", "RES", "IT", "CPU", "converged")
 
 LINEAR_METHODS = ("gadi", "hss", "mhss", "pmhss", "pmhss-vi", "cri", "tscsp")
+# a family's methods, the report of one cell's solve(problem, params,
+# config), and the report field its IT column reads; a solve looks its solver
+# up here when it runs, so a wrapper bound over bench.run_stationary sees it
+Family = namedtuple("Family", "methods solve it_field")
+_LINEAR = Family(LINEAR_METHODS, lambda p, params, config: run_stationary(p, params, config)[1],
+                 "iterations")
 METHODS_BY_FAMILY = {
-    "ex241": LINEAR_METHODS,
-    "ex242": LINEAR_METHODS,
-    "ex31": ("gadi", "hss"),
-    "ex421": ("newton-gadi",),
+    "ex241": _LINEAR,
+    "ex242": _LINEAR,
+    "ex31": Family(("gadi", "hss"), lambda p, params, config: (
+        solve_lyapunov_gadi if params.method == "gadi" else solve_lyapunov_hss)(
+            p, params, config)[1], "iterations"),
+    # max_outer counts Newton steps, and IT the inner sweeps
+    "ex421": Family(("newton-gadi",), lambda p, params, config: newton_gadi_riccati(
+        p, outer_tol=config.tol, max_outer=config.max_outer, alpha=params.alpha,
+        omega=params.omega), "inner_iteration_total"),
 }
 
 
@@ -96,9 +107,9 @@ class ParamPolicy:
                         DEFAULT_OMEGA if omega is None else omega)
 
 
-@dataclass
+@dataclass(frozen=True)
 class RunConfig:
-    """One batch of (problem x method x parameter point) benchmark cells."""
+    """One batch of (problem x method x parameter point) cells, checked and frozen."""
     problems: tuple
     methods: tuple
     policy: ParamPolicy = field(default_factory=ParamPolicy)
@@ -106,15 +117,13 @@ class RunConfig:
     inner: str = "exact"
     max_outer: int = 500
     series: bool = False
-    # the solver settings of a cell, checked here: a cell may lower max_outer
-    solve_config: SolveConfig = field(init=False, repr=False)
 
     def __post_init__(self):
         if not self.problems or not self.methods:
             raise ValueError("problem and method lists must be nonempty")
-        self.solve_config = SolveConfig(self.tol, self.max_outer, self.inner)
+        SolveConfig(self.tol, self.max_outer, self.inner)  # a cell may lower max_outer
         for spec in self.problems:
-            allowed = METHODS_BY_FAMILY[spec.family]
+            allowed = METHODS_BY_FAMILY[spec.family].methods
             for method in self.methods:
                 if method not in allowed:
                     raise ValueError(
@@ -142,55 +151,49 @@ def _auto_grid(alpha_star, points=21):
 def _cell(spec, problem, method, alpha, omega, cfg, max_outer):
     """The cell of ``method`` at ``(alpha, omega)``, as ``(row, report)``.
 
-    Newton-GADI runs on ex421, whose ``max_outer`` counts Newton steps and
-    whose IT column the inner sweeps; a Lyapunov solve on ex31; otherwise a
-    cell is one run_stationary solve. A row records the omega the sweeps ran
-    with, SplitParams.relaxation. A solver failure becomes a non-converged
-    row with report None.
+    One call of the family's solve in METHODS_BY_FAMILY, at ``max_outer``
+    (Newton steps on ex421); the IT column reads the family's IT field of
+    the report. A row records the omega the sweeps ran with,
+    SplitParams.relaxation. A solver failure becomes a non-converged row
+    with report None, whose IT and RES are read the same way from the
+    error's partial report, or are 0 and NaN for an error without one.
     """
-    name = METHOD_ALIASES.get(method, method)
-    params = SplitParams(name, float(alpha), float(omega))
+    family = METHODS_BY_FAMILY[spec.family]
+    params = SplitParams(METHOD_ALIASES.get(method, method), float(alpha), float(omega))
     t0 = time.perf_counter()
     try:
-        if spec.family == "ex421":
-            result = newton_gadi_riccati(problem, outer_tol=cfg.tol, max_outer=max_outer,
-                                         alpha=params.alpha, omega=params.omega)
-            report = SolveReport(result.converged, result.outer_iterations,
-                                 result.final_res, result.res_history,
-                                 result.wall_time, result.inner_iteration_total)
-            it = report.inner_iteration_total
-        else:
-            solve = run_stationary
-            if spec.family == "ex31":
-                solve = solve_lyapunov_gadi if name == "gadi" else solve_lyapunov_hss
-            report = solve(problem, params, replace(cfg.solve_config, max_outer=max_outer))[1]
-            it = report.iterations
-        res, converged = report.final_res, report.converged
+        report = shown = family.solve(problem, params, SolveConfig(cfg.tol, max_outer, cfg.inner))
     except (RuntimeError, NotPositiveDefiniteError) as err:
-        report, converged = None, False
-        res = getattr(err, "residual", math.nan)
-        res = res if np.isfinite(res) else math.nan
-        it = int(getattr(err, "iterations", 0))
-    return (BenchmarkRow(method, spec.dimension, spec.label(), params.alpha,
-                         params.relaxation, res, it, time.perf_counter() - t0, converged),
+        report, shown = None, getattr(err, "report", None)
+    res, it = (math.nan, 0) if shown is None else (shown.final_res, getattr(shown, family.it_field))
+    return (BenchmarkRow(method, spec.dimension, spec.label(), params.alpha, params.relaxation,
+                         res, it, time.perf_counter() - t0, report is not None and report.converged),
             report)
 
 
-def _grid(spec, problem, method, shifts, omegas, cfg, max_outer, capped):
-    """The sweep policy's (shift, omega) cells, shift by shift, as [(row, report)].
+def _grid(spec, problem, method, shifts, omegas, cfg, max_outer):
+    """The sweep policy's (shift, omega) cells, shift by shift, reduced as they
+    run to ``(win, ran)``: the :func:`best_cell` winner as ``(row, report)``,
+    and the best row whose solver did not fail (None if every one failed).
+    Only the winner's report is kept, not one per cell.
 
-    With ``capped`` no cell may take more sweeps than the best converged cell
-    so far: one that needs more cannot win, and the cap is inclusive, so a tie
-    still competes on RES and then on alpha.
+    Where IT counts the sweeps max_outer bounds (not on ex421, whose IT
+    counts inner sweeps), no cell may take more sweeps than the best
+    converged cell so far: one that needs more cannot win, and the cap is
+    inclusive, so a tie still competes on RES and then on alpha.
     """
-    solved = []
+    capped = METHODS_BY_FAMILY[spec.family].it_field == "iterations"
+    win = ran = None
     for a in shifts:
         for w in omegas:
-            solved.append(_cell(spec, problem, method, a, w, cfg, max_outer))
-            row = solved[-1][0]
+            cell = row, report = _cell(spec, problem, method, a, w, cfg, max_outer)
+            if win is None or best_cell((win[0], row)) is row:
+                win = cell
+            if report is not None and (ran is None or best_cell((ran, row)) is row):
+                ran = row
             if capped and row.converged:
                 max_outer = min(max_outer, row.it)
-    return solved
+    return win, ran
 
 
 def _method_rows(cfg, spec, problem, method):
@@ -202,24 +205,17 @@ def _method_rows(cfg, spec, problem, method):
     else:
         # sweep: the single best cell of the grid, nominal shift first. A
         # winner that converged within the sweep cap is what a full solve
-        # would give. ex421's IT column counts inner sweeps, while its
-        # max_outer counts Newton steps, so its cells run uncapped.
+        # would give.
         alpha_star = auto()
         omegas = _swept_omegas(method)
         shifts = sorted(_auto_grid(alpha_star), key=lambda a: (abs(math.log(a / alpha_star)), a))
-        solved = _grid(spec, problem, method, shifts, omegas, cfg,
-                       min(cfg.max_outer, SWEEP_MAX_OUTER), capped=spec.family != "ex421")
-        rows = [row for row, _ in solved]
-        win = best_cell(rows)
-        if win.converged:
-            return [solved[rows.index(win)]]
+        win, ran = _grid(spec, problem, method, shifts, omegas, cfg,
+                         min(cfg.max_outer, SWEEP_MAX_OUTER))
+        if win[0].converged:
+            return [win]
         # nothing converged: solve the best cell that ran to the cap again
         # with the full max_outer, or, if every cell failed, the nominal shift
-        points = [(alpha_star, omegas[0])]
-        ran = [row for row, report in solved if report is not None]
-        if ran:
-            win = best_cell(ran)
-            points = [(win.alpha, win.omega)]
+        points = [(alpha_star, omegas[0]) if ran is None else (ran.alpha, ran.omega)]
     return [_cell(spec, problem, method, alpha, omega, cfg, cfg.max_outer)
             for alpha, omega in points]
 
@@ -441,7 +437,7 @@ def _spec_from_args(args):
 def _build_parser():
     parser = _Parser(prog="bench", description="splitting-iteration benchmark harness")
     sub = parser.add_subparsers(dest="command", required=True)
-    methods = sorted({m for ms in METHODS_BY_FAMILY.values() for m in ms})
+    methods = sorted({m for family in METHODS_BY_FAMILY.values() for m in family.methods})
 
     run_p = sub.add_parser("run", help="run a pinned reproduction preset")
     run_p.set_defaults(func=_cmd_run)

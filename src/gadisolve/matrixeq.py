@@ -29,8 +29,8 @@ from scipy.linalg.lapack import ztrsyl
 from .linalg import (InnerSolverError, _dense, _eye_like, kron, load_dense_block,
                      load_matrix_coo, save_dense_block, save_matrix_coo, vec)
 from .spectral import optimal_alpha
-from .splitting import (DEFAULT_OMEGA, ComplexSymSystem, SolveConfig, SplitParams,
-                        _check_data, _Diverged, _joint_eigenbasis, _ModalSweep,
+from .splitting import (DEFAULT_OMEGA, ComplexSymSystem, SolveConfig, SolveReport,
+                        SplitParams, _check_data, _Diverged, _joint_eigenbasis, _ModalSweep,
                         _require_count, _require_real, _sine_transform, _sweep)
 
 __all__ = [
@@ -131,17 +131,16 @@ class NewtonState:
 
 
 @dataclass
-class RiccatiResult:
-    """Outcome of the Newton iteration with per-step inner records."""
-    X: np.ndarray
-    converged: bool
-    outer_iterations: int
-    inner_iteration_total: int
-    res_history: list
+class RiccatiResult(SolveReport):
+    """The outer Newton loop's SolveReport, with X, each step's NewtonState and
+    whether it restarted from X = 0; ``outer_iterations`` and ``res_history``
+    are read-only aliases of ``iterations`` and ``residual_history``."""
+    X: np.ndarray = None
     states: list = field(default_factory=list)
-    wall_time: float = 0.0
     restarted: bool = False
-    final_res: float = np.inf
+
+    outer_iterations = property(lambda self: self.iterations)
+    res_history = property(lambda self: self.residual_history)
 
 
 def _lift_parts(problem):
@@ -500,9 +499,11 @@ def newton_gadi_riccati(problem, outer_tol=1e-6, max_outer=30, inner_forcing=(0.
     ``inner_iteration_total``. Inner sweeps that diverge at a later step, or
     after the restart, raise InnerSolverError; its ``iterations`` count every
     inner sweep taken, and its ``report`` is the outer loop's partial
-    SolveReport, whose history holds the Res of each step reached.
+    SolveReport, whose history holds the Res of each step reached and whose
+    ``inner_iteration_total`` equals those ``iterations``.
 
-    Returns a :class:`RiccatiResult`; reaching max_outer yields
+    Returns a :class:`RiccatiResult`, the outer loop's report, its
+    ``wall_time`` that of the whole call; reaching max_outer yields
     ``converged=False``. Bad arguments raise a one-line ValueError.
     """
     t0 = time.perf_counter()
@@ -549,27 +550,28 @@ def newton_gadi_riccati(problem, outer_tol=1e-6, max_outer=30, inner_forcing=(0.
         except _Diverged as div:
             if not (spent or k):
                 raise  # the first step from the first start: restart from X = 0
-            err = InnerSolverError(
+            raise InnerSolverError(
                 f"inner GADI sweeps diverge at outer step {k}", x=vec(X),
                 iterations=spent + sum(s.inner_iterations for s in states)
-                + div.args[0].iterations, residual=res)
-            err.half_step = f"outer step {k}"
-            raise err from None
+                + div.args[0].iterations, residual=res) from None
         l = inner.iterations
         states.append(NewtonState(k, X, A_k, Q_k, l, float(inner.final_res), res))
         Xn = sweep.x(end)
         return 0.5 * (Xn + Xn.conj().T), l  # inner tolerance allows a Hermitian drift
 
     def newton(X):
-        return _sweep(lambda: newton_step, lambda X: _riccati_res(A, G, problem.Q, nq, X), X,
-                      float(np.nextafter(outer_tol, -np.inf)), max_outer)
+        try:
+            return _sweep(lambda: newton_step, lambda X: _riccati_res(A, G, problem.Q, nq, X),
+                          X, float(np.nextafter(outer_tol, -np.inf)), max_outer)
+        except InnerSolverError as err:  # a later step's inner sweeps diverged
+            err.half_step = f"outer step {err.report.iterations}"
+            err.report.inner_iteration_total = err.iterations  # every inner sweep
+            raise
     try:
         X, report = newton(X)
     except _Diverged as div:
         spent = div.args[0].iterations
         X, report = newton(np.zeros((n, n), dtype=complex))
-    return RiccatiResult(
-        X=X, converged=report.converged, outer_iterations=report.iterations,
-        inner_iteration_total=spent + report.inner_iteration_total,
-        res_history=report.residual_history, states=states,
-        wall_time=time.perf_counter() - t0, restarted=spent > 0, final_res=report.final_res)
+    report.inner_iteration_total += spent
+    report.wall_time = time.perf_counter() - t0
+    return RiccatiResult(**vars(report), X=X, states=states, restarted=spent > 0)

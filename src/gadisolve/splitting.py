@@ -284,8 +284,8 @@ class SolveReport:
     """Outcome of one stationary solve.
 
     residual_history holds (iteration, RES) pairs including iteration 0, so
-    its length is iterations + 1. inner_iteration_total counts Krylov steps
-    and is 0 in exact inner mode.
+    its length is iterations + 1. inner_iteration_total counts Krylov steps,
+    0 in exact inner mode; for a Riccati result it counts inner GADI sweeps.
     """
     converged: bool
     iterations: int

@@ -63,6 +63,55 @@ def test_indefinite_inner_cg_recorded_as_failed_rows():
     assert not any(r.converged for r in rows)
 
 
+def _third_cg_fails(monkeypatch):
+    # the first half-step's CG fails in every third sweep, with a Krylov
+    # count and residual of its own
+    from gadisolve import InnerSolverError, splitting
+    original, calls = splitting.cg_hpd, []
+
+    def third_fails(M, b, rel_tol, max_it):
+        calls.append(1)
+        if len(calls) % 3 == 0:
+            raise InnerSolverError("no convergence", x=np.zeros(b.shape, complex),
+                                   iterations=7, residual=0.5)
+        return original(M, b, rel_tol=rel_tol, max_it=max_it)
+    monkeypatch.setattr(splitting, "cg_hpd", third_fails)
+
+
+def test_a_failed_cell_reads_its_row_from_the_partial_report(monkeypatch):
+    from gadisolve import InnerSolverError, SolveConfig, SplitParams, run_stationary
+    _third_cg_fails(monkeypatch)
+    spec = ProblemSpec("ex241", m=8, tau_mode="500h", stencil="unit")
+    with pytest.raises(InnerSolverError) as info:
+        run_stationary(spec.build(), SplitParams("gadi", 1.0, 0.01),
+                       SolveConfig(tol=1e-10, inner="iterative"))
+    partial = info.value.report
+    (row,) = run_grid(RunConfig((spec,), ("gadi",), ParamPolicy("fixed", ((1.0, 0.01),)),
+                                tol=1e-10, inner="iterative"))
+    # sweeps and the outer RES, not the Krylov steps and residual of the error
+    assert (row.it, row.res, row.converged) == (partial.iterations, partial.final_res, False)
+    assert row.it == 2 and row.res != 0.5
+
+
+def test_a_failed_newton_cell_counts_every_inner_sweep():
+    # the restart from X = 0 diverges at outer step 2 (see test_matrixeq)
+    (row,) = run_grid(RunConfig((ProblemSpec("ex421", n=40),), ("newton-gadi",),
+                                ParamPolicy("fixed", ((None, 0.01),))))
+    assert not row.converged and row.it == 80
+    assert row.res == pytest.approx(4759.2515937790, rel=1e-12)
+
+
+def test_run_config_is_frozen():
+    # a field set after the checks would skip them: a tol the cells ignore,
+    # or a method the family does not have
+    import dataclasses
+    cfg = RunConfig((ProblemSpec("ex241", m=4),), ("gadi",))
+    for name, value in (("tol", 1e-12), ("methods", ("newton-gadi",)), ("max_outer", 0)):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(cfg, name, value)
+    assert (cfg.tol, cfg.methods, cfg.max_outer) == (1e-5, ("gadi",), 500)
+
+
 def test_run_config_checks_its_solver_settings():
     specs, methods = (ProblemSpec("ex241", m=2),), ("gadi",)
     for kwargs, message in (({"max_outer": 0}, "max_outer must be at least 1"),
@@ -215,6 +264,21 @@ def test_uncapped_ex421_sweep_policy_finds_the_full_grid_winner():
     (row,) = run_grid(RunConfig((spec,), ("newton-gadi",), ParamPolicy("sweep")))
     assert best.converged
     assert (row.alpha, row.omega, row.it, row.res) == (best.alpha, best.omega, best.it, best.res)
+
+
+def test_ex421_sweep_grid_keeps_only_the_winning_report():
+    # every cell's RiccatiResult holds X and a NewtonState per step; keeping
+    # all 63 of them at n = 8 peaks near 2.4 MB, the winner's alone near 0.4
+    import tracemalloc
+    cfg = RunConfig((ProblemSpec("ex421", n=8),), ("newton-gadi",), ParamPolicy("sweep"))
+    tracemalloc.start()
+    try:
+        (row,) = run_grid(cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert row.converged
+    assert peak < 1_000_000
 
 
 def test_sweep_policy_factorizes_each_shift_once(monkeypatch):
@@ -412,6 +476,16 @@ def test_series_of_an_empty_history_is_refused(tmp_path):
     with pytest.raises(ValueError, match="^report has an empty residual history$"):
         write_convergence_series(SolveReport(False, 0, 1.0, [], 0.0), path)
     assert not path.exists()
+
+
+def test_series_of_a_riccati_result(tmp_path):
+    from gadisolve import gen_ex421, newton_gadi_riccati
+    result = newton_gadi_riccati(gen_ex421(8))
+    path = tmp_path / "series.csv"
+    write_convergence_series(result, path)
+    lines = path.read_text().splitlines()
+    assert len(lines) == result.outer_iterations + 2
+    assert lines[-1] == f"{result.outer_iterations},{result.final_res:.10e}"
 
 
 def test_series_length_matches_history(tmp_path):

@@ -502,6 +502,48 @@ def test_newton_divergence_after_the_restart_counts_every_inner_sweep():
     assert err.report.residual_history[-1] == (2, err.residual)
 
 
+def test_newton_partial_report_counts_every_inner_sweep():
+    # the error's report, like its iterations, counts the inner sweeps of
+    # the diverged first start and of the diverging step, not only those of
+    # the completed steps
+    from gadisolve import InnerSolverError
+    with pytest.raises(InnerSolverError) as info:
+        newton_gadi_riccati(gen_ex421(40), outer_tol=1e-5)
+    assert info.value.report.inner_iteration_total == info.value.iterations == 80
+
+
+def test_a_diverged_newton_solve_leaves_no_reference_cycle():
+    # a cycle through the error's traceback would hold the solve's frames,
+    # and with them every NewtonState, until the next garbage collection
+    import gc
+    from gadisolve import InnerSolverError
+    gc.collect()
+    gc.disable()
+    try:
+        try:
+            newton_gadi_riccati(gen_ex421(40), outer_tol=1e-5)
+        except InnerSolverError:
+            pass
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+
+
+def test_riccati_result_is_the_outer_loops_solve_report():
+    from gadisolve import SolveReport
+    result = newton_gadi_riccati(gen_ex421(8))
+    assert isinstance(result, SolveReport)
+    assert result.outer_iterations == result.iterations
+    assert result.res_history is result.residual_history
+    assert len(result.residual_history) == result.iterations + 1
+    assert result.residual_history[-1] == (result.iterations, result.final_res)
+    # the inner total includes the diverged first start's sweeps
+    assert result.restarted
+    assert result.inner_iteration_total > sum(s.inner_iterations for s in result.states)
+    with pytest.raises(AttributeError):
+        result.outer_iterations = 0
+
+
 def test_newton_restart_guard_on_expansive_start():
     p = gen_ex421(8)
     result = newton_gadi_riccati(p, outer_tol=1e-5, inner_forcing=(0.1, 0.1))
