@@ -7,7 +7,8 @@ from .linalg import (BreakdownError, DirectSolver, InnerSolverError,
                      save_dense_block, save_matrix_coo, save_vector, unvec,
                      vec)
 from .splitting import (METHODS, ComplexSymSystem, SolveConfig, SolveReport,
-                        SplitParams, default_alpha, run_stationary, step)
+                        SplitParams, default_alpha, run_stationary,
+                        run_stationary_grid, step)
 from .spectral import (IterationMatrixPair, SpectrumSummary,
                        build_iteration_matrices, eig_extremes_spd,
                        optimal_alpha, sigma_bound, spectral_radius)

@@ -33,7 +33,8 @@ import numpy as np
 from .linalg import NotPositiveDefiniteError
 from .matrixeq import newton_gadi_riccati, solve_lyapunov_gadi, solve_lyapunov_hss
 from .problems import FAMILIES, STENCILS, TAU_MODES, ProblemSpec
-from .splitting import DEFAULT_OMEGA, SolveConfig, SplitParams, default_alpha, run_stationary
+from .splitting import (DEFAULT_OMEGA, SolveConfig, SplitParams, default_alpha, run_stationary,
+                        run_stationary_grid)
 
 __all__ = [
     "BenchmarkRow", "ParamPolicy", "RunConfig",
@@ -46,21 +47,24 @@ CSV_HEADER = ("algorithm", "n", "problem", "alpha", "omega", "RES", "IT", "CPU",
 
 LINEAR_METHODS = ("gadi", "hss", "mhss", "pmhss", "pmhss-vi", "cri", "tscsp")
 # a family's methods, the report of one cell's solve(problem, params,
-# config), and the report field its IT column reads; a solve looks its solver
-# up here when it runs, so a wrapper bound over bench.run_stationary sees it
-Family = namedtuple("Family", "methods solve it_field")
+# config), the report field its IT column reads, and grid(problem, points,
+# config, capped): the reports of a whole grid from one pass, or None where
+# its cells are solved one by one. A solve looks its solver up here when it
+# runs, so a wrapper bound over bench.run_stationary sees it
+Family = namedtuple("Family", "methods solve it_field grid")
 _LINEAR = Family(LINEAR_METHODS, lambda p, params, config: run_stationary(p, params, config)[1],
-                 "iterations")
+                 "iterations", run_stationary_grid)
+_CELL_BY_CELL = lambda problem, points, config, capped: None
 METHODS_BY_FAMILY = {
     "ex241": _LINEAR,
     "ex242": _LINEAR,
     "ex31": Family(("gadi", "hss"), lambda p, params, config: (
         solve_lyapunov_gadi if params.method == "gadi" else solve_lyapunov_hss)(
-            p, params, config)[1], "iterations"),
+            p, params, config)[1], "iterations", _CELL_BY_CELL),
     # max_outer counts Newton steps, and IT the inner sweeps
     "ex421": Family(("newton-gadi",), lambda p, params, config: newton_gadi_riccati(
         p, outer_tol=config.tol, max_outer=config.max_outer, alpha=params.alpha,
-        omega=params.omega), "inner_iteration_total"),
+        omega=params.omega), "inner_iteration_total", _CELL_BY_CELL),
 }
 
 
@@ -90,11 +94,12 @@ class ParamPolicy:
     :func:`sweep_params` runs with less work: the shifts run nearest the
     default first, and a cell stops once it has taken as many sweeps as the
     best converged cell so far (except on ex421, whose IT counts inner
-    sweeps). Every cell is one solve; on ex241 and ex242 in exact or auto
-    inner mode, at every n, that is the closed-form solve in the systems'
-    joint sine eigenbasis, with no factorization and no Krylov step. A row
-    records the omega its sweeps ran with, 0 for a method that does not
-    relax.
+    sweeps). On ex241 and ex242 in exact or auto inner mode, at every n,
+    the whole grid is one closed-form pass in the systems' joint sine
+    eigenbasis (:func:`~gadisolve.splitting.run_stationary_grid`), with no
+    factorization and no Krylov step, and only the winner is solved alone,
+    for its report; elsewhere every cell is one solve. A row records the
+    omega its sweeps ran with, 0 for a method that does not relax.
     """
     kind: str = "fixed"
     points: tuple = ((None, None),)
@@ -148,27 +153,44 @@ def _auto_grid(alpha_star, points=21):
     return tuple(np.geomspace(alpha_star / 5.0, 5.0 * alpha_star, points))
 
 
+def _params(method, alpha, omega):
+    return SplitParams(METHOD_ALIASES.get(method, method), float(alpha), float(omega))
+
+
+def _row(spec, method, params, shown, converged, cpu):
+    """The row of ``method`` at ``params``: IT and RES read from report
+    ``shown`` (the family's IT field), or 0 and NaN when it is None, and
+    the omega the sweeps ran with, SplitParams.relaxation."""
+    res, it = ((math.nan, 0) if shown is None else
+               (shown.final_res, getattr(shown, METHODS_BY_FAMILY[spec.family].it_field)))
+    return BenchmarkRow(method, spec.dimension, spec.label(), params.alpha, params.relaxation,
+                        res, it, cpu, converged)
+
+
 def _cell(spec, problem, method, alpha, omega, cfg, max_outer):
     """The cell of ``method`` at ``(alpha, omega)``, as ``(row, report)``.
 
     One call of the family's solve in METHODS_BY_FAMILY, at ``max_outer``
-    (Newton steps on ex421); the IT column reads the family's IT field of
-    the report. A row records the omega the sweeps ran with,
-    SplitParams.relaxation. A solver failure becomes a non-converged row
-    with report None, whose IT and RES are read the same way from the
-    error's partial report, or are 0 and NaN for an error without one.
+    (Newton steps on ex421). A solver failure becomes a non-converged row
+    with report None, whose IT and RES are read from the error's partial
+    report, or are 0 and NaN for an error without one.
     """
     family = METHODS_BY_FAMILY[spec.family]
-    params = SplitParams(METHOD_ALIASES.get(method, method), float(alpha), float(omega))
+    params = _params(method, alpha, omega)
     t0 = time.perf_counter()
     try:
         report = shown = family.solve(problem, params, SolveConfig(cfg.tol, max_outer, cfg.inner))
     except (RuntimeError, NotPositiveDefiniteError) as err:
         report, shown = None, getattr(err, "report", None)
-    res, it = (math.nan, 0) if shown is None else (shown.final_res, getattr(shown, family.it_field))
-    return (BenchmarkRow(method, spec.dimension, spec.label(), params.alpha, params.relaxation,
-                         res, it, time.perf_counter() - t0, report is not None and report.converged),
-            report)
+    return (_row(spec, method, params, shown, report is not None and report.converged,
+                 time.perf_counter() - t0), report)
+
+
+def _batch_rows(spec, method, points, reports):
+    """The rows of a grid the family solved in one pass; the closed form
+    fails no cell, and each row's CPU is the time into the pass at which its
+    point stopped."""
+    return [_row(spec, method, p, r, r.converged, r.wall_time) for p, r in zip(points, reports)]
 
 
 def _grid(spec, problem, method, shifts, omegas, cfg, max_outer):
@@ -181,18 +203,30 @@ def _grid(spec, problem, method, shifts, omegas, cfg, max_outer):
     counts inner sweeps), no cell may take more sweeps than the best
     converged cell so far: one that needs more cannot win, and the cap is
     inclusive, so a tie still competes on RES and then on alpha.
+
+    Where the family solves the grid in one pass (ex241 and ex242 with a
+    joint eigenbasis, inner exact or auto: every cell in lockstep in closed
+    form, under the same cap), no cell is solved alone; a converged winner
+    is solved once more, alone, for its report.
     """
-    capped = METHODS_BY_FAMILY[spec.family].it_field == "iterations"
+    family = METHODS_BY_FAMILY[spec.family]
+    capped = family.it_field == "iterations"
+    points = [_params(method, a, w) for a in shifts for w in omegas]
+    reports = family.grid(problem, points, SolveConfig(cfg.tol, max_outer, cfg.inner), capped)
+    if reports is not None:
+        best = best_cell(_batch_rows(spec, method, points, reports))
+        if best.converged:
+            return _cell(spec, problem, method, best.alpha, best.omega, cfg, max_outer), best
+        return (best, None), best
     win = ran = None
-    for a in shifts:
-        for w in omegas:
-            cell = row, report = _cell(spec, problem, method, a, w, cfg, max_outer)
-            if win is None or best_cell((win[0], row)) is row:
-                win = cell
-            if report is not None and (ran is None or best_cell((ran, row)) is row):
-                ran = row
-            if capped and row.converged:
-                max_outer = min(max_outer, row.it)
+    for p in points:
+        cell = row, report = _cell(spec, problem, method, p.alpha, p.omega, cfg, max_outer)
+        if win is None or best_cell((win[0], row)) is row:
+            win = cell
+        if report is not None and (ran is None or best_cell((ran, row)) is row):
+            ran = row
+        if capped and row.converged:
+            max_outer = min(max_outer, row.it)
     return win, ran
 
 
@@ -245,7 +279,8 @@ def sweep_params(spec, method, alpha_grid, omega_grid, tol=1e-5, inner="exact",
     ``alpha_grid`` None selects the geometric grid around the method's
     default shift. A method that does not relax runs at omega 0 alone,
     whatever ``omega_grid`` holds. Every cell may run to ``max_outer``
-    sweeps (Newton steps on ex421). Every point is checked before the first
+    sweeps (Newton steps on ex421). A system with a closed form solves the
+    grid in one uncapped pass, as the sweep policy does. Every point is checked before the first
     solve. Returns the BenchmarkRow of each cell in grid order (omega-major),
     the order it solves them in; pick the winner with :func:`best_cell`.
     """
@@ -260,7 +295,12 @@ def sweep_params(spec, method, alpha_grid, omega_grid, tol=1e-5, inner="exact",
     problem = spec.build()
     if alpha_grid is None:
         alphas = _auto_grid(default_alpha(problem, METHOD_ALIASES.get(method, method)))
-    return [_cell(spec, problem, method, a, w, cfg, max_outer)[0] for w in omegas for a in alphas]
+    points = [_params(method, a, w) for w in omegas for a in alphas]
+    reports = METHODS_BY_FAMILY[spec.family].grid(problem, points,
+                                                   SolveConfig(tol, max_outer, inner), False)
+    if reports is not None:
+        return _batch_rows(spec, method, points, reports)
+    return [_cell(spec, problem, method, p.alpha, p.omega, cfg, max_outer)[0] for p in points]
 
 
 def best_cell(cells):

@@ -19,11 +19,15 @@ closed form (:class:`_ModalSweep`) in "exact" and "auto" inner mode at
 every n; only "iterative" mode runs CG/COCG on it. There every method's
 sweep is one factor g_j per mode, so from x = 0 the residual after k sweeps
 is g^k * S b. The sweep loop runs on its squared modulus, with no
-factorization and no matvec, and x is formed once at the end. The Lyapunov
+factorization and no matvec, and x is formed once at the end.
+:func:`run_stationary_grid` runs a whole grid of (alpha, omega) points of
+one method that way in one lockstep pass, on arrays of shape (points,
+modes), and reports what run_stationary would at each point. The Lyapunov
 solves of :mod:`gadisolve.matrixeq` run the same modal sweep on their lift
 when the 1-D DST-I diagonalizes their n x n W and T.
 
-One sweep loop, :func:`_sweep`, drives every solve. :class:`_ModalSweep`
+One sweep loop, :func:`_sweep`, drives every single solve; the lockstep
+pass of run_stationary_grid is its counterpart for a grid. :class:`_ModalSweep`
 and ``matrixeq._EigenSweep`` offer it the same members: ``start``,
 ``make_step()``, ``res(state)``, the absolute residual norm in the sweep's
 basis, and ``x(state)``, the iterate; a caller tells the start by identity.
@@ -42,7 +46,7 @@ from .spectral import eig_extremes_spd, optimal_alpha
 
 __all__ = [
     "METHODS", "DEFAULT_OMEGA", "ComplexSymSystem", "SplitParams", "SolveConfig",
-    "SolveReport", "step", "run_stationary", "default_alpha",
+    "SolveReport", "step", "run_stationary", "run_stationary_grid", "default_alpha",
 ]
 
 # exact-mode factorization is the default up to this dimension
@@ -359,8 +363,7 @@ def _make_step(W, T, b, params, mode):
     """The sweep of ``params.method`` on (W, T, b) as ``step(x, res) -> (x_next, inner)``.
 
     In exact inner ``mode`` the two half-step coefficients are factorized
-    here, once for every sweep of the step; a :class:`_Diagonal` coefficient
-    is its own factorization. In iterative mode CG/COCG solve the
+    here, once for every sweep of the step. In iterative mode CG/COCG solve the
     half-steps to :func:`_inner_tol` of the current residual ``res``, in at
     most 4 n + 100 Krylov steps each. From the second sweep on, each half-step
     is warm-started from its own previous solution x_prev: it solves the
@@ -371,9 +374,8 @@ def _make_step(W, T, b, params, mode):
     tagged with the half-step it came from. ``inner`` counts Krylov steps.
     """
     n = b.shape[0]
-    I = _Diagonal(np.ones(n)) if isinstance(W, _Diagonal) else _eye_like(W, n)
     M1, k1, M2, k2, rhs1, rhs2 = _METHODS[params.method][1](
-        W, T, b, I, params.alpha, params.relaxation)
+        W, T, b, _eye_like(W, n), params.alpha, params.relaxation)
 
     def half_step(M, kind, which):
         krylov = cg_hpd if kind == "hpd" else cocg_sym
@@ -401,7 +403,7 @@ def _make_step(W, T, b, params, mode):
         return solve
 
     if mode == "exact":
-        direct1, direct2 = (M if isinstance(M, _Diagonal) else DirectSolver(M) for M in (M1, M2))
+        direct1, direct2 = DirectSolver(M1), DirectSolver(M2)
         half1 = lambda rhs, tol: (direct1.solve(rhs), 0)
         half2 = lambda rhs, tol: (direct2.solve(rhs), 0)
     else:
@@ -464,15 +466,32 @@ def _sweep(make_step, residual, x, tol, max_sweeps, guard=False):
     return x, report()
 
 
+def _mode_factors(lam, mu, method, alpha, omega):
+    """The per-mode sweep factors g of ``method`` on diag(lam) + i diag(mu).
+
+    g is the method's own row of the method table, swept once on
+    (diag(lam), diag(mu)) with b = 0 from the ones vector, at shift
+    ``alpha`` and relaxation ``omega`` (:attr:`SplitParams.relaxation`).
+    Scalars give g for one point; (points, 1) columns give one row of g per
+    point, each bit for bit the g of that point alone, since every step is
+    elementwise.
+    """
+    n = lam.shape[0]
+    ones = np.ones(n)
+    M1, _, M2, _, rhs1, rhs2 = _METHODS[method][1](
+        _Diagonal(lam), _Diagonal(mu), np.zeros(n), _Diagonal(ones), alpha, omega)
+    x = ones.astype(complex)
+    return M2.solve(rhs2(x, M1.solve(rhs1(x))))
+
+
 class _ModalSweep:
     """The sweeps of the system diag(lam) + i diag(mu) that the 2-D DST-I
     S = S1 (x) S1 makes of (W, T), from x = 0, with Sb = S b.
 
-    There every method's sweep is one factor g_j per mode: g is the method's
-    own row, swept once on (diag(lam), diag(mu)) with b = 0 from the ones
-    vector. From x = 0 the residual after k sweeps is g^k * S b exactly, so
-    a state is (k, w) with w = |g^k * S b|^2, a sweep maps it to
-    (k + 1, |g|^2 w), and :meth:`res` is sqrt(sum w).
+    There every method's sweep is one factor g_j per mode
+    (:func:`_mode_factors`). From x = 0 the residual after k sweeps is
+    g^k * S b exactly, so a state is (k, w) with w = |g^k * S b|^2, a sweep
+    maps it to (k + 1, |g|^2 w), and :meth:`res` is sqrt(sum w).
     """
 
     def __init__(self, lam, mu, S1, Sb, params):
@@ -482,9 +501,8 @@ class _ModalSweep:
         self._x = (None, None)
 
     def make_step(self):
-        n = self.lam.shape[0]
-        self.g = _make_step(_Diagonal(self.lam), _Diagonal(self.mu), np.zeros(n), self.params,
-                            "exact")(np.ones(n, complex), 0.0)[0]
+        self.g = _mode_factors(self.lam, self.mu, self.params.method, self.params.alpha,
+                               self.params.relaxation)
         g2 = np.abs(self.g) ** 2
         return lambda state, res: ((state[0] + 1, g2 * state[1]), 0)
 
@@ -528,10 +546,8 @@ def run_stationary(system, params, config=None):
     "auto" size limit does not apply to it.
     """
     config = config or SolveConfig()
-    nb = float(np.linalg.norm(system.b))
-    if nb == 0.0:
-        raise ValueError("b = 0: relative residual is undefined")
-    if config.inner != "iterative" and system.joint_eigenbasis is not None:
+    nb = _norm_b(system)
+    if _closed_form(system, config):
         modal = _ModalSweep(*system.joint_eigenbasis, system._modal_b, params)
         state, report = _sweep(modal.make_step, lambda s: modal.res(s) / nb, modal.start,
                                config.tol, config.max_outer)
@@ -540,6 +556,76 @@ def run_stationary(system, params, config=None):
     return _sweep(lambda: _make_step(system.W, system.T, system.b, params, mode),
                   lambda x: float(np.linalg.norm(system.b - system.matvec(x)) / nb),
                   np.zeros(system.n, complex), config.tol, config.max_outer)
+
+
+def _norm_b(system):
+    nb = float(np.linalg.norm(system.b))
+    if nb == 0.0:
+        raise ValueError("b = 0: relative residual is undefined")
+    return nb
+
+
+def _closed_form(system, config):
+    """Whether ``system`` solves by the modal sweep under ``config``."""
+    return config.inner != "iterative" and system.joint_eigenbasis is not None
+
+
+def run_stationary_grid(system, points, config=None, capped=False):
+    """The SolveReport :func:`run_stationary` gives at each of ``points``,
+    SplitParams of one method, from one pass over the grid; None when the
+    system has no closed form under ``config`` (no joint eigenbasis, or
+    inner "iterative"), so that its caller solves the points one by one.
+
+    Every point sweeps its modal residual (see :class:`_ModalSweep`) in
+    lockstep, ``w <- |g|^2 w`` on an array of shape (points, modes), with g
+    built once for all points. Each point's RES is the 1-D sum of its own
+    row that run_stationary takes, so its report is run_stationary's bit for
+    bit, except for ``wall_time``, the time into the pass at which it
+    stopped. No x is formed. With ``capped``, after sweep k every point that
+    has not converged and comes after the first converged point stops at k:
+    the reports of solving the points in order, each with max_outer lowered
+    to the fewest sweeps a point before it converged in.
+    """
+    config = config or SolveConfig()
+    if not _closed_form(system, config):
+        return None
+    methods = {p.method for p in points}
+    if len(methods) != 1:
+        raise ValueError(f"grid points must share one method, got {sorted(methods)}")
+    (method,) = methods
+    nb = _norm_b(system)
+    t0 = time.perf_counter()
+    lam, mu, _ = system.joint_eigenbasis
+    live = list(range(len(points)))  # the points still sweeping, in grid order
+    w = np.tile(np.abs(system._modal_b) ** 2, (len(points), 1))
+    g2 = None
+    histories = [[] for _ in points]
+    reports = [None] * len(points)
+    first = len(points)  # the first converged point
+    for k in range(config.max_outer + 1):
+        res = [math.sqrt(row.sum()) / nb for row in w]
+        for i, r in zip(live, res):
+            histories[i].append((k, r))
+            if r <= config.tol:
+                first = min(first, i)
+        go = [r > config.tol and k < config.max_outer and not (capped and i > first)
+              for i, r in zip(live, res)]
+        if not all(go):
+            for i, r, on in zip(live, res, go):
+                if not on:
+                    reports[i] = SolveReport(r <= config.tol, k, r, histories[i],
+                                             time.perf_counter() - t0)
+            live = [i for i, on in zip(live, go) if on]
+            if not live:
+                break
+            w = w[go]
+            g2 = None if g2 is None else g2[go]
+        if g2 is None:  # the first sweep
+            alpha = np.array([[points[i].alpha] for i in live], float)
+            omega = np.array([[points[i].relaxation] for i in live], float)
+            g2 = np.abs(_mode_factors(lam, mu, method, alpha, omega)) ** 2
+        w = g2 * w
+    return reports
 
 
 def default_alpha(system, method):

@@ -184,6 +184,7 @@ def _count_solves(monkeypatch):
 
 
 def test_sweep_policy_reuses_the_winning_cell(monkeypatch):
+    without_joint_eigenbasis(monkeypatch)  # the cell-by-cell grid
     spec = ProblemSpec("ex241", m=4, stencil="unit")
     cells = sweep_params(spec, "gadi", None, SWEEP_OMEGAS, tol=1e-5)
     best = best_cell(cells)
@@ -197,6 +198,7 @@ def test_sweep_policy_reuses_the_winning_cell(monkeypatch):
 
 
 def test_sweep_policy_without_a_converged_cell_solves_once_more(monkeypatch):
+    without_joint_eigenbasis(monkeypatch)  # the cell-by-cell grid
     spec = ProblemSpec("ex241", m=4, stencil="unit")
     best = best_cell(sweep_params(spec, "gadi", None, SWEEP_OMEGAS, tol=1e-300, max_outer=3))
     calls = _count_solves(monkeypatch)
@@ -227,6 +229,7 @@ def test_a_bad_grid_point_fails_before_any_solve(monkeypatch, capsys):
     ProblemSpec("ex242", m=6, stencil="unit"),
 ], ids=lambda spec: spec.label())
 def test_capped_sweep_policy_finds_the_full_grid_winner(monkeypatch, spec):
+    without_joint_eigenbasis(monkeypatch)  # the cell-by-cell grid
     full = sweep_params(spec, "gadi", None, SWEEP_OMEGAS)
     best = best_cell(full)
     calls = _count_solves(monkeypatch)
@@ -240,6 +243,64 @@ def test_capped_sweep_policy_finds_the_full_grid_winner(monkeypatch, spec):
         assert max_outer <= cap and report.iterations <= max_outer
         if report.converged:
             cap = min(cap, report.iterations)
+
+
+def _count_mode_factors(monkeypatch):
+    """The number of points of every per-mode factor build."""
+    from gadisolve import splitting
+    sizes = []
+    original = splitting._mode_factors
+
+    def counted(lam, mu, method, alpha, omega):
+        sizes.append(np.size(alpha))
+        return original(lam, mu, method, alpha, omega)
+    monkeypatch.setattr(splitting, "_mode_factors", counted)
+    return sizes
+
+
+def test_detected_sweep_policy_solves_the_grid_in_one_pass(monkeypatch):
+    spec = ProblemSpec("ex241", m=4, stencil="unit")
+    best = best_cell(sweep_params(spec, "gadi", None, SWEEP_OMEGAS, tol=1e-5))
+    calls, sizes = _count_solves(monkeypatch), _count_mode_factors(monkeypatch)
+    reports = []
+    cfg = RunConfig((spec,), ("gadi",), ParamPolicy("sweep"), tol=1e-5)
+    (row,) = run_grid(cfg, on_report=lambda r, rep: reports.append(rep))
+    assert (row.alpha, row.omega, row.it, row.res) == (best.alpha, best.omega, best.it, best.res)
+    # g once for the 63 cells, then once more in the one solve of the winner
+    assert sizes == [21 * 3, 1]
+    assert [(params.alpha, params.omega, max_outer) for params, max_outer, _ in calls] == [
+        (row.alpha, row.omega, SWEEP_MAX_OUTER)]
+    (report,) = reports
+    assert report is calls[0][2]
+    assert report.converged and report.iterations == row.it
+    assert len(report.residual_history) == row.it + 1
+
+
+def test_detected_sweep_policy_without_a_converged_cell_solves_once(monkeypatch):
+    spec = ProblemSpec("ex241", m=4, stencil="unit")
+    best = best_cell(sweep_params(spec, "gadi", None, SWEEP_OMEGAS, tol=1e-300, max_outer=3))
+    calls, sizes = _count_solves(monkeypatch), _count_mode_factors(monkeypatch)
+    reports = []
+    cfg = RunConfig((spec,), ("gadi",), ParamPolicy("sweep"), tol=1e-300, max_outer=3)
+    (row,) = run_grid(cfg, on_report=lambda r, rep: reports.append(rep))
+    assert sizes == [21 * 3, 1]
+    assert len(calls) == 1  # the best cell, with the full max_outer
+    assert not row.converged and row.it == 3
+    assert (row.alpha, row.omega, row.res) == (best.alpha, best.omega, best.res)
+    assert reports[0].iterations == 3 and len(reports[0].residual_history) == 4
+
+
+@pytest.mark.parametrize("spec", [
+    ProblemSpec("ex241", m=6, tau_mode="h", stencil="unit"),
+    ProblemSpec("ex241", m=6, tau_mode="500h", stencil="unit"),
+    ProblemSpec("ex242", m=6, stencil="unit"),
+], ids=lambda spec: spec.label())
+def test_detected_capped_sweep_policy_finds_the_full_grid_winner(monkeypatch, spec):
+    best = best_cell(sweep_params(spec, "gadi", None, SWEEP_OMEGAS))
+    calls, sizes = _count_solves(monkeypatch), _count_mode_factors(monkeypatch)
+    (row,) = run_grid(RunConfig((spec,), ("gadi",), ParamPolicy("sweep")))
+    assert (row.alpha, row.omega, row.it, row.res) == (best.alpha, best.omega, best.it, best.res)
+    assert sizes == [21 * 3, 1] and len(calls) == 1
 
 
 def test_a_factorization_failure_fails_every_omega_of_its_shift(monkeypatch):
