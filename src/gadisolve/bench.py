@@ -280,9 +280,10 @@ def sweep_params(spec, method, alpha_grid, omega_grid, tol=1e-5, inner="exact",
     default shift. A method that does not relax runs at omega 0 alone,
     whatever ``omega_grid`` holds. Every cell may run to ``max_outer``
     sweeps (Newton steps on ex421). A system with a closed form solves the
-    grid in one uncapped pass, as the sweep policy does. Every point is checked before the first
-    solve. Returns the BenchmarkRow of each cell in grid order (omega-major),
-    the order it solves them in; pick the winner with :func:`best_cell`.
+    grid in one uncapped pass, as the sweep policy does. Every point is
+    checked before the first solve. Returns the BenchmarkRow of each cell in
+    grid order (omega-major), the order it solves them in; pick the winner
+    with :func:`best_cell`.
     """
     if (alpha_grid is not None and len(alpha_grid) == 0) or len(omega_grid) == 0:
         raise ValueError("sweep grids must be nonempty")

@@ -618,12 +618,11 @@ def run_stationary_grid(system, points, config=None, capped=False):
             live = [i for i, on in zip(live, go) if on]
             if not live:
                 break
-            w = w[go]
-            g2 = None if g2 is None else g2[go]
-        if g2 is None:  # the first sweep
-            alpha = np.array([[points[i].alpha] for i in live], float)
-            omega = np.array([[points[i].relaxation] for i in live], float)
-            g2 = np.abs(_mode_factors(lam, mu, method, alpha, omega)) ** 2
+            w, g2 = w[go], g2[go]
+        if g2 is None:  # every point starts at the same RES, so all take the first sweep
+            g2 = np.abs(_mode_factors(lam, mu, method,
+                                      np.array([[p.alpha] for p in points], float),
+                                      np.array([[p.relaxation] for p in points], float))) ** 2
         w = g2 * w
     return reports
 

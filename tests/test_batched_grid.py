@@ -80,3 +80,15 @@ def test_the_grid_points_share_one_method():
     with pytest.raises(ValueError, match=r"^grid points must share one method, got \['gadi', "
                                          r"'mhss'\]$"):
         run_stationary_grid(system, [SplitParams("gadi", 1.0), SplitParams("mhss", 1.0)])
+
+
+def test_a_start_that_meets_tol_builds_no_factors(monkeypatch):
+    from gadisolve import splitting
+    monkeypatch.setattr(splitting, "_mode_factors", None)  # a call would raise
+    system = ProblemSpec("ex241", m=4, stencil="unit").build()
+    points = [SplitParams("gadi", a) for a in (0.5, 1.0)]
+    config = SolveConfig(tol=2.0)
+    reports = run_stationary_grid(system, points, config, capped=True)
+    assert [_outcome(r) for r in reports] == [
+        _outcome(run_stationary(system, p, config)[1]) for p in points]
+    assert all(r.converged and r.iterations == 0 for r in reports)
