@@ -9,7 +9,13 @@ ex241/ex242 use the grid Laplacian K = I (x) V + V (x) I. The displayed
 definition has V = tridiag(-1,2,-1)/h^2 (``stencil="h2"``); the reference
 iteration counts for these families are only reproduced by the unscaled
 stencil V = tridiag(-1,2,-1) (``stencil="unit"``), which the table presets
-select. See the README reproduction notes.
+select. See the README reproduction notes. Each K + c I is assembled
+straight into CSR as a 5-point matrix, with the entries the Kronecker sums
+would give, bit for bit.
+
+Every generator rejects a size that is not an integer at least 1 with a
+one-line ValueError naming ``m`` or ``n``, by the check ProblemSpec makes
+when it is made.
 """
 import math
 import numbers
@@ -18,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
-from .linalg import kron, load_matrix_coo, load_vector, save_matrix_coo, save_vector
+from .linalg import load_matrix_coo, load_vector, save_matrix_coo, save_vector
 from .matrixeq import LyapunovProblem, RiccatiProblem
 from .splitting import ComplexSymSystem
 
@@ -36,20 +42,45 @@ def _check_choice(name, value, allowed):
         raise ValueError(f"{name} must be {' or '.join(map(repr, allowed))}, got {value!r}")
 
 
+def _check_size(name, value):
+    """Reject a grid or matrix size that is not an integer at least 1; a
+    bool is not a size."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    if value < 1:
+        raise ValueError(f"{name} must be at least 1")
+
+
 def _tridiag(n, lo, diag, up):
     return sp.diags_array([np.full(n - 1, lo), np.full(n, diag), np.full(n - 1, up)],
                           offsets=[-1, 0, 1], format="csr")
 
 
-def _grid_laplacian(m, stencil):
-    """K = I (x) V + V (x) I on an m-by-m grid with h = 1/(m+1)."""
+def _stencil(m, stencil, shift):
+    """K + shift I on an m-by-m grid with h = 1/(m+1), where
+    K = I (x) V + V (x) I and V = tridiag(o, d, o), assembled straight into
+    CSR.
+
+    Row i m + j holds, in column order, those of the neighbours (i-1, j),
+    (i, j-1), (i, j+1), (i+1, j) of grid point (i, j) that lie on the grid,
+    each o, and the point itself, (d + d) + shift: the values the sum
+    (I (x) V + V (x) I) + shift I gives, bit for bit.
+    """
     _check_choice("stencil", stencil, STENCILS)
     h = 1.0 / (m + 1)
-    V = _tridiag(m, -1.0, 2.0, -1.0)
-    if stencil == "h2":
-        V = V / h ** 2
-    I = sp.eye_array(m, format="csr")
-    return sp.csr_array(kron(I, V) + kron(V, I)), h
+    d, o = (2.0 / h ** 2, -1.0 / h ** 2) if stencil == "h2" else (2.0, -1.0)
+    n = m * m
+    keep = np.ones((m, m, 5), dtype=bool)  # (i, j, the five entries of row i m + j)
+    keep[0, :, 0] = keep[:, 0, 1] = keep[:, -1, 3] = keep[-1, :, 4] = False
+    keep = keep.reshape(-1)
+    columns = np.empty((n, 5), dtype=np.int32)
+    rows = np.arange(n, dtype=np.int32)
+    for c, offset in enumerate((-m, -1, 0, 1, m)):
+        columns[:, c] = rows + offset
+    indptr = np.zeros(n + 1, dtype=np.int32)
+    indptr[1:] = np.cumsum(keep, dtype=np.int32)[4::5]
+    data = np.tile([o, o, (d + d) + float(shift), o, o], n)[keep]
+    return sp.csr_array((data, columns.reshape(-1)[keep], indptr), shape=(n, n))
 
 
 def gen_ex241(m, tau_mode="h", stencil="h2"):
@@ -58,15 +89,13 @@ def gen_ex241(m, tau_mode="h", stencil="h2"):
     W = K + (3-sqrt(3))/tau I, T = K + (3+sqrt(3))/tau I, with tau = h or
     500h, and b_j = (1-i) j / (tau (j+1)^2) for j = 1..n.
     """
-    if m < 1:
-        raise ValueError("m must be at least 1")
+    _check_size("m", m)
     _check_choice("tau_mode", tau_mode, TAU_MODES)
-    K, h = _grid_laplacian(m, stencil)
+    h = 1.0 / (m + 1)
     tau = h if tau_mode == "h" else 500.0 * h
+    W = _stencil(m, stencil, (3.0 - np.sqrt(3.0)) / tau)
+    T = _stencil(m, stencil, (3.0 + np.sqrt(3.0)) / tau)
     n = m * m
-    I = sp.eye_array(n, format="csr")
-    W = sp.csr_array(K + ((3.0 - np.sqrt(3.0)) / tau) * I)
-    T = sp.csr_array(K + ((3.0 + np.sqrt(3.0)) / tau) * I)
     j = np.arange(1, n + 1, dtype=float)
     b = (1.0 - 1.0j) * j / (tau * (j + 1.0) ** 2)
     return ComplexSymSystem(W, T, b)
@@ -78,12 +107,11 @@ def gen_ex242(m, sigma1=100.0, sigma2=100.0, stencil="h2"):
     The unscaled system is ((K + sigma1 I) + i sigma2 I) x = (1+i) A 1; both
     sides are then scaled by h^2, which leaves the solution unchanged.
     """
-    if m < 1:
-        raise ValueError("m must be at least 1")
-    K, h = _grid_laplacian(m, stencil)
+    _check_size("m", m)
+    h = 1.0 / (m + 1)
+    W_u = _stencil(m, stencil, sigma1)
     n = m * m
     I = sp.eye_array(n, format="csr")
-    W_u = sp.csr_array(K + sigma1 * I)
     ones = np.ones(n)
     # b from the unscaled operator: (1+i) * (W_u + i sigma2 I) @ 1
     b_u = (1.0 + 1.0j) * (W_u @ ones + 1j * sigma2 * ones)
@@ -98,8 +126,7 @@ def gen_ex31(n, t):
     M = tridiag(-1,2,-1), N = tridiag(0.5,0,0.5), Q = C^T C with C the
     all-ones row, so Q is the rank-one all-ones matrix.
     """
-    if n < 1:
-        raise ValueError("n must be at least 1")
+    _check_size("n", n)
     if not t > 0:
         raise ValueError("t must be positive")
     M = _tridiag(n, -1.0, 2.0, -1.0)
@@ -115,8 +142,7 @@ def gen_ex31(n, t):
 def gen_ex421(n):
     """Riccati family: W = tridiag(-1,2,-1), T = tridiag(0.1,0.5,0.1),
     G = I/10 and Q the rank-one all-ones matrix."""
-    if n < 1:
-        raise ValueError("n must be at least 1")
+    _check_size("n", n)
     W = sp.csr_array(_tridiag(n, -1.0, 2.0, -1.0))
     T = sp.csr_array(_tridiag(n, 0.1, 0.5, 0.1))
     G = 0.1 * np.eye(n, dtype=complex)
@@ -166,10 +192,12 @@ class ProblemSpec:
             raise ValueError(f"unknown family {self.family!r}; expected one of {tuple(FAMILIES)}")
         size = FAMILIES[self.family][0]
         value = getattr(self, size)
-        if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < 1:
+        try:
+            _check_size(size, value)
+        except ValueError:
             kind = "grid" if size == "m" else "matrix"
             raise ValueError(f"family {self.family} needs a {kind} size {size} >= 1, "
-                             f"an integer; got {value!r}")
+                             f"an integer; got {value!r}") from None
         _check_choice("tau_mode", self.tau_mode, TAU_MODES)
         _check_choice("stencil", self.stencil, STENCILS)
         for name in ("t", "sigma1", "sigma2"):

@@ -575,20 +575,25 @@ def run_stationary_grid(system, points, config=None, capped=False):
     SplitParams of one method, from one pass over the grid; None when the
     system has no closed form under ``config`` (no joint eigenbasis, or
     inner "iterative"), so that its caller solves the points one by one.
+    An empty grid gives [] and builds no factors.
 
     Every point sweeps its modal residual (see :class:`_ModalSweep`) in
-    lockstep, ``w <- |g|^2 w`` on an array of shape (points, modes), with g
-    built once for all points. Each point's RES is the 1-D sum of its own
-    row that run_stationary takes, so its report is run_stationary's bit for
-    bit, except for ``wall_time``, the time into the pass at which it
-    stopped. No x is formed. With ``capped``, after sweep k every point that
-    has not converged and comes after the first converged point stops at k:
-    the reports of solving the points in order, each with max_outer lowered
-    to the fewest sweeps a point before it converged in.
+    lockstep, ``w <- |g|^2 w`` on a C-ordered array of shape (points,
+    modes), with g built once for all points. Each sweep takes the RES of
+    every live point from one ``w.sum(axis=1)``, which adds each row as
+    the 1-D sum run_stationary takes of it (a test pins that), so every
+    report is run_stationary's bit for bit, except for ``wall_time``, the
+    time into the pass of the sweep at which the point stopped. No x is
+    formed. With ``capped``, after sweep k every point that has not
+    converged and comes after the first converged point stops at k: the
+    reports of solving the points in order, each with max_outer lowered to
+    the fewest sweeps a point before it converged in.
     """
     config = config or SolveConfig()
     if not _closed_form(system, config):
         return None
+    if not points:
+        return []
     methods = {p.method for p in points}
     if len(methods) != 1:
         raise ValueError(f"grid points must share one method, got {sorted(methods)}")
@@ -596,34 +601,43 @@ def run_stationary_grid(system, points, config=None, capped=False):
     nb = _norm_b(system)
     t0 = time.perf_counter()
     lam, mu, _ = system.joint_eigenbasis
-    live = list(range(len(points)))  # the points still sweeping, in grid order
+    live = np.arange(len(points))  # the points still sweeping, in grid order
     w = np.tile(np.abs(system._modal_b) ** 2, (len(points), 1))
     g2 = None
-    histories = [[] for _ in points]
-    reports = [None] * len(points)
+    rows = []  # rows[k][i]: the RES of point i after sweep k, while it sweeps
+    stops = np.empty(len(points), dtype=int)  # the sweep at which each point stopped
+    walls = np.empty(len(points))
     first = len(points)  # the first converged point
     for k in range(config.max_outer + 1):
-        res = [math.sqrt(row.sum()) / nb for row in w]
-        for i, r in zip(live, res):
-            histories[i].append((k, r))
-            if r <= config.tol:
-                first = min(first, i)
-        go = [r > config.tol and k < config.max_outer and not (capped and i > first)
-              for i, r in zip(live, res)]
-        if not all(go):
-            for i, r, on in zip(live, res, go):
-                if not on:
-                    reports[i] = SolveReport(r <= config.tol, k, r, histories[i],
-                                             time.perf_counter() - t0)
-            live = [i for i, on in zip(live, go) if on]
-            if not live:
+        res = np.sqrt(w.sum(axis=1)) / nb
+        row = np.full(len(points), np.nan)
+        row[live] = res
+        rows.append(row)
+        done = res <= config.tol
+        if done.any():
+            first = min(first, live[done][0])
+        halt = ~(res > config.tol) | (k == config.max_outer)
+        if capped:
+            halt |= live > first
+        if halt.any():
+            stops[live[halt]] = k
+            walls[live[halt]] = time.perf_counter() - t0
+            go = ~halt
+            live = live[go]
+            if not live.size:
                 break
             w, g2 = w[go], g2[go]
         if g2 is None:  # every point starts at the same RES, so all take the first sweep
             g2 = np.abs(_mode_factors(lam, mu, method,
                                       np.array([[p.alpha] for p in points], float),
                                       np.array([[p.relaxation] for p in points], float))) ** 2
-        w = g2 * w
+        w *= g2
+    table = np.array(rows).T
+    reports = []
+    for i, k in enumerate(stops.tolist()):
+        history = table[i, :k + 1].tolist()
+        reports.append(SolveReport(history[-1] <= config.tol, k, history[-1],
+                                   list(enumerate(history)), walls[i].item()))
     return reports
 
 

@@ -112,3 +112,47 @@ def predicted_history(g, sb, nb, tol, max_sweeps):
         r = g * r
         history.append(np.linalg.norm(r) / nb)
     return history
+
+
+# -- the Kronecker construction of the ex241/ex242 matrices -----------------------
+#
+# The generators assemble the 5-point matrix straight into CSR. This is the
+# construction they replaced, K = I (x) V + V (x) I from sparse Kronecker
+# products and K + c I by sparse addition, kept as the reference they must
+# equal bit for bit.
+
+def kron_grid_laplacian(m, stencil):
+    import scipy.sparse as sp
+    from gadisolve import kron
+    h = 1.0 / (m + 1)
+    V = sp.diags_array([np.full(m - 1, -1.0), np.full(m, 2.0), np.full(m - 1, -1.0)],
+                       offsets=[-1, 0, 1], format="csr")
+    if stencil == "h2":
+        V = V / h ** 2
+    I = sp.eye_array(m, format="csr")
+    return sp.csr_array(kron(I, V) + kron(V, I)), h
+
+
+def kron_ex241(m, tau_mode, stencil):
+    """(W, T, b) of gen_ex241 by the Kronecker construction."""
+    import scipy.sparse as sp
+    K, h = kron_grid_laplacian(m, stencil)
+    tau = h if tau_mode == "h" else 500.0 * h
+    n = m * m
+    I = sp.eye_array(n, format="csr")
+    W = sp.csr_array(K + ((3.0 - np.sqrt(3.0)) / tau) * I)
+    T = sp.csr_array(K + ((3.0 + np.sqrt(3.0)) / tau) * I)
+    j = np.arange(1, n + 1, dtype=float)
+    return W, T, (1.0 - 1.0j) * j / (tau * (j + 1.0) ** 2)
+
+
+def kron_ex242(m, sigma1, sigma2, stencil):
+    """(W, T, b) of gen_ex242 by the Kronecker construction."""
+    import scipy.sparse as sp
+    K, h = kron_grid_laplacian(m, stencil)
+    n = m * m
+    I = sp.eye_array(n, format="csr")
+    W_u = sp.csr_array(K + sigma1 * I)
+    ones = np.ones(n)
+    b_u = (1.0 + 1.0j) * (W_u @ ones + 1j * sigma2 * ones)
+    return sp.csr_array(h ** 2 * W_u), sp.csr_array((h ** 2 * sigma2) * I), h ** 2 * b_u

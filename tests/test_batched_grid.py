@@ -92,3 +92,26 @@ def test_a_start_that_meets_tol_builds_no_factors(monkeypatch):
     assert [_outcome(r) for r in reports] == [
         _outcome(run_stationary(system, p, config)[1]) for p in points]
     assert all(r.converged and r.iterations == 0 for r in reports)
+
+
+def test_an_empty_grid_reports_nothing_and_builds_no_factors(monkeypatch):
+    from gadisolve import splitting
+    monkeypatch.setattr(splitting, "_mode_factors", None)  # a call would raise
+    system = ProblemSpec("ex241", m=4, stencil="unit").build()
+    assert run_stationary_grid(system, []) == []
+    assert run_stationary_grid(system, [], SolveConfig(inner="iterative")) is None
+
+
+@pytest.mark.parametrize("modes", [1, 7, 8, 9, 127, 128, 129, 255, 256, 1000, 2304, 9216])
+def test_the_block_row_sums_are_the_sums_of_the_rows(modes):
+    # run_stationary_grid takes every point's RES from one w.sum(axis=1) of
+    # its C-ordered (points, modes) array, and run_stationary from a 1-D
+    # row.sum(); the reports agree bit for bit only while these two do
+    rng = np.random.default_rng(modes)
+    w = np.abs(rng.standard_normal((70, modes)) * 10.0 ** rng.uniform(-8.0, 8.0, (70, modes))) ** 2
+    for points in range(1, 71):
+        block = w[:points]
+        assert block.flags.c_contiguous
+        assert block.sum(axis=1).tobytes() == np.array([r.sum() for r in block]).tobytes()
+        compact = block[rng.random(points) < 0.6]  # the pass's compaction of stopped rows
+        assert compact.sum(axis=1).tobytes() == np.array([r.sum() for r in compact]).tobytes()

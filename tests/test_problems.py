@@ -5,9 +5,11 @@ import warnings
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from hypothesis import given, settings, strategies as st
 
 from gadisolve import gen_ex241, gen_ex242, gen_ex31, gen_ex421
 from gadisolve.problems import ProblemSpec
+from helpers import kron_ex241, kron_ex242
 
 
 # -- ex241 ----------------------------------------------------------------------
@@ -62,6 +64,19 @@ def test_generators_reject_a_size_below_1():
         gen_ex242(0)
     with pytest.raises(ValueError, match="^n must be at least 1$"):
         gen_ex421(0)
+
+
+@pytest.mark.parametrize("generate, name", [
+    (gen_ex241, "m"), (gen_ex242, "m"), (lambda n: gen_ex31(n, 0.1), "n"), (gen_ex421, "n")],
+    ids=["ex241", "ex242", "ex31", "ex421"])
+@pytest.mark.parametrize("value, message", [
+    (2.5, "must be an integer, got 2.5"), ("3", "must be an integer, got '3'"),
+    (True, "must be an integer, got True"), (0, "must be at least 1")],
+    ids=["float", "str", "bool", "zero"])
+def test_generators_reject_a_size_that_is_not_an_integer_at_least_1(generate, name, value,
+                                                                   message):
+    with pytest.raises(ValueError, match=f"^{name} {re.escape(message)}$"):
+        generate(value)
 
 
 def test_ex241_unit_stencil_variant():
@@ -280,3 +295,24 @@ def test_problem_spec_takes_integer_and_numpy_real_fields():
     assert spec.label() == "ex31(n=4,t=1)" and spec.build().n == 4
     spec = ProblemSpec("ex242", m=2, sigma1=np.float64(-5.0), sigma2=np.float32(2.5))
     assert spec.label() == "ex242(m=2,s1=-5,s2=2.5,stencil=h2)" and spec.build().n == 4
+
+
+# -- the direct CSR assembly of ex241/ex242 ---------------------------------------
+
+def _same_csr(A, B):
+    return (type(A) is type(B) and A.shape == B.shape
+            and all(a.dtype == b.dtype and a.tobytes() == b.tobytes()
+                    for a, b in ((A.indptr, B.indptr), (A.indices, B.indices),
+                                 (A.data, B.data))))
+
+
+@settings(derandomize=True, deadline=None, max_examples=120)
+@given(m=st.integers(1, 40), stencil=st.sampled_from(("unit", "h2")),
+       tau=st.sampled_from(("h", "500h")), sigma1=st.floats(0.0, 200.0),
+       sigma2=st.floats(1.0, 200.0))
+def test_the_grid_families_equal_their_kronecker_construction(m, stencil, tau, sigma1, sigma2):
+    for system, (W, T, b) in ((gen_ex241(m, tau, stencil), kron_ex241(m, tau, stencil)),
+                              (gen_ex242(m, sigma1, sigma2, stencil),
+                               kron_ex242(m, sigma1, sigma2, stencil))):
+        assert _same_csr(system.W, W) and _same_csr(system.T, T)
+        assert system.b.dtype == b.dtype and system.b.tobytes() == b.tobytes()
