@@ -63,15 +63,17 @@ def _stencil(m, stencil, shift):
 
     Row i m + j holds, in column order, those of the neighbours (i-1, j),
     (i, j-1), (i, j+1), (i+1, j) of grid point (i, j) that lie on the grid,
-    each o, and the point itself, (d + d) + shift: the values the sum
-    (I (x) V + V (x) I) + shift I gives, bit for bit.
+    each o, and the point itself, (d + d) + shift unless that is 0: the
+    entries the sum (I (x) V + V (x) I) + shift I stores, bit for bit.
     """
     _check_choice("stencil", stencil, STENCILS)
     h = 1.0 / (m + 1)
     d, o = (2.0 / h ** 2, -1.0 / h ** 2) if stencil == "h2" else (2.0, -1.0)
+    diagonal = (d + d) + float(shift)
     n = m * m
     keep = np.ones((m, m, 5), dtype=bool)  # (i, j, the five entries of row i m + j)
     keep[0, :, 0] = keep[:, 0, 1] = keep[:, -1, 3] = keep[-1, :, 4] = False
+    keep[:, :, 2] = diagonal != 0.0  # a sparse sum drops the zeros it makes
     keep = keep.reshape(-1)
     columns = np.empty((n, 5), dtype=np.int32)
     rows = np.arange(n, dtype=np.int32)
@@ -79,7 +81,7 @@ def _stencil(m, stencil, shift):
         columns[:, c] = rows + offset
     indptr = np.zeros(n + 1, dtype=np.int32)
     indptr[1:] = np.cumsum(keep, dtype=np.int32)[4::5]
-    data = np.tile([o, o, (d + d) + float(shift), o, o], n)[keep]
+    data = np.tile([o, o, diagonal, o, o], n)[keep]
     return sp.csr_array((data, columns.reshape(-1)[keep], indptr), shape=(n, n))
 
 

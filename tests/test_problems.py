@@ -5,7 +5,7 @@ import warnings
 import numpy as np
 import pytest
 import scipy.sparse as sp
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from gadisolve import gen_ex241, gen_ex242, gen_ex31, gen_ex421
 from gadisolve.problems import ProblemSpec
@@ -307,6 +307,7 @@ def _same_csr(A, B):
 
 
 @settings(derandomize=True, deadline=None, max_examples=120)
+@example(m=3, stencil="unit", tau="h", sigma1=-4.0, sigma2=1.0)  # K + sigma1 I has a zero diagonal
 @given(m=st.integers(1, 40), stencil=st.sampled_from(("unit", "h2")),
        tau=st.sampled_from(("h", "500h")), sigma1=st.floats(0.0, 200.0),
        sigma2=st.floats(1.0, 200.0))
