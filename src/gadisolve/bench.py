@@ -48,13 +48,14 @@ CSV_HEADER = ("algorithm", "n", "problem", "alpha", "omega", "RES", "IT", "CPU",
 LINEAR_METHODS = ("gadi", "hss", "mhss", "pmhss", "pmhss-vi", "cri", "tscsp")
 # a family's methods, the report of one cell's solve(problem, params,
 # config), the report field its IT column reads, and grid(problem, points,
-# config, capped): the reports of a whole grid from one pass, or None where
-# its cells are solved one by one. A solve looks its solver up here when it
-# runs, so a wrapper bound over bench.run_stationary sees it
+# config): the reports of a race of a whole grid to its first converged
+# sweep, from one pass, or None where its cells are solved one by one. A
+# solve looks its solver up here when it runs, so a wrapper bound over
+# bench.run_stationary sees it
 Family = namedtuple("Family", "methods solve it_field grid")
 _LINEAR = Family(LINEAR_METHODS, lambda p, params, config: run_stationary(p, params, config)[1],
                  "iterations", run_stationary_grid)
-_CELL_BY_CELL = lambda problem, points, config, capped: None
+_CELL_BY_CELL = lambda problem, points, config: None
 METHODS_BY_FAMILY = {
     "ex241": _LINEAR,
     "ex242": _LINEAR,
@@ -95,8 +96,9 @@ class ParamPolicy:
     default first, and a cell stops once it has taken as many sweeps as the
     best converged cell so far (except on ex421, whose IT counts inner
     sweeps). On ex241 and ex242 in exact or auto inner mode, at every n,
-    the whole grid is one closed-form pass in the systems' joint sine
-    eigenbasis (:func:`~gadisolve.splitting.run_stationary_grid`), with no
+    the whole grid is one closed-form race to its first converged sweep in
+    the systems' joint sine eigenbasis
+    (:func:`~gadisolve.splitting.run_stationary_grid`), with no
     factorization and no Krylov step, and only the winner is solved alone,
     for its report; elsewhere every cell is one solve. A row records the
     omega its sweeps ran with, 0 for a method that does not relax.
@@ -186,13 +188,6 @@ def _cell(spec, problem, method, alpha, omega, cfg, max_outer):
                  time.perf_counter() - t0), report)
 
 
-def _batch_rows(spec, method, points, reports):
-    """The rows of a grid the family solved in one pass; the closed form
-    fails no cell, and each row's CPU is the time into the pass at which its
-    point stopped."""
-    return [_row(spec, method, p, r, r.converged, r.wall_time) for p, r in zip(points, reports)]
-
-
 def _grid(spec, problem, method, shifts, omegas, cfg, max_outer):
     """The sweep policy's (shift, omega) cells, shift by shift, reduced as they
     run to ``(win, ran)``: the :func:`best_cell` winner as ``(row, report)``,
@@ -205,20 +200,23 @@ def _grid(spec, problem, method, shifts, omegas, cfg, max_outer):
     inclusive, so a tie still competes on RES and then on alpha.
 
     Where the family solves the grid in one pass (ex241 and ex242 with a
-    joint eigenbasis, inner exact or auto: every cell in lockstep in closed
-    form, under the same cap), no cell is solved alone; a converged winner
-    is solved once more, alone, for its report.
+    joint eigenbasis, inner exact or auto), the cells race in lockstep in
+    closed form and all stop at the first sweep at which one converges. The
+    cells that converge there are the cells of the fewest sweeps, so the
+    winner is the one the cell-by-cell loop finds. No cell is solved alone;
+    a converged winner is solved once more, alone, for its report.
     """
     family = METHODS_BY_FAMILY[spec.family]
-    capped = family.it_field == "iterations"
     points = [_params(method, a, w) for a in shifts for w in omegas]
-    reports = family.grid(problem, points, SolveConfig(cfg.tol, max_outer, cfg.inner), capped)
-    if reports is not None:
-        best = best_cell(_batch_rows(spec, method, points, reports))
+    reports = family.grid(problem, points, SolveConfig(cfg.tol, max_outer, cfg.inner))
+    if reports is not None:  # the closed form fails no cell
+        best = best_cell([_row(spec, method, p, r, r.converged, r.wall_time)
+                          for p, r in zip(points, reports)])
         if best.converged:
             return _cell(spec, problem, method, best.alpha, best.omega, cfg, max_outer), best
         return (best, None), best
     win = ran = None
+    capped = family.it_field == "iterations"
     for p in points:
         cell = row, report = _cell(spec, problem, method, p.alpha, p.omega, cfg, max_outer)
         if win is None or best_cell((win[0], row)) is row:
@@ -279,9 +277,9 @@ def sweep_params(spec, method, alpha_grid, omega_grid, tol=1e-5, inner="exact",
     ``alpha_grid`` None selects the geometric grid around the method's
     default shift. A method that does not relax runs at omega 0 alone,
     whatever ``omega_grid`` holds. Every cell may run to ``max_outer``
-    sweeps (Newton steps on ex421). A system with a closed form solves the
-    grid in one uncapped pass, as the sweep policy does. Every point is
-    checked before the first solve. Returns the BenchmarkRow of each cell in
+    sweeps (Newton steps on ex421); each is one solve of the family, in
+    closed form on ex241 and ex242 in exact or auto inner mode. Every point
+    is checked before the first solve. Returns the BenchmarkRow of each cell in
     grid order (omega-major), the order it solves them in; pick the winner
     with :func:`best_cell`.
     """
@@ -296,12 +294,7 @@ def sweep_params(spec, method, alpha_grid, omega_grid, tol=1e-5, inner="exact",
     problem = spec.build()
     if alpha_grid is None:
         alphas = _auto_grid(default_alpha(problem, METHOD_ALIASES.get(method, method)))
-    points = [_params(method, a, w) for w in omegas for a in alphas]
-    reports = METHODS_BY_FAMILY[spec.family].grid(problem, points,
-                                                   SolveConfig(tol, max_outer, inner), False)
-    if reports is not None:
-        return _batch_rows(spec, method, points, reports)
-    return [_cell(spec, problem, method, p.alpha, p.omega, cfg, max_outer)[0] for p in points]
+    return [_cell(spec, problem, method, a, w, cfg, max_outer)[0] for w in omegas for a in alphas]
 
 
 def best_cell(cells):

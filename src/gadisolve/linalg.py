@@ -6,6 +6,7 @@ arrays. All routines are pure functions of their inputs. CG and COCG are one
 recurrence that differs only in its form: the Hermitian inner product for CG,
 the unconjugated bilinear form x^T y for COCG.
 """
+import numbers
 import warnings
 
 import numpy as np
@@ -55,6 +56,25 @@ def _dense(M):
 def _eye_like(M, n):
     """The n x n identity, sparse (CSR) when M is sparse."""
     return sp.eye_array(n, format="csr") if sp.issparse(M) else np.eye(n)
+
+
+def _require_real(name, value, positive=True):
+    """A one-line ValueError unless ``value`` is a real number, not a bool,
+    and, if ``positive``, finite and > 0."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ValueError(f"{name} must be a real number, got {value!r}")
+    if positive and not value > 0:
+        raise ValueError(f"{name} must be positive, got {value}")
+    if positive and not np.isfinite(value):
+        raise ValueError(f"{name} must be finite, got {value}")
+
+
+def _require_count(name, value):
+    """A one-line ValueError unless ``value`` is an integer >= 1 and not a bool."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    if value < 1:
+        raise ValueError(f"{name} must be at least 1, got {value!r}")
 
 
 def vec(X):
@@ -242,13 +262,13 @@ def _read_rows(fh, count, dtype):
     """Parse the `count` lines after a header with one numpy call.
 
     A line with the wrong number of tokens, or a token that does not parse as
-    its field's type, raises ValueError; so does a file with fewer lines than
-    `count`.
+    its field's type, raises ValueError; so does a file with more or fewer
+    data lines than `count`. Blank lines are skipped.
     """
     with warnings.catch_warnings():
         # loadtxt warns on an empty body; its length is checked below
         warnings.simplefilter("ignore", UserWarning)
-        rows = np.loadtxt(fh, dtype=dtype, ndmin=1, max_rows=count)
+        rows = np.loadtxt(fh, dtype=dtype, ndmin=1)
     if len(rows) != count:
         raise ValueError(f"{len(rows)} data lines after the header, expected {count}")
     return rows

@@ -26,12 +26,12 @@ import scipy.linalg as sla
 import scipy.sparse as sp
 from scipy.linalg.lapack import ztrsyl
 
-from .linalg import (InnerSolverError, _dense, _eye_like, kron, load_dense_block,
-                     load_matrix_coo, save_dense_block, save_matrix_coo, vec)
+from .linalg import (InnerSolverError, _dense, _eye_like, _require_count, _require_real, kron,
+                     load_dense_block, load_matrix_coo, save_dense_block, save_matrix_coo, vec)
 from .spectral import optimal_alpha
 from .splitting import (DEFAULT_OMEGA, ComplexSymSystem, SolveConfig, SolveReport,
                         SplitParams, _check_data, _Diverged, _joint_eigenbasis, _ModalSweep,
-                        _require_count, _require_real, _sine_transform, _sweep)
+                        _sine_transform, _sweep)
 
 __all__ = [
     "LyapunovProblem", "RiccatiProblem", "LyapunovLift", "NewtonLift",

@@ -18,7 +18,7 @@ import scipy.linalg as sla
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .linalg import NotPositiveDefiniteError, _dense
+from .linalg import NotPositiveDefiniteError, _dense, _require_real
 
 __all__ = [
     "SpectrumSummary", "IterationMatrixPair",
@@ -113,10 +113,10 @@ def sigma_bound(alpha, spectrum):
 
     With a SpectrumSummary only the two endpoint ratios are evaluated, which
     is exact because the ratio is monotone on either side of alpha; with a
-    full spectrum the maximum runs over all eigenvalues.
+    full spectrum the maximum runs over all eigenvalues. alpha is checked as
+    :class:`~gadisolve.splitting.SplitParams` checks it: a finite real > 0.
     """
-    if alpha <= 0:
-        raise ValueError(f"alpha must be positive, got {alpha}")
+    _require_real("alpha", alpha)
     if isinstance(spectrum, SpectrumSummary):
         lams = np.array([spectrum.gamma_min, spectrum.gamma_max])
     else:
@@ -131,13 +131,13 @@ def build_iteration_matrices(system, alpha, omega):
 
     T(alpha) = (aI+iT)^-1 (aI-W) (aI+W)^-1 (aI-iT) is the HSS iteration
     matrix; M(alpha, omega) = (aI+iT)^-1 (aI+W)^-1 [a^2 I + iWT - (1-w)aA]
-    is the GADI one. The two satisfy M = ((2-w) T(alpha) + w I) / 2.
+    is the GADI one. The two satisfy M = ((2-w) T(alpha) + w I) / 2. alpha
+    is checked as in :func:`sigma_bound`.
     """
     n = system.n
     if n > DENSE_MATRIX_LIMIT:
         raise ValueError(f"dense iteration matrices limited to n <= {DENSE_MATRIX_LIMIT}, got n = {n}")
-    if alpha <= 0:
-        raise ValueError(f"alpha must be positive, got {alpha}")
+    _require_real("alpha", alpha)
     W, T = _dense(system.W), _dense(system.T)
     I = np.eye(n)
     aW = alpha * I + W

@@ -20,11 +20,12 @@ every n; only "iterative" mode runs CG/COCG on it. There every method's
 sweep is one factor g_j per mode, so from x = 0 the residual after k sweeps
 is g^k * S b. The sweep loop runs on its squared modulus, with no
 factorization and no matvec, and x is formed once at the end.
-:func:`run_stationary_grid` runs a whole grid of (alpha, omega) points of
+:func:`run_stationary_grid` races a whole grid of (alpha, omega) points of
 one method that way in one lockstep pass, on arrays of shape (points,
-modes), and reports what run_stationary would at each point. The Lyapunov
-solves of :mod:`gadisolve.matrixeq` run the same modal sweep on their lift
-when the 1-D DST-I diagonalizes their n x n W and T.
+modes), to the first sweep at which a point converges, and reports at each
+point what run_stationary would with max_outer lowered to that sweep. The
+Lyapunov solves of :mod:`gadisolve.matrixeq` run the same modal sweep on
+their lift when the 1-D DST-I diagonalizes their n x n W and T.
 
 One sweep loop, :func:`_sweep`, drives every single solve; the lockstep
 pass of run_stationary_grid is its counterpart for a grid. :class:`_ModalSweep`
@@ -34,14 +35,14 @@ basis, and ``x(state)``, the iterate; a caller tells the start by identity.
 """
 import functools
 import math
-import numbers
 import time
 from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
 
-from .linalg import DirectSolver, InnerSolverError, _dense, _eye_like, cg_hpd, cocg_sym
+from .linalg import (DirectSolver, InnerSolverError, _dense, _eye_like, _require_count,
+                     _require_real, cg_hpd, cocg_sym)
 from .spectral import eig_extremes_spd, optimal_alpha
 
 __all__ = [
@@ -56,8 +57,7 @@ DEFAULT_OMEGA = 0.01  # the GADI relaxation when none is given
 
 def _is_exactly_symmetric(M):
     if sp.issparse(M):
-        D = (M - M.T).tocoo()
-        return D.nnz == 0 or np.abs(D.data).max() == 0.0
+        return (M != M.T).nnz == 0
     M = np.asarray(M)
     return np.array_equal(M, M.T)
 
@@ -81,25 +81,6 @@ def _check_data(W, T, **hermitian):
     for name, M in hermitian.items():
         if np.linalg.norm(M - M.conj().T) > 1e-13 * np.linalg.norm(M):
             raise ValueError(f"{name} is not Hermitian")
-
-
-def _require_real(name, value, positive=True):
-    """A one-line ValueError unless ``value`` is a real number, not a bool,
-    and, if ``positive``, finite and > 0."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Real):
-        raise ValueError(f"{name} must be a real number, got {value!r}")
-    if positive and not value > 0:
-        raise ValueError(f"{name} must be positive, got {value}")
-    if positive and not np.isfinite(value):
-        raise ValueError(f"{name} must be finite, got {value}")
-
-
-def _require_count(name, value):
-    """A one-line ValueError unless ``value`` is an integer >= 1 and not a bool."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-        raise ValueError(f"{name} must be an integer, got {value!r}")
-    if value < 1:
-        raise ValueError(f"{name} must be at least 1, got {value!r}")
 
 
 def _sine_transform(S1, v):
@@ -570,24 +551,23 @@ def _closed_form(system, config):
     return config.inner != "iterative" and system.joint_eigenbasis is not None
 
 
-def run_stationary_grid(system, points, config=None, capped=False):
-    """The SolveReport :func:`run_stationary` gives at each of ``points``,
-    SplitParams of one method, from one pass over the grid; None when the
-    system has no closed form under ``config`` (no joint eigenbasis, or
-    inner "iterative"), so that its caller solves the points one by one.
-    An empty grid gives [] and builds no factors.
+def run_stationary_grid(system, points, config=None):
+    """A race of ``points``, SplitParams of one method, to the first converged
+    sweep, from one pass over the grid; None when the system has no closed
+    form under ``config`` (no joint eigenbasis, or inner "iterative"), so
+    that its caller solves the points one by one. An empty grid gives [] and
+    builds no factors.
 
     Every point sweeps its modal residual (see :class:`_ModalSweep`) in
     lockstep, ``w <- |g|^2 w`` on a C-ordered array of shape (points,
-    modes), with g built once for all points. Each sweep takes the RES of
-    every live point from one ``w.sum(axis=1)``, which adds each row as
-    the 1-D sum run_stationary takes of it (a test pins that), so every
-    report is run_stationary's bit for bit, except for ``wall_time``, the
-    time into the pass of the sweep at which the point stopped. No x is
-    formed. With ``capped``, after sweep k every point that has not
-    converged and comes after the first converged point stops at k: the
-    reports of solving the points in order, each with max_outer lowered to
-    the fewest sweeps a point before it converged in.
+    modes), with g built once for all points, until the first sweep k at
+    which some point's RES is not above tol, or until max_outer; every point
+    stops at that sweep. Each sweep takes the RES of every point from one
+    ``w.sum(axis=1)``, which adds each row as the 1-D sum run_stationary
+    takes of it (a test pins that), so each report is bit for bit what
+    :func:`run_stationary` gives with max_outer lowered to k, except for
+    ``wall_time``, the time of the whole pass. The points that converge are
+    those that converge alone in the fewest sweeps. No x is formed.
     """
     config = config or SolveConfig()
     if not _closed_form(system, config):
@@ -601,44 +581,19 @@ def run_stationary_grid(system, points, config=None, capped=False):
     nb = _norm_b(system)
     t0 = time.perf_counter()
     lam, mu, _ = system.joint_eigenbasis
-    live = np.arange(len(points))  # the points still sweeping, in grid order
     w = np.tile(np.abs(system._modal_b) ** 2, (len(points), 1))
     g2 = None
-    rows = []  # rows[k][i]: the RES of point i after sweep k, while it sweeps
-    stops = np.empty(len(points), dtype=int)  # the sweep at which each point stopped
-    walls = np.empty(len(points))
-    first = len(points)  # the first converged point
-    for k in range(config.max_outer + 1):
-        res = np.sqrt(w.sum(axis=1)) / nb
-        row = np.full(len(points), np.nan)
-        row[live] = res
-        rows.append(row)
-        done = res <= config.tol
-        if done.any():
-            first = min(first, live[done][0])
-        halt = ~(res > config.tol) | (k == config.max_outer)
-        if capped:
-            halt |= live > first
-        if halt.any():
-            stops[live[halt]] = k
-            walls[live[halt]] = time.perf_counter() - t0
-            go = ~halt
-            live = live[go]
-            if not live.size:
-                break
-            w, g2 = w[go], g2[go]
-        if g2 is None:  # every point starts at the same RES, so all take the first sweep
+    rows = [np.sqrt(w.sum(axis=1)) / nb]  # rows[k]: the RES of every point after sweep k
+    while (rows[-1] > config.tol).all() and len(rows) <= config.max_outer:
+        if g2 is None:  # a start that meets tol builds no factors
             g2 = np.abs(_mode_factors(lam, mu, method,
                                       np.array([[p.alpha] for p in points], float),
                                       np.array([[p.relaxation] for p in points], float))) ** 2
         w *= g2
-    table = np.array(rows).T
-    reports = []
-    for i, k in enumerate(stops.tolist()):
-        history = table[i, :k + 1].tolist()
-        reports.append(SolveReport(history[-1] <= config.tol, k, history[-1],
-                                   list(enumerate(history)), walls[i].item()))
-    return reports
+        rows.append(np.sqrt(w.sum(axis=1)) / nb)
+    wall = time.perf_counter() - t0
+    return [SolveReport(h[-1] <= config.tol, len(h) - 1, h[-1], list(enumerate(h)), wall)
+            for h in np.array(rows).T.tolist()]
 
 
 def default_alpha(system, method):

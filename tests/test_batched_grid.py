@@ -1,5 +1,6 @@
 """A sweep grid on a system with a joint sine eigenbasis is solved in one
-lockstep pass; each point's report must be the one its own solve gives."""
+lockstep pass, a race to the first converged sweep; each point's report must
+be the one its own solve gives with max_outer lowered to that sweep."""
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -40,16 +41,40 @@ def _outcome(report):
 
 @settings(derandomize=True, deadline=None, max_examples=80)
 @given(spec=SPECS, method=st.sampled_from(METHODS), alphas=ALPHAS, omegas=OMEGAS, tol=TOLS,
-       max_outer=st.integers(1, 200), inner=st.sampled_from(("exact", "auto")),
-       capped=st.booleans())
+       max_outer=st.integers(1, 200), inner=st.sampled_from(("exact", "auto")))
 def test_the_grid_pass_reports_each_point_as_its_own_solve(spec, method, alphas, omegas, tol,
-                                                           max_outer, inner, capped):
+                                                           max_outer, inner):
     system = spec.build()
     points = [SplitParams(method, a, w) for a in alphas for w in omegas]
     config = SolveConfig(tol, max_outer, inner)
-    reports = run_stationary_grid(system, points, config, capped)
-    expected = _one_by_one(system, points, config, capped)
+    reports = run_stationary_grid(system, points, config)
+    # a race: every point stops at the fewest sweeps a point stops in alone
+    alone = _one_by_one(system, points, config, capped=False)
+    first = min([r.iterations for r in alone if r.iterations < max_outer], default=max_outer)
+    expected = _one_by_one(system, points, SolveConfig(tol, max(first, 1), inner), capped=False)
     assert [_outcome(r) for r in reports] == [_outcome(r) for r in expected]
+
+
+def _winner(points, reports):
+    """The index best_cell picks: converged first, then fewest sweeps, then
+    smaller RES, then smaller alpha, the first of a tie."""
+    return min(range(len(points)), key=lambda i: (
+        not reports[i].converged, reports[i].iterations, reports[i].final_res, points[i].alpha))
+
+
+@settings(derandomize=True, deadline=None, max_examples=40)
+@given(spec=SPECS, method=st.sampled_from(METHODS), alphas=ALPHAS, omegas=OMEGAS, tol=TOLS,
+       max_outer=st.integers(1, 200))
+def test_the_race_finds_the_winner_of_the_capped_cell_by_cell_order(spec, method, alphas, omegas,
+                                                                    tol, max_outer):
+    system = spec.build()
+    points = [SplitParams(method, a, w) for a in alphas for w in omegas]
+    config = SolveConfig(tol, max_outer, "exact")
+    reports = run_stationary_grid(system, points, config)
+    capped = _one_by_one(system, points, config, capped=True)
+    win = _winner(points, reports)
+    assert win == _winner(points, capped)
+    assert _outcome(reports[win]) == _outcome(capped[win])
 
 
 @settings(derandomize=True, deadline=None, max_examples=40)
@@ -88,7 +113,7 @@ def test_a_start_that_meets_tol_builds_no_factors(monkeypatch):
     system = ProblemSpec("ex241", m=4, stencil="unit").build()
     points = [SplitParams("gadi", a) for a in (0.5, 1.0)]
     config = SolveConfig(tol=2.0)
-    reports = run_stationary_grid(system, points, config, capped=True)
+    reports = run_stationary_grid(system, points, config)
     assert [_outcome(r) for r in reports] == [
         _outcome(run_stationary(system, p, config)[1]) for p in points]
     assert all(r.converged and r.iterations == 0 for r in reports)

@@ -345,6 +345,31 @@ def test_load_vector_and_dense_block_reject_truncated_files(tmp_path):
         load_dense_block(block_path)
 
 
+@pytest.mark.parametrize("loader, body, expected", [
+    ("vector", "2\n1 0\n2 0\n3 0\n", 2),
+    ("coo", "2 2 1\n0 0 1.0 0.0\n1 1 2.0 0.0\n", 1),
+    ("dense", "1 1\n1.0 0.0\n2.0 0.0\n", 1),
+])
+def test_loaders_reject_data_lines_past_the_header_count(tmp_path, loader, body, expected):
+    from gadisolve import load_dense_block
+    load = {"vector": load_vector, "coo": load_matrix_coo, "dense": load_dense_block}[loader]
+    path = tmp_path / "long.txt"
+    path.write_text(body)
+    with pytest.raises(ValueError, match=f"^{expected + 1} data lines after the header, "
+                                         f"expected {expected}$"):
+        load(path)
+
+
+def test_loaders_skip_blank_trailing_lines(tmp_path):
+    from gadisolve import load_dense_block
+    (tmp_path / "v.txt").write_text("2\n1 0\n2 0\n\n\n")
+    assert load_vector(tmp_path / "v.txt").tolist() == [1, 2]
+    (tmp_path / "m.coo").write_text("2 2 1\n1 0 3.0 -1.0\n\n")
+    assert load_matrix_coo(tmp_path / "m.coo").toarray().tolist() == [[0, 0], [3 - 1j, 0]]
+    (tmp_path / "b.dense").write_text("1 2\n1.0 0.0 0.0 2.0\n\n")
+    assert load_dense_block(tmp_path / "b.dense").tolist() == [[1, 2j]]
+
+
 def test_readers_keep_signed_zeros_and_empty_files(tmp_path):
     from gadisolve import load_dense_block, save_dense_block
     x = np.array([complex(-0.0, 1.0), complex(2.0, -0.0)])

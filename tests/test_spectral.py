@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from gadisolve import (ComplexSymSystem, NotPositiveDefiniteError, SpectrumSummary,
+from gadisolve import (ComplexSymSystem, NotPositiveDefiniteError, SplitParams, SpectrumSummary,
                        build_iteration_matrices, eig_extremes_spd, gen_ex31,
                        gen_ex241, lift_lyapunov, optimal_alpha, sigma_bound,
                        spectral_radius)
@@ -110,6 +110,22 @@ def test_optimal_alpha_rejects_nonpositive():
     for lam in (np.array([3.0, 0.0, 1.0]), np.array([2.0, -1.0])):
         with pytest.raises(NotPositiveDefiniteError):
             optimal_alpha(lam)
+
+
+@pytest.mark.parametrize("alpha, message", [
+    (float("nan"), "alpha must be positive, got nan"),
+    (float("inf"), "alpha must be finite, got inf"),
+    (True, "alpha must be a real number, got True"),
+    ("1", "alpha must be a real number, got '1'"),
+])
+def test_diagnostics_check_alpha_as_split_params_does(alpha, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        SplitParams("gadi", alpha)
+    for spectrum in (np.array([1.0, 2.0]), SpectrumSummary(1.0, 2.0)):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            sigma_bound(alpha, spectrum)
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        build_iteration_matrices(gen_ex241(2), alpha, 0.5)
 
 
 def test_sigma_bound_single_eigenvalue():

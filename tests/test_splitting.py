@@ -300,6 +300,46 @@ def test_system_rejects_bad_shapes_and_asymmetry():
         ComplexSymSystem(W, T, b)
 
 
+SPARSE_FORMATS = [getattr(sp, f"{name}_{kind}") for kind in ("array", "matrix")
+                  for name in ("csr", "csc", "coo", "dia", "lil", "dok", "bsr")]
+
+
+def _noncanonical_csr(n, entries):
+    """A CSR array holding ``entries`` (i, j, v) as given: within a row in
+    their drawn order, duplicates and explicit zeros kept."""
+    entries = sorted(entries, key=lambda e: e[0])  # stable: each row keeps its order
+    indptr = np.searchsorted([i for i, _, _ in entries], np.arange(n + 1))
+    return sp.csr_array((np.array([v for *_, v in entries], float),
+                         np.array([j for _, j, _ in entries], np.int32), indptr), shape=(n, n))
+
+
+@settings(derandomize=True, deadline=None, max_examples=150)
+@given(data=st.data(), n=st.integers(1, 5), mirror=st.booleans(),
+       fmt=st.sampled_from(SPARSE_FORMATS))
+def test_the_sparse_symmetry_check_is_the_dense_one(data, n, mirror, fmt):
+    from gadisolve.splitting import _is_exactly_symmetric
+    value = st.one_of(st.sampled_from((0.0, 1.0, -1.0, 1e-300, -1e-300)), st.floats(-1e3, 1e3))
+    entry = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1), value)
+    entries = data.draw(st.lists(entry, max_size=12))
+    if mirror:
+        entries += [(j, i, v) for i, j, v in entries]
+    entries += data.draw(st.lists(entry, max_size=1))  # perhaps one more, off its mirror
+    entries = data.draw(st.permutations(entries))
+    M = _noncanonical_csr(n, entries)
+    dense = M.toarray()
+    assert _is_exactly_symmetric(M) == np.array_equal(dense, dense.T)
+    assert _is_exactly_symmetric(fmt(M)) == np.array_equal(dense, dense.T)
+
+
+def test_a_one_entry_asymmetry_of_1e_300_is_seen():
+    from gadisolve.splitting import _is_exactly_symmetric
+    M = _noncanonical_csr(3, [(0, 1, 2.0), (1, 0, 2.0), (2, 0, 1e-300), (1, 1, 0.0)])
+    for fmt in SPARSE_FORMATS:
+        assert not _is_exactly_symmetric(fmt(M))
+    assert _is_exactly_symmetric(_noncanonical_csr(2, [(1, 0, 1e-300), (0, 0, 1.0),
+                                                       (0, 1, 1e-300)]))
+
+
 def test_parabolic_grid_m8_tuned_gadi_under_10_iterations():
     # reference iteration count for this row is 5
     system = gen_ex241(8, "h", stencil="unit")
