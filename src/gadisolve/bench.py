@@ -20,6 +20,7 @@ import argparse
 import configparser
 import csv
 import functools
+import itertools
 import math
 import os
 import re
@@ -47,15 +48,15 @@ CSV_HEADER = ("algorithm", "n", "problem", "alpha", "omega", "RES", "IT", "CPU",
 
 LINEAR_METHODS = ("gadi", "hss", "mhss", "pmhss", "pmhss-vi", "cri", "tscsp")
 # a family's methods, the report of one cell's solve(problem, params,
-# config), the report field its IT column reads, and grid(problem, points,
-# config): the reports of a race of a whole grid to its first converged
-# sweep, from one pass, or None where its cells are solved one by one. A
-# solve looks its solver up here when it runs, so a wrapper bound over
-# bench.run_stationary sees it
+# config), the report field its IT column reads, and grid(problem, method,
+# alphas, omegas, config): the reports of a race of the grid alphas x omegas,
+# alpha-major, to its first converged sweep, from one pass, or None where its
+# cells are solved one by one. A solve looks its solver up here when it
+# runs, so a wrapper bound over bench.run_stationary sees it
 Family = namedtuple("Family", "methods solve it_field grid")
 _LINEAR = Family(LINEAR_METHODS, lambda p, params, config: run_stationary(p, params, config)[1],
                  "iterations", run_stationary_grid)
-_CELL_BY_CELL = lambda problem, points, config: None
+_CELL_BY_CELL = lambda problem, method, alphas, omegas, config: None
 METHODS_BY_FAMILY = {
     "ex241": _LINEAR,
     "ex242": _LINEAR,
@@ -96,12 +97,13 @@ class ParamPolicy:
     default first, and a cell stops once it has taken as many sweeps as the
     best converged cell so far (except on ex421, whose IT counts inner
     sweeps). On ex241 and ex242 in exact or auto inner mode, at every n,
-    the whole grid is one closed-form race to its first converged sweep in
-    the systems' joint sine eigenbasis
+    the whole grid, shifts times relaxations, is one closed-form race to
+    its first converged sweep in the systems' joint sine eigenbasis
     (:func:`~gadisolve.splitting.run_stationary_grid`), with no
-    factorization and no Krylov step, and only the winner is solved alone,
-    for its report; elsewhere every cell is one solve. A row records the
-    omega its sweeps ran with, 0 for a method that does not relax.
+    factorization and no Krylov step; the winner's row and report come from
+    the race, and no cell is solved alone. Elsewhere every cell is one
+    solve. A row records the omega its sweeps ran with, 0 for a method that
+    does not relax.
     """
     kind: str = "fixed"
     points: tuple = ((None, None),)
@@ -201,24 +203,27 @@ def _grid(spec, problem, method, shifts, omegas, cfg, max_outer):
 
     Where the family solves the grid in one pass (ex241 and ex242 with a
     joint eigenbasis, inner exact or auto), the cells race in lockstep in
-    closed form and all stop at the first sweep at which one converges. The
-    cells that converge there are the cells of the fewest sweeps, so the
-    winner is the one the cell-by-cell loop finds. No cell is solved alone;
-    a converged winner is solved once more, alone, for its report.
+    closed form, shifts times omegas, and all stop at the first sweep at
+    which one converges. The cells that converge there are the cells of the
+    fewest sweeps, so the winner is the one the cell-by-cell loop finds, by
+    best_cell's key on the race's reports. Only its row is made, with the
+    pass's time as CPU, and it keeps the race's report: no cell is solved
+    alone.
     """
     family = METHODS_BY_FAMILY[spec.family]
-    points = [_params(method, a, w) for a in shifts for w in omegas]
-    reports = family.grid(problem, points, SolveConfig(cfg.tol, max_outer, cfg.inner))
+    reports = family.grid(problem, METHOD_ALIASES.get(method, method), shifts, omegas,
+                          SolveConfig(cfg.tol, max_outer, cfg.inner))
     if reports is not None:  # the closed form fails no cell
-        best = best_cell([_row(spec, method, p, r, r.converged, r.wall_time)
-                          for p, r in zip(points, reports)])
-        if best.converged:
-            return _cell(spec, problem, method, best.alpha, best.omega, cfg, max_outer), best
-        return (best, None), best
+        k = len(omegas)
+        i = min(range(len(reports)), key=lambda j: _cell_key(
+            reports[j].converged, reports[j].iterations, reports[j].final_res, shifts[j // k]))
+        report, params = reports[i], _params(method, shifts[i // k], omegas[i % k])
+        row = _row(spec, method, params, report, report.converged, report.wall_time)
+        return (row, report if report.converged else None), row
     win = ran = None
     capped = family.it_field == "iterations"
-    for p in points:
-        cell = row, report = _cell(spec, problem, method, p.alpha, p.omega, cfg, max_outer)
+    for alpha, omega in itertools.product(shifts, omegas):
+        cell = row, report = _cell(spec, problem, method, alpha, omega, cfg, max_outer)
         if win is None or best_cell((win[0], row)) is row:
             win = cell
         if report is not None and (ran is None or best_cell((ran, row)) is row):
@@ -297,12 +302,15 @@ def sweep_params(spec, method, alpha_grid, omega_grid, tol=1e-5, inner="exact",
     return [_cell(spec, problem, method, a, w, cfg, max_outer)[0] for w in omegas for a in alphas]
 
 
+def _cell_key(converged, it, res, alpha):
+    """The order of sweep cells: converged first, then fewest iterations, then
+    smaller residual (NaN read as inf), then smaller alpha."""
+    return (0 if converged else 1, it, res if np.isfinite(res) else math.inf, alpha)
+
+
 def best_cell(cells):
     """Winning sweep cell: fewest iterations, then smaller residual, then smaller alpha."""
-    def key(c):
-        res = c.res if np.isfinite(c.res) else math.inf
-        return (0 if c.converged else 1, c.it, res, c.alpha)
-    return min(cells, key=key)
+    return min(cells, key=lambda c: _cell_key(c.converged, c.it, c.res, c.alpha))
 
 
 # -- output -------------------------------------------------------------------

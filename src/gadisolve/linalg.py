@@ -318,6 +318,9 @@ def save_dense_block(path, M):
 def load_dense_block(path):
     with open(path) as fh:
         m, n = (int(t) for t in fh.readline().split())
-        if n == 0:  # loadtxt skips the m empty lines of an m x 0 block
+        if n == 0:  # an m x 0 block is m blank lines, so every other line is extra
+            extra = sum(1 for line in fh if line.strip())
+            if extra:
+                raise ValueError(f"{extra} data lines after the header, expected 0")
             return np.zeros((m, 0), dtype=complex)
         return _read_rows(fh, m, np.dtype([("row", float, (2 * n,))]))["row"].view(complex)

@@ -20,10 +20,11 @@ every n; only "iterative" mode runs CG/COCG on it. There every method's
 sweep is one factor g_j per mode, so from x = 0 the residual after k sweeps
 is g^k * S b. The sweep loop runs on its squared modulus, with no
 factorization and no matvec, and x is formed once at the end.
-:func:`run_stationary_grid` races a whole grid of (alpha, omega) points of
-one method that way in one lockstep pass, on arrays of shape (points,
-modes), to the first sweep at which a point converges, and reports at each
-point what run_stationary would with max_outer lowered to that sweep. The
+:func:`run_stationary_grid` races a whole grid of one method, the product
+of its shifts and relaxations, that way in one lockstep pass, on arrays of
+shape (points, modes) with g built once per shift, to the first sweep at
+which a point converges. It reports at each point what run_stationary would
+with max_outer lowered to that sweep, so no point is solved alone. The
 Lyapunov solves of :mod:`gadisolve.matrixeq` run the same modal sweep on
 their lift when the 1-D DST-I diagonalizes their n x n W and T.
 
@@ -453,9 +454,11 @@ def _mode_factors(lam, mu, method, alpha, omega):
     g is the method's own row of the method table, swept once on
     (diag(lam), diag(mu)) with b = 0 from the ones vector, at shift
     ``alpha`` and relaxation ``omega`` (:attr:`SplitParams.relaxation`).
-    Scalars give g for one point; (points, 1) columns give one row of g per
-    point, each bit for bit the g of that point alone, since every step is
-    elementwise.
+    Scalars give g for one point. An (A, 1, 1) column of shifts and a
+    (1, W, 1) row of relaxations give the (A, W, modes) block of their
+    product (or (A, 1, modes) for a method that does not relax), each row
+    bit for bit the g of its point alone, since every step is elementwise;
+    the terms of alpha alone are computed once per shift.
     """
     n = lam.shape[0]
     ones = np.ones(n)
@@ -551,44 +554,47 @@ def _closed_form(system, config):
     return config.inner != "iterative" and system.joint_eigenbasis is not None
 
 
-def run_stationary_grid(system, points, config=None):
-    """A race of ``points``, SplitParams of one method, to the first converged
-    sweep, from one pass over the grid; None when the system has no closed
-    form under ``config`` (no joint eigenbasis, or inner "iterative"), so
-    that its caller solves the points one by one. An empty grid gives [] and
-    builds no factors.
+def run_stationary_grid(system, method, alphas, omegas, config=None):
+    """A race of the grid ``alphas x omegas`` of ``method``, alpha-major, to
+    the first converged sweep, from one pass; None when the system has no
+    closed form under ``config`` (no joint eigenbasis, or inner
+    "iterative"), so that its caller solves the points one by one. Each
+    alpha and omega is first checked once, as SplitParams checks it; an
+    empty grid then gives [] and builds no factors.
 
     Every point sweeps its modal residual (see :class:`_ModalSweep`) in
     lockstep, ``w <- |g|^2 w`` on a C-ordered array of shape (points,
-    modes), with g built once for all points, until the first sweep k at
-    which some point's RES is not above tol, or until max_outer; every point
-    stops at that sweep. Each sweep takes the RES of every point from one
-    ``w.sum(axis=1)``, which adds each row as the 1-D sum run_stationary
-    takes of it (a test pins that), so each report is bit for bit what
-    :func:`run_stationary` gives with max_outer lowered to k, except for
-    ``wall_time``, the time of the whole pass. The points that converge are
-    those that converge alone in the fewest sweeps. No x is formed.
+    modes), with g built once per shift (see :func:`_mode_factors`), until
+    the first sweep k at which some point's RES is not above tol, or until
+    max_outer; every point stops at that sweep. Each sweep takes the RES of
+    every point from one ``w.sum(axis=1)``, which adds each row as the 1-D
+    sum run_stationary takes of it (a test pins that), so each report is bit
+    for bit what :func:`run_stationary` gives with max_outer lowered to k,
+    except for ``wall_time``, the time of the whole pass. The points that
+    converge are those that converge alone in the fewest sweeps, so the
+    winner and its report come from here, and no point is solved alone. No
+    x is formed.
     """
     config = config or SolveConfig()
+    shifts = np.array([SplitParams(method, a).alpha for a in alphas], float)
+    relaxations = np.array([SplitParams(method, 1.0, w).relaxation for w in omegas], float)
     if not _closed_form(system, config):
         return None
-    if not points:
+    if not (shifts.size and relaxations.size):
         return []
-    methods = {p.method for p in points}
-    if len(methods) != 1:
-        raise ValueError(f"grid points must share one method, got {sorted(methods)}")
-    (method,) = methods
     nb = _norm_b(system)
     t0 = time.perf_counter()
     lam, mu, _ = system.joint_eigenbasis
-    w = np.tile(np.abs(system._modal_b) ** 2, (len(points), 1))
+    shape = (shifts.size, relaxations.size, lam.size)
+    w = np.tile(np.abs(system._modal_b) ** 2, (shape[0] * shape[1], 1))
     g2 = None
     rows = [np.sqrt(w.sum(axis=1)) / nb]  # rows[k]: the RES of every point after sweep k
     while (rows[-1] > config.tol).all() and len(rows) <= config.max_outer:
         if g2 is None:  # a start that meets tol builds no factors
-            g2 = np.abs(_mode_factors(lam, mu, method,
-                                      np.array([[p.alpha] for p in points], float),
-                                      np.array([[p.relaxation] for p in points], float))) ** 2
+            g = _mode_factors(lam, mu, method, shifts.reshape(-1, 1, 1),
+                              relaxations.reshape(1, -1, 1))
+            # a method that does not relax gives one row of g per shift
+            g2 = np.broadcast_to(np.abs(g) ** 2, shape).reshape(w.shape)
         w *= g2
         rows.append(np.sqrt(w.sum(axis=1)) / nb)
     wall = time.perf_counter() - t0

@@ -47,7 +47,7 @@ def test_the_grid_pass_reports_each_point_as_its_own_solve(spec, method, alphas,
     system = spec.build()
     points = [SplitParams(method, a, w) for a in alphas for w in omegas]
     config = SolveConfig(tol, max_outer, inner)
-    reports = run_stationary_grid(system, points, config)
+    reports = run_stationary_grid(system, method, alphas, omegas, config)
     # a race: every point stops at the fewest sweeps a point stops in alone
     alone = _one_by_one(system, points, config, capped=False)
     first = min([r.iterations for r in alone if r.iterations < max_outer], default=max_outer)
@@ -70,7 +70,7 @@ def test_the_race_finds_the_winner_of_the_capped_cell_by_cell_order(spec, method
     system = spec.build()
     points = [SplitParams(method, a, w) for a in alphas for w in omegas]
     config = SolveConfig(tol, max_outer, "exact")
-    reports = run_stationary_grid(system, points, config)
+    reports = run_stationary_grid(system, method, alphas, omegas, config)
     capped = _one_by_one(system, points, config, capped=True)
     win = _winner(points, reports)
     assert win == _winner(points, capped)
@@ -94,17 +94,28 @@ def test_sweep_params_rows_are_the_solves_of_their_cells(spec, method, alphas, o
 
 def test_a_system_without_a_closed_form_is_left_to_its_caller():
     detected = ProblemSpec("ex241", m=4, stencil="unit").build()
-    points = [SplitParams("gadi", 1.0)]
-    assert run_stationary_grid(detected, points, SolveConfig(inner="iterative")) is None
+    assert run_stationary_grid(detected, "gadi", [1.0], [0.01],
+                               SolveConfig(inner="iterative")) is None
     other = random_system(np.random.default_rng(0), 5)
-    assert run_stationary_grid(other, points, SolveConfig(inner="exact")) is None
+    assert run_stationary_grid(other, "gadi", [1.0], [0.01], SolveConfig(inner="exact")) is None
 
 
-def test_the_grid_points_share_one_method():
+@pytest.mark.parametrize("method, alphas, omegas, message", [
+    ("gadi", [1.0, -1.0], [0.0], r"^alpha must be positive, got -1.0$"),
+    ("mhss", [1.0, float("inf")], [0.0], r"^alpha must be finite, got inf$"),
+    ("gadi", [1.0], [0.0, 2.5], r"^omega must lie in \[0, 2\), got 2.5$"),
+    ("hss", [1.0], [True], r"^omega must be a real number, got True$"),
+    ("sor", [1.0], [0.0], r"^unknown method 'sor'; expected one of "),
+    ("gadi", [], [2.5], r"^omega must lie in \[0, 2\), got 2.5$"),
+], ids=["negative-alpha", "infinite-alpha", "omega-above-2", "bool-omega", "unknown-method",
+        "no-alphas"])
+def test_a_bad_grid_raises_split_params_message_before_any_factor(monkeypatch, method, alphas,
+                                                                  omegas, message):
+    from gadisolve import splitting
+    monkeypatch.setattr(splitting, "_mode_factors", None)  # a call would raise
     system = ProblemSpec("ex241", m=4, stencil="unit").build()
-    with pytest.raises(ValueError, match=r"^grid points must share one method, got \['gadi', "
-                                         r"'mhss'\]$"):
-        run_stationary_grid(system, [SplitParams("gadi", 1.0), SplitParams("mhss", 1.0)])
+    with pytest.raises(ValueError, match=message):
+        run_stationary_grid(system, method, alphas, omegas)
 
 
 def test_a_start_that_meets_tol_builds_no_factors(monkeypatch):
@@ -113,7 +124,7 @@ def test_a_start_that_meets_tol_builds_no_factors(monkeypatch):
     system = ProblemSpec("ex241", m=4, stencil="unit").build()
     points = [SplitParams("gadi", a) for a in (0.5, 1.0)]
     config = SolveConfig(tol=2.0)
-    reports = run_stationary_grid(system, points, config)
+    reports = run_stationary_grid(system, "gadi", (0.5, 1.0), (0.01,), config)
     assert [_outcome(r) for r in reports] == [
         _outcome(run_stationary(system, p, config)[1]) for p in points]
     assert all(r.converged and r.iterations == 0 for r in reports)
@@ -123,8 +134,9 @@ def test_an_empty_grid_reports_nothing_and_builds_no_factors(monkeypatch):
     from gadisolve import splitting
     monkeypatch.setattr(splitting, "_mode_factors", None)  # a call would raise
     system = ProblemSpec("ex241", m=4, stencil="unit").build()
-    assert run_stationary_grid(system, []) == []
-    assert run_stationary_grid(system, [], SolveConfig(inner="iterative")) is None
+    assert run_stationary_grid(system, "gadi", [], [0.01]) == []
+    assert run_stationary_grid(system, "gadi", [1.0], []) == []
+    assert run_stationary_grid(system, "gadi", [], [], SolveConfig(inner="iterative")) is None
 
 
 @pytest.mark.parametrize("modes", [1, 7, 8, 9, 127, 128, 129, 255, 256, 1000, 2304, 9216])
@@ -138,5 +150,3 @@ def test_the_block_row_sums_are_the_sums_of_the_rows(modes):
         block = w[:points]
         assert block.flags.c_contiguous
         assert block.sum(axis=1).tobytes() == np.array([r.sum() for r in block]).tobytes()
-        compact = block[rng.random(points) < 0.6]  # the pass's compaction of stopped rows
-        assert compact.sum(axis=1).tobytes() == np.array([r.sum() for r in compact]).tobytes()

@@ -246,19 +246,24 @@ def test_capped_sweep_policy_finds_the_full_grid_winner(monkeypatch, spec):
 
 
 def _count_mode_factors(monkeypatch):
-    """The number of points of every per-mode factor build."""
+    """The (shifts, relaxations) of every per-mode factor build."""
     from gadisolve import splitting
     sizes = []
     original = splitting._mode_factors
 
     def counted(lam, mu, method, alpha, omega):
-        sizes.append(np.size(alpha))
+        sizes.append((np.size(alpha), np.size(omega)))
         return original(lam, mu, method, alpha, omega)
     monkeypatch.setattr(splitting, "_mode_factors", counted)
     return sizes
 
 
+def _outcome(report):
+    return report.converged, report.iterations, report.final_res, report.residual_history
+
+
 def test_detected_sweep_policy_solves_the_grid_in_one_pass(monkeypatch):
+    from gadisolve import SolveConfig, SplitParams, run_stationary
     spec = ProblemSpec("ex241", m=4, stencil="unit")
     best = best_cell(sweep_params(spec, "gadi", None, SWEEP_OMEGAS, tol=1e-5))
     calls, sizes = _count_solves(monkeypatch), _count_mode_factors(monkeypatch)
@@ -266,12 +271,13 @@ def test_detected_sweep_policy_solves_the_grid_in_one_pass(monkeypatch):
     cfg = RunConfig((spec,), ("gadi",), ParamPolicy("sweep"), tol=1e-5)
     (row,) = run_grid(cfg, on_report=lambda r, rep: reports.append(rep))
     assert (row.alpha, row.omega, row.it, row.res) == (best.alpha, best.omega, best.it, best.res)
-    # g once for the 63 cells, then once more in the one solve of the winner
-    assert sizes == [21 * 3, 1]
-    assert [(params.alpha, params.omega, max_outer) for params, max_outer, _ in calls] == [
-        (row.alpha, row.omega, SWEEP_MAX_OUTER)]
+    # g once for the 21 shifts times 3 omegas, and no solve of the winner alone
+    assert sizes == [(21, 3)] and calls == []
+    # the race's own report of the winner is its solve's
     (report,) = reports
-    assert report is calls[0][2]
+    own = run_stationary(spec.build(), SplitParams("gadi", row.alpha, row.omega),
+                         SolveConfig(1e-5, SWEEP_MAX_OUTER, "exact"))[1]
+    assert _outcome(report) == _outcome(own)
     assert report.converged and report.iterations == row.it
     assert len(report.residual_history) == row.it + 1
 
@@ -283,7 +289,7 @@ def test_detected_sweep_policy_without_a_converged_cell_solves_once(monkeypatch)
     reports = []
     cfg = RunConfig((spec,), ("gadi",), ParamPolicy("sweep"), tol=1e-300, max_outer=3)
     (row,) = run_grid(cfg, on_report=lambda r, rep: reports.append(rep))
-    assert sizes == [21 * 3, 1]
+    assert sizes == [(21, 3), (1, 1)]
     assert len(calls) == 1  # the best cell, with the full max_outer
     assert not row.converged and row.it == 3
     assert (row.alpha, row.omega, row.res) == (best.alpha, best.omega, best.res)
@@ -300,7 +306,7 @@ def test_detected_capped_sweep_policy_finds_the_full_grid_winner(monkeypatch, sp
     calls, sizes = _count_solves(monkeypatch), _count_mode_factors(monkeypatch)
     (row,) = run_grid(RunConfig((spec,), ("gadi",), ParamPolicy("sweep")))
     assert (row.alpha, row.omega, row.it, row.res) == (best.alpha, best.omega, best.it, best.res)
-    assert sizes == [21 * 3, 1] and len(calls) == 1
+    assert sizes == [(21, 3)] and calls == []
 
 
 def test_a_factorization_failure_fails_every_omega_of_its_shift(monkeypatch):

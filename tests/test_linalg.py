@@ -349,6 +349,7 @@ def test_load_vector_and_dense_block_reject_truncated_files(tmp_path):
     ("vector", "2\n1 0\n2 0\n3 0\n", 2),
     ("coo", "2 2 1\n0 0 1.0 0.0\n1 1 2.0 0.0\n", 1),
     ("dense", "1 1\n1.0 0.0\n2.0 0.0\n", 1),
+    ("dense", "2 0\n\n\n1.0 2.0\n", 0),  # an m x 0 block is its header and m blank lines
 ])
 def test_loaders_reject_data_lines_past_the_header_count(tmp_path, loader, body, expected):
     from gadisolve import load_dense_block
