@@ -202,8 +202,8 @@ def _grid(spec, problem, method, shifts, omegas, cfg, max_outer):
     inclusive, so a tie still competes on RES and then on alpha.
 
     Where the family solves the grid in one pass (ex241 and ex242 with a
-    joint eigenbasis, inner exact or auto), the cells race in lockstep in
-    closed form, shifts times omegas, and all stop at the first sweep at
+    joint eigenbasis, inner exact or auto), the cells race as one closed-form
+    sweep of the grid, shifts times omegas, and all stop at the first sweep at
     which one converges. The cells that converge there are the cells of the
     fewest sweeps, so the winner is the one the cell-by-cell loop finds, by
     best_cell's key on the race's reports. Only its row is made, with the

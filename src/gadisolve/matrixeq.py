@@ -322,7 +322,8 @@ def _solve_lyapunov(problem, method, params, config):
         # which takes vec X to S1 X S1
         lam, mu, S1 = basis
         sweep = _ModalSweep((lam[:, None] + lam).ravel(), (mu - mu[:, None]).ravel(), S1,
-                            _sine_transform(S1, problem.Q), params)
+                            _sine_transform(S1, problem.Q), params.method, params.alpha,
+                            params.relaxation)
 
     # the residual in the sweep's basis decides while it is above tol; at or
     # below tol the residual of X decides and is reported, and X = 0 has RES 1
@@ -489,7 +490,10 @@ def newton_gadi_riccati(problem, outer_tol=1e-6, max_outer=30, inner_forcing=(0.
     and builds no Schur form, and every later step would repeat it.
     outer_tol must be finite and positive, and max_outer at least 1. The
     default shift ``alpha`` is ``default_alpha(problem, "gadi")``, taken of
-    the eigenvalues of W that the sweeps use.
+    the eigenvalues of W that the sweeps use. Of the equation's Hermitian
+    solutions, ``x0 = 0`` (the Kleinman start) converges to the anti-stable
+    one, min Re eig(A - G X) > 0, as a rule; the default start may not: on
+    W = 1, T = 0, G = 1, Q = 3 it returns x = 3, where A - G x = -2.
 
     Two safeguards keep the iteration well posed: a start whose first step
     operator is numerically singular is inflated by a multiple of the

@@ -20,19 +20,16 @@ every n; only "iterative" mode runs CG/COCG on it. There every method's
 sweep is one factor g_j per mode, so from x = 0 the residual after k sweeps
 is g^k * S b. The sweep loop runs on its squared modulus, with no
 factorization and no matvec, and x is formed once at the end.
-:func:`run_stationary_grid` races a whole grid of one method, the product
-of its shifts and relaxations, that way in one lockstep pass, on arrays of
-shape (points, modes) with g built once per shift, to the first sweep at
-which a point converges. It reports at each point what run_stationary would
-with max_outer lowered to that sweep, so no point is solved alone. The
+:func:`run_stationary_grid` races a product grid of shifts and relaxations
+as one such sweep, to the first sweep at which a point converges. The
 Lyapunov solves of :mod:`gadisolve.matrixeq` run the same modal sweep on
 their lift when the 1-D DST-I diagonalizes their n x n W and T.
 
-One sweep loop, :func:`_sweep`, drives every single solve; the lockstep
-pass of run_stationary_grid is its counterpart for a grid. :class:`_ModalSweep`
-and ``matrixeq._EigenSweep`` offer it the same members: ``start``,
-``make_step()``, ``res(state)``, the absolute residual norm in the sweep's
-basis, and ``x(state)``, the iterate; a caller tells the start by identity.
+One sweep loop, :func:`_sweep`, drives every solve and the grid race.
+:class:`_ModalSweep` and ``matrixeq._EigenSweep`` offer it the same
+members: ``start``, ``make_step()``, ``res(state)``, the absolute residual
+norm in the sweep's basis, and ``x(state)``, the iterate; a caller tells
+the start by identity.
 """
 import functools
 import math
@@ -66,7 +63,7 @@ def _is_exactly_symmetric(M):
 def _check_data(W, T, **hermitian):
     """Reject malformed problem data with a one-line ValueError: W, T and the
     named Hermitian matrices must be finite and n x n with n >= 1, W and T
-    exactly symmetric."""
+    real (in value, of any dtype) and exactly symmetric."""
     n = W.shape[0]
     if n == 0:
         raise ValueError("W is empty: n must be at least 1")
@@ -74,8 +71,11 @@ def _check_data(W, T, **hermitian):
     for name, M in mats.items():
         if M.shape != (n, n):
             raise ValueError(f"{name} must be {n}x{n}, got {M.shape}")
-        if not np.isfinite(M.data if sp.issparse(M) else M).all():
+        data = M.data if sp.issparse(M) else M
+        if not np.isfinite(data).all():
             raise ValueError(f"{name} has non-finite entries")
+        if name in ("W", "T") and np.imag(data).any():
+            raise ValueError(f"{name} has a nonzero imaginary part")
     for name in ("W", "T"):
         if not _is_exactly_symmetric(mats[name]):
             raise ValueError(f"{name} is not symmetric")
@@ -475,23 +475,26 @@ class _ModalSweep:
     There every method's sweep is one factor g_j per mode
     (:func:`_mode_factors`). From x = 0 the residual after k sweeps is
     g^k * S b exactly, so a state is (k, w) with w = |g^k * S b|^2, a sweep
-    maps it to (k + 1, |g|^2 w), and :meth:`res` is sqrt(sum w).
+    maps it to (k + 1, |g|^2 w), and :meth:`res` is sqrt(sum w) over the
+    modes. Scalar ``alpha`` and ``omega`` sweep one point, on w of shape
+    (modes,); an (A, 1, 1) column of shifts and a (1, W, 1) row of
+    relaxations sweep their product grid, on w of shape (A, W, modes).
     """
 
-    def __init__(self, lam, mu, S1, Sb, params):
-        self.lam, self.mu, self.S1, self.Sb, self.params = lam, mu, S1, Sb, params
+    def __init__(self, lam, mu, S1, Sb, method, alpha, omega):
+        self.lam, self.mu, self.S1, self.Sb, self.params = lam, mu, S1, Sb, (method, alpha, omega)
         self.g = 0.0  # no sweep taken: g^0 = 1 and x = 0
-        self.start = (0, np.abs(Sb) ** 2)
+        shape = np.broadcast_shapes(np.shape(alpha), np.shape(omega), Sb.shape)
+        self.start = (0, np.broadcast_to(np.abs(Sb) ** 2, shape).copy())
         self._x = (None, None)
 
     def make_step(self):
-        self.g = _mode_factors(self.lam, self.mu, self.params.method, self.params.alpha,
-                               self.params.relaxation)
-        g2 = np.abs(self.g) ** 2
+        self.g = _mode_factors(self.lam, self.mu, *self.params)
+        g2 = np.abs(self.g) ** 2  # one row per shift broadcasts if the method does not relax
         return lambda state, res: ((state[0] + 1, g2 * state[1]), 0)
 
     def res(self, state):
-        return math.sqrt(state[1].sum())
+        return np.sqrt(state[1].sum(axis=-1))
 
     def x(self, state):
         """x = S((1 - g^k) * S b / (lam + i mu)) after k sweeps, formed once per k."""
@@ -532,8 +535,9 @@ def run_stationary(system, params, config=None):
     config = config or SolveConfig()
     nb = _norm_b(system)
     if _closed_form(system, config):
-        modal = _ModalSweep(*system.joint_eigenbasis, system._modal_b, params)
-        state, report = _sweep(modal.make_step, lambda s: modal.res(s) / nb, modal.start,
+        modal = _ModalSweep(*system.joint_eigenbasis, system._modal_b, params.method,
+                            params.alpha, params.relaxation)
+        state, report = _sweep(modal.make_step, lambda s: float(modal.res(s) / nb), modal.start,
                                config.tol, config.max_outer)
         return modal.x(state), report
     mode = config.resolved_inner(system.n)
@@ -556,24 +560,22 @@ def _closed_form(system, config):
 
 def run_stationary_grid(system, method, alphas, omegas, config=None):
     """A race of the grid ``alphas x omegas`` of ``method``, alpha-major, to
-    the first converged sweep, from one pass; None when the system has no
-    closed form under ``config`` (no joint eigenbasis, or inner
-    "iterative"), so that its caller solves the points one by one. Each
-    alpha and omega is first checked once, as SplitParams checks it; an
-    empty grid then gives [] and builds no factors.
+    the first converged sweep; None when the system has no closed form under
+    ``config`` (no joint eigenbasis, or inner "iterative"), so that its
+    caller solves the points one by one. Each alpha and omega is first
+    checked once, as SplitParams checks it; an empty grid then gives [] and
+    builds no factors.
 
-    Every point sweeps its modal residual (see :class:`_ModalSweep`) in
-    lockstep, ``w <- |g|^2 w`` on a C-ordered array of shape (points,
-    modes), with g built once per shift (see :func:`_mode_factors`), until
-    the first sweep k at which some point's RES is not above tol, or until
-    max_outer; every point stops at that sweep. Each sweep takes the RES of
-    every point from one ``w.sum(axis=1)``, which adds each row as the 1-D
-    sum run_stationary takes of it (a test pins that), so each report is bit
-    for bit what :func:`run_stationary` gives with max_outer lowered to k,
-    except for ``wall_time``, the time of the whole pass. The points that
-    converge are those that converge alone in the fewest sweeps, so the
-    winner and its report come from here, and no point is solved alone. No
-    x is formed.
+    The race is one :func:`_sweep` of the grid's :class:`_ModalSweep`, whose
+    residual is the least RES of its points, so every point stops at the
+    first sweep k at which some point's RES is not above tol, or at
+    max_outer. Each sweep takes every point's RES from one
+    ``w.sum(axis=-1)``, which adds each point as run_stationary adds its
+    1-D w (a test pins that), so each report is bit for bit what
+    :func:`run_stationary` gives with max_outer lowered to k, but for
+    ``wall_time``, the time of the whole race. The points that converge are
+    those that converge alone in the fewest sweeps, so the winner and its
+    report come from here, and no point is solved alone. No x is formed.
     """
     config = config or SolveConfig()
     shifts = np.array([SplitParams(method, a).alpha for a in alphas], float)
@@ -583,23 +585,16 @@ def run_stationary_grid(system, method, alphas, omegas, config=None):
     if not (shifts.size and relaxations.size):
         return []
     nb = _norm_b(system)
-    t0 = time.perf_counter()
-    lam, mu, _ = system.joint_eigenbasis
-    shape = (shifts.size, relaxations.size, lam.size)
-    w = np.tile(np.abs(system._modal_b) ** 2, (shape[0] * shape[1], 1))
-    g2 = None
-    rows = [np.sqrt(w.sum(axis=1)) / nb]  # rows[k]: the RES of every point after sweep k
-    while (rows[-1] > config.tol).all() and len(rows) <= config.max_outer:
-        if g2 is None:  # a start that meets tol builds no factors
-            g = _mode_factors(lam, mu, method, shifts.reshape(-1, 1, 1),
-                              relaxations.reshape(1, -1, 1))
-            # a method that does not relax gives one row of g per shift
-            g2 = np.broadcast_to(np.abs(g) ** 2, shape).reshape(w.shape)
-        w *= g2
-        rows.append(np.sqrt(w.sum(axis=1)) / nb)
-    wall = time.perf_counter() - t0
+    modal = _ModalSweep(*system.joint_eigenbasis, system._modal_b, method,
+                        shifts.reshape(-1, 1, 1), relaxations.reshape(1, -1, 1))
+    rows = []  # rows[k]: the RES of every point after sweep k
+
+    def residual(state):
+        rows.append(modal.res(state) / nb)
+        return rows[-1].min()  # NaN at any point stops the race
+    wall = _sweep(modal.make_step, residual, modal.start, config.tol, config.max_outer)[1].wall_time
     return [SolveReport(h[-1] <= config.tol, len(h) - 1, h[-1], list(enumerate(h)), wall)
-            for h in np.array(rows).T.tolist()]
+            for h in np.array(rows).reshape(len(rows), -1).T.tolist()]
 
 
 def default_alpha(system, method):

@@ -1,6 +1,7 @@
-"""A sweep grid on a system with a joint sine eigenbasis is solved in one
-lockstep pass, a race to the first converged sweep; each point's report must
-be the one its own solve gives with max_outer lowered to that sweep."""
+"""A sweep grid on a system with a joint sine eigenbasis is solved as one
+modal sweep of the grid, a race to the first converged sweep; each point's
+report must be the one its own solve gives with max_outer lowered to that
+sweep."""
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -92,6 +93,26 @@ def test_sweep_params_rows_are_the_solves_of_their_cells(spec, method, alphas, o
         for p, e in zip(points, expected)]
 
 
+def test_a_detected_grid_races_in_one_sweep_loop(monkeypatch):
+    from gadisolve import splitting
+    calls, original = [], splitting._sweep
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+    monkeypatch.setattr(splitting, "_sweep", counted)
+    system = ProblemSpec("ex241", m=8, stencil="unit").build()
+    alphas, omegas = (0.5, 1.0, 2.0), (0.01, 0.5)
+    reports = run_stationary_grid(system, "gadi", alphas, omegas, SolveConfig(1e-6))
+    assert len(calls) == 1
+    # the race stops at sweep 50, where (2.0, 0.01) alone converges
+    assert [(r.converged, r.iterations) for r in reports] == [(False, 50)] * 4 + [
+        (True, 50), (False, 50)]
+    assert [_outcome(r) for r in reports] == [
+        _outcome(run_stationary(system, SplitParams("gadi", a, w), SolveConfig(1e-6, 50))[1])
+        for a in alphas for w in omegas]
+
+
 def test_a_system_without_a_closed_form_is_left_to_its_caller():
     detected = ProblemSpec("ex241", m=4, stencil="unit").build()
     assert run_stationary_grid(detected, "gadi", [1.0], [0.01],
@@ -141,12 +162,17 @@ def test_an_empty_grid_reports_nothing_and_builds_no_factors(monkeypatch):
 
 @pytest.mark.parametrize("modes", [1, 7, 8, 9, 127, 128, 129, 255, 256, 1000, 2304, 9216])
 def test_the_block_row_sums_are_the_sums_of_the_rows(modes):
-    # run_stationary_grid takes every point's RES from one w.sum(axis=1) of
-    # its C-ordered (points, modes) array, and run_stationary from a 1-D
-    # row.sum(); the reports agree bit for bit only while these two do
+    # run_stationary_grid takes every point's RES from one w.sum(axis=-1) of
+    # its C-ordered (shifts, relaxations, modes) array, and run_stationary
+    # from a 1-D w.sum(); the reports agree bit for bit only while these two
+    # do, for the (points, modes) block and each grid shape of its points
     rng = np.random.default_rng(modes)
     w = np.abs(rng.standard_normal((70, modes)) * 10.0 ** rng.uniform(-8.0, 8.0, (70, modes))) ** 2
     for points in range(1, 71):
         block = w[:points]
         assert block.flags.c_contiguous
-        assert block.sum(axis=1).tobytes() == np.array([r.sum() for r in block]).tobytes()
+        rows = np.array([r.sum() for r in block]).tobytes()
+        grids = [block.reshape(a, points // a, modes) for a in range(1, points + 1)
+                 if points % a == 0]
+        for layout in (block, *grids):
+            assert layout.sum(axis=-1).tobytes() == rows

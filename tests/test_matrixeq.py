@@ -787,6 +787,29 @@ def test_problems_reject_bad_data(which, kind, message):
             LyapunovProblem(sp.csr_array(data["W"]), sp.csr_array(data["T"]), data["Q"])
 
 
+def _each_problem(W, T):
+    """Makers of a ComplexSymSystem, LyapunovProblem and RiccatiProblem on (W, T), n = 6."""
+    I = np.eye(6)
+    return (lambda: ComplexSymSystem(W, T, np.ones(6)), lambda: LyapunovProblem(W, T, I),
+            lambda: RiccatiProblem(W, T, I, I))
+
+
+@pytest.mark.parametrize("storage", [np.asarray, sp.csr_array], ids=["dense", "sparse"])
+@pytest.mark.parametrize("which", ["W", "T"])
+def test_problems_reject_a_w_or_t_with_an_imaginary_part(which, storage):
+    # W and T are the real and imaginary parts of A = W + iT, and the
+    # eigensolves of the shift and of the Lyapunov sweeps take them as real
+    real, I = np.diag(np.arange(1.0, 7.0)) + 0.5 * np.ones((6, 6)), np.eye(6)
+    for bad in (real + 0.5j * np.ones((6, 6)), real + 1e-300j * I):
+        W, T = (bad, I) if which == "W" else (real, bad)
+        for make in _each_problem(storage(W), storage(T)):
+            with pytest.raises(ValueError, match=f"^{which} has a nonzero imaginary part$"):
+                make()
+    # a complex dtype with zero imaginary part is real data
+    for make in _each_problem(storage(real.astype(complex)), storage(I.astype(complex))):
+        make()
+
+
 def test_problems_reject_empty_data():
     # n = 0 has no default shift and no residual norm: the data are refused
     empty = np.zeros((0, 0))
