@@ -11,11 +11,14 @@ and T), the lift is diagonal in S1 (x) S1 and a solve is the closed-form
 ``splitting._ModalSweep``, with no eigensolve. Newton steps
 A_k* X + X A_k = Q_k (A_k = A - G X_k) of the Riccati equation
 A* X + X A + Q - X G X = 0 run the eigen sweep with the second half-step
-(aI - iT - S) X + X (iT - S^H) = R, S = X_k G, held in its Schur basis:
-Bartels-Stewart, one complex Schur form per Newton step and a LAPACK trsyl
-per sweep. A Lyapunov solve and a Newton step drive either sweep the same
-way, through its ``start``, ``make_step``, ``res`` and ``x`` in one
-``splitting._sweep`` call; the Newton outer steps run in that loop too.
+(aI - iT - S) X + X (iT - S^H) = R, S = X_k G, held in the eigenbasis V of
+C = aI - iT - S: one eigensolve and inverse per Newton step and a division
+per sweep. When cond(V) exceeds ``NEWTON_EIG_COND`` the step holds it in
+the Schur basis of C instead: Bartels-Stewart, one complex Schur form per
+step and a LAPACK trsyl per sweep. A Lyapunov solve and a Newton step drive
+either sweep the same way, through its ``start``, ``make_step``, ``res`` and
+``x`` in one ``splitting._sweep`` call; the Newton outer steps run in that
+loop too.
 The sparse lifts are built only as reference operators.
 """
 import time
@@ -46,6 +49,7 @@ __all__ = [
 LIFT_LIMIT = 128  # the explicit lifts have n^2 rows
 NEWTON_MAX_INNER = 500  # inner GADI sweeps per Newton step
 NEWTON_MAX_INFLATIONS = 60  # identity inflations tried on a singular Newton start
+NEWTON_EIG_COND = 1e3  # the largest ||V||_1 ||V^-1||_1 of a Newton half-step's eigenbasis
 
 
 class _EquationData:
@@ -224,30 +228,34 @@ class _EigenSweep:
 
     With Lw_ij = lam_i + lam_j, WX + XW is Lw * X_U in U coordinates
     (X_U = U^T X U), so the first half-step is a division. The second is data,
-    ``second = (Z, K, solve)``: K(Y) in Z coordinates Y = Z^H X Z, and the
-    solver of aY + K(Y) = R. A state is (Y, X_U, r_U), with r_U = U^T R U for
-    the residual R = Q - WX - XW - K(X); it changes basis through P = U^T Z,
-    six products of P with an n x n matrix per sweep, and :meth:`res` is
-    ||r_U||_F = ||R||_F.
+    ``second = (Z, Z_inv, K, solve)``: K(Y) in Z coordinates Y = Z^-1 X Z^-H,
+    and the solver of aY + K(Y) = R; ``Z_inv`` is None for a unitary Z, whose
+    inverse is Z^H. A state is (Y, X_U, r_U, K(Y)), with r_U = U^T R U for the
+    residual R = Q - WX - XW - K(X); it goes to U coordinates through
+    P = U^T Z and back through Pi = Z^-1 U, six products of P or Pi with an
+    n x n matrix per sweep, and :meth:`res` is ||r_U||_F = ||R||_F.
     """
 
     def __init__(self, eig_W, Q, params, second, X0=None):
         lam, U = eig_W
-        self.Z, self.K, self.solve = second
+        self.Z, Z_inv, self.K, self.solve = second
         self.P = U.T @ self.Z
         self.PH = self.P.conj().T
+        # M -> Pi M Pi^H is _congruence(self.PiH, M); Pi = P^H for a unitary Z
+        self.PiH = self.P if Z_inv is None else (Z_inv @ U).conj().T
         self.Lw = lam[:, None] + lam[None, :]
         a, om = params.alpha, params.relaxation
         self.D1, self.c, self.b = a + self.Lw, (1 - om) * a, (2 - om) * a
         self.Q_U = _congruence(U, Q)
         self.start = self.state(np.zeros(self.Lw.shape, dtype=complex) if X0 is None
-                                else _congruence(self.Z, X0))
+                                else _congruence(self.Z if Z_inv is None else Z_inv.conj().T, X0))
 
     def state(self, Y):
         """The state of the iterate Z Y Z^H, with X_U = P Y P^H and
         K(X)_U = P K(Y) P^H."""
+        KY = self.K(Y)
         X_U = _congruence(self.PH, Y)
-        return Y, X_U, self.Q_U - self.Lw * X_U - _congruence(self.PH, self.K(Y))
+        return Y, X_U, self.Q_U - self.Lw * X_U - _congruence(self.PH, KY), KY
 
     def res(self, state):
         return np.linalg.norm(state[2])
@@ -256,16 +264,16 @@ class _EigenSweep:
         return _congruence(self.Z.conj().T, state[0])
 
     def first(self, state):
-        """Z^H Xh Z for the first half-step's (aI + W~) xh = a x - K~ x + q,
+        """Z^-1 Xh Z^-H for the first half-step's (aI + W~) xh = a x - K~ x + q,
         which is r_U / D1 + X_U in U coordinates."""
-        _, X_U, r_U = state
-        return _congruence(self.P, r_U / self.D1 + X_U)
+        _, X_U, r_U, _ = state
+        return _congruence(self.PiH, r_U / self.D1 + X_U)
 
     def second(self, state, Xh_Z):
         """The state after the second half-step
         (aI + K~) x' = (K~ - (1 - w) aI) x + (2 - w) a xh."""
-        Y = state[0]
-        return self.state(self.solve(self.K(Y) - self.c * Y + self.b * Xh_Z))
+        Y, _, _, KY = state
+        return self.state(self.solve(KY - self.c * Y + self.b * Xh_Z))
 
     def step(self, state, res):
         return self.second(state, self.first(state)), 0
@@ -281,28 +289,57 @@ def _lyapunov_part(T, params):
     mu, V = _eigh(T)
     E = 1j * (mu[None, :] - mu[:, None])
     D2 = params.alpha + E
-    return V, lambda Y: E * Y, lambda R: R / D2
+    return V, None, lambda Y: E * Y, lambda R: R / D2
+
+
+def _singular(info):
+    return RuntimeError(f"Newton step equation is numerically singular ({info})")
 
 
 def _newton_part(T, S, params):
     """The second half-step of a Newton step, K(X) = i(XT - TX) - (SX + XS^H)
-    with S = X_k G, held in its Schur basis (Bartels-Stewart).
+    with S = X_k G, in the eigenbasis of C = aI - iT - S.
 
-    aX + K(X) = C X + X (C - aI)^H with C = aI - iT - S, so in the basis of
-    the complex Schur form C = Z U Z^H, K(Y) = N Y + Y N^H with N = U - aI,
-    and the solve of U Y + Y N^H = R is one LAPACK trsyl.
+    aX + K(X) = C X + X (C - aI)^H. With C = V diag(d) V^-1 and Y the
+    coordinates X = V Y V^H, K(Y) = E * Y with E_ij = (d_i - a) + conj(d_j - a),
+    and the solve is a division by a + E, as in :func:`_lyapunov_part`. Its
+    accuracy goes with cond(V) (Simoncini, SIAM Review 58, 2016), so when
+    ||V||_1 ||V^-1||_1 exceeds ``NEWTON_EIG_COND``, or V is singular, the
+    half-step is held in the basis of the complex Schur form C = Z U Z^H
+    instead (Bartels-Stewart): K(Y) = N Y + Y N^H with N = U - aI, and the
+    solve of U Y + Y N^H = R is one LAPACK trsyl. A divisor a + E_ij at or
+    below trsyl's smallness bound raises the RuntimeError that trsyl's
+    singular flag raises.
     """
     a = params.alpha
     I = np.eye(S.shape[0])
-    U, Z = sla.schur(a * I - 1j * T - S, output="complex")
+    C = a * I - 1j * T - S
+    d, V = sla.eig(C)
+    try:
+        V_inv = np.linalg.inv(V)
+    except np.linalg.LinAlgError:  # a defective C
+        V_inv = None
+    if V_inv is not None and (np.linalg.norm(V, 1) * np.linalg.norm(V_inv, 1)
+                              <= NEWTON_EIG_COND):
+        E = (d - a)[:, None] + (d - a).conj()[None, :]
+        D2 = a + E
+        # trsyl's bound on |Re| + |Im| of its divisors U_ii + conj(N_jj), with
+        # the eigenvalues d and d - a for the entries of U and N
+        eps, tiny = np.finfo(float).eps, np.finfo(float).tiny
+        smin = max(tiny * D2.size / eps, eps * np.abs(d).max(), eps * np.abs(d - a).max())
+        if (np.abs(D2.real) + np.abs(D2.imag) <= smin).any():
+            raise _singular("an eigenbasis divisor vanishes")
+        return V, V_inv, lambda Y: E * Y, lambda R: R / D2
+    U, Z = sla.schur(C, output="complex")
     N = U - a * I
+    NH = N.conj().T
 
     def solve(R):
         Y, scale, info = ztrsyl(U, N, R, tranb="C")
         if info != 0:
-            raise RuntimeError(f"Newton step equation is numerically singular (trsyl info {info})")
+            raise _singular(f"trsyl info {info}")
         return Y / scale
-    return Z, lambda Y: N @ Y + Y @ N.conj().T, solve
+    return Z, None, lambda Y: N @ Y + Y @ NH, solve
 
 
 def _solve_lyapunov(problem, method, params, config):
@@ -479,15 +516,18 @@ def newton_gadi_riccati(problem, outer_tol=1e-6, max_outer=30, inner_forcing=(0.
     ``inner_forcing=(eta_max, eta_fac)``, or for ``NEWTON_MAX_INNER`` sweeps.
     The sweeps hold the iterate in the eigenbasis of W and, for the second
     half-step (aI - iT - S) X + X (iT - S^H) = R with S = X_k G, in the
-    Schur basis of aI - iT - S, where that half-step is one trsyl
-    (Bartels-Stewart). ``x0``, if given, is a finite n x n start.
+    eigenbasis V of C = aI - iT - S, where that half-step is a division; a
+    step whose ||V||_1 ||V^-1||_1 exceeds ``NEWTON_EIG_COND`` holds it in the
+    Schur basis of C instead, as one trsyl (Bartels-Stewart). A step
+    equation that is singular to rounding raises RuntimeError. ``x0``, if
+    given, is a finite n x n start.
     A forcing term of the order of the residual keeps Newton's local
     quadratic convergence (Dembo, Eisenstat & Steihaug 1982). The outer steps
     run in the sweep loop of :mod:`gadisolve.splitting`, which stops when
     Res(X) = ||A* X + X A + Q - X G X||_2 / ||Q||_2 < outer_tol, after
     ``max_outer`` steps, or at a fixed point: a step whose start X_k already
     meets its inner tolerance (its residual taken of X_k itself) returns X_k
-    and builds no Schur form, and every later step would repeat it.
+    and builds no basis, and every later step would repeat it.
     outer_tol must be finite and positive, and max_outer at least 1. The
     default shift ``alpha`` is ``default_alpha(problem, "gadi")``, taken of
     the eigenvalues of W that the sweeps use. Of the equation's Hermitian

@@ -426,11 +426,14 @@ def test_newton_stationary_at_exact_solution():
 
 def test_newton_keeps_an_exact_solution_bit_for_bit(monkeypatch):
     # at a solution the start residual of the first step is below its inner
-    # tolerance: the step returns X_k itself before it builds a Schur form,
-    # a fixed point that ends the outer sweep after that one step
+    # tolerance: the step returns X_k itself before it builds an eigenbasis or
+    # a Schur form, a fixed point that ends the outer sweep after that one step
     from gadisolve import matrixeq
-    schur, calls = matrixeq.sla.schur, []
-    monkeypatch.setattr(matrixeq.sla, "schur", lambda *a, **k: calls.append(1) or schur(*a, **k))
+    calls = []
+    for name in ("eig", "schur"):
+        f = getattr(matrixeq.sla, name)
+        monkeypatch.setattr(matrixeq.sla, name,
+                            lambda *a, f=f, name=name, **k: calls.append(name) or f(*a, **k))
     p = gen_ex421(4)
     A = p.dense_A()
     Xs = solve_continuous_are(A, np.eye(4, dtype=complex), p.Q, np.linalg.inv(p.G))
@@ -446,6 +449,23 @@ def test_newton_keeps_an_exact_solution_bit_for_bit(monkeypatch):
     assert state.inner_residual == float(np.linalg.norm(Q_k - A_k.conj().T @ Xs - Xs @ A_k))
     res = riccati_residual(p, Xs)
     assert result.res_history == [(0, res), (1, res)] and state.res == res
+
+
+@pytest.mark.parametrize("bound, why", [(None, "an eigenbasis divisor vanishes"),
+                                        (0.0, "trsyl info 1")], ids=["eigenbasis", "schur"])
+def test_a_singular_newton_half_step_raises(monkeypatch, bound, why):
+    # S = diag(a/2, 0.3): C = aI - S has the eigenvalue d = a/2, whose divisor
+    # d + conj(d) - a of the second half-step is exactly zero; a bound of 0
+    # sends every step to the Schur form and trsyl
+    from gadisolve import matrixeq
+    if bound is not None:
+        monkeypatch.setattr(matrixeq, "NEWTON_EIG_COND", bound)
+    a = 2.0
+    S = np.diag([a / 2, 0.3]).astype(complex)
+    with pytest.raises(RuntimeError) as err:
+        solve = matrixeq._newton_part(np.zeros((2, 2)), S, SplitParams("gadi", a, 0.5))[3]
+        solve(np.ones((2, 2), dtype=complex))
+    assert str(err.value) == f"Newton step equation is numerically singular ({why})"
 
 
 def test_newton_early_exit_at_exact_solution():
