@@ -292,10 +292,6 @@ def _lyapunov_part(T, params):
     return V, None, lambda Y: E * Y, lambda R: R / D2
 
 
-def _singular(info):
-    return RuntimeError(f"Newton step equation is numerically singular ({info})")
-
-
 def _newton_part(T, S, params):
     """The second half-step of a Newton step, K(X) = i(XT - TX) - (SX + XS^H)
     with S = X_k G, in the eigenbasis of C = aI - iT - S.
@@ -328,7 +324,8 @@ def _newton_part(T, S, params):
         eps, tiny = np.finfo(float).eps, np.finfo(float).tiny
         smin = max(tiny * D2.size / eps, eps * np.abs(d).max(), eps * np.abs(d - a).max())
         if (np.abs(D2.real) + np.abs(D2.imag) <= smin).any():
-            raise _singular("an eigenbasis divisor vanishes")
+            raise RuntimeError("Newton step equation is numerically singular"
+                               " (an eigenbasis divisor vanishes)")
         return V, V_inv, lambda Y: E * Y, lambda R: R / D2
     U, Z = sla.schur(C, output="complex")
     N = U - a * I
@@ -337,7 +334,7 @@ def _newton_part(T, S, params):
     def solve(R):
         Y, scale, info = ztrsyl(U, N, R, tranb="C")
         if info != 0:
-            raise _singular(f"trsyl info {info}")
+            raise RuntimeError(f"Newton step equation is numerically singular (trsyl info {info})")
         return Y / scale
     return Z, None, lambda Y: N @ Y + Y @ NH, solve
 
