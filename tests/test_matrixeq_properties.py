@@ -54,7 +54,7 @@ def newton(rng, n, a):
 def near_jordan_newton(rng, n, a):
     """A Newton step equation (n >= 2) whose C = aI - iT - S has an
     eigenvector matrix V far above the bound on ||V||_1 ||V^-1||_1: in a
-    random unitary basis, S = X_k G is (a / 4) [[0, 1e-10], [1, 0]] (+) 0, a
+    random orthogonal basis, S = X_k G is (a / 4) [[0, 1e-10], [1, 0]] (+) 0, a
     near Jordan block, and T = t I. S has 2-norm a / 4, as in :func:`newton`."""
     n = max(n, 2)
     B = random_orthogonal(rng, n)
@@ -180,7 +180,7 @@ def newton_outcome(p, x0):
     return (r.converged, [s.inner_iterations for s in r.states]), r.X
 
 
-@settings(derandomize=True, deadline=None, database=None, max_examples=40)
+@PROPERTY
 @given(n=st.integers(1, 6), seed=st.integers(0, 2 ** 32 - 1), zero_start=st.booleans())
 def test_newton_eigenbasis_and_schur_half_steps_end_alike(n, seed, zero_start):
     p = random_riccati(np.random.default_rng(seed), n)
